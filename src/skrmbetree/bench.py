@@ -18,7 +18,7 @@ from .betree import BeTree
 from .config import ExperimentConfig
 from .counters import accumulate_cost
 from .device import Device
-from .errors import ConfigError
+from .errors import ConfigError, StructureError
 from .layout import DeviceStore
 from .workload import OP_READ, WorkloadSpec, generate
 
@@ -111,7 +111,7 @@ def run_single(cfg: ExperimentConfig, check_oracle: bool = False,
             if got is None:
                 misses += 1
             if check_oracle and got != oracle.get(key):
-                raise ConfigError(
+                raise StructureError(
                     f"query({key:#x}) returned {got}, oracle says "
                     f"{oracle.get(key)}")
         else:
@@ -123,7 +123,7 @@ def run_single(cfg: ExperimentConfig, check_oracle: bool = False,
         tree.flush_all()
         tree.audit()
         if tree.arena is not None and tree.arena.occupancy != 0:
-            raise ConfigError("arena slots leaked after full flush")
+            raise StructureError("arena slots leaked after full flush")
 
     counters = device.counters
     energy, latency = accumulate_cost(counters, cfg.cost)

@@ -310,8 +310,12 @@ class BeTree:
             chunks.append(new_list[at:at + size])
             at += size
         self._write_leaf_diffs(leaf, chunks[0])
+        # each chunk's pivot goes beside its left neighbour's: an earlier
+        # pivot may have split the parent, leaving the old leaf in a node
+        # whose key range ends below this chunk
+        left = leaf
         for chunk in chunks[1:]:
-            sibling = self._new_node(KIND_LEAF, leaf.parent)
+            sibling = self._new_node(KIND_LEAF, left.parent)
             sibling.elements = chunk
             self.store.write_pairs(
                 sibling.node_id,
@@ -319,7 +323,8 @@ class BeTree:
             moved = sum(1 for k, _v in chunk
                         if k in old_keys and k not in arrival_keys)
             self.kv_writes += moved
-            self._on_split(leaf, chunk[0][0], sibling)
+            self._on_split(left, chunk[0][0], sibling)
+            left = sibling
 
     def _write_leaf_diffs(self, leaf: LeafNode, new_list) -> None:
         old = leaf.elements

@@ -111,6 +111,9 @@ class TreeConfig:
             raise ConfigError("buffer and element capacities must be >= 1")
         if self.pivot_pairs + self.buffer_pairs != self.node_pairs:
             raise ConfigError("pivot_pairs + buffer_pairs must equal node_pairs")
+        if self.element_pairs > self.node_pairs:
+            # a leaf's elements sit in the node's pair slots (its ports)
+            raise ConfigError("element_pairs must be <= node_pairs")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}")
         if self.parallel_ports and self.strategy != "bcw":
@@ -232,9 +235,11 @@ def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConf
     """Overlay a parsed config file onto an ExperimentConfig.
 
     Geometry keys (word_bits, ...) adjust the experiment-level fields they
-    derive from; unknown keys raise, so typos do not pass silently.
+    derive from; ports_per_track and interport_bits are derived from the
+    tree shape and word size, so they must agree with the result. Unknown
+    keys raise, so typos do not pass silently.
     """
-    cost_kw, tree_kw, exp_kw = {}, {}, {}
+    cost_kw, tree_kw, exp_kw, derived_kw = {}, {}, {}, {}
     for key, value in settings.items():
         if key in _COST_KEYS:
             cost_kw[key] = float(value)
@@ -249,9 +254,9 @@ def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConf
         elif key == "shift_policy":
             exp_kw["shift_policy"] = value
         elif key in ("ports_per_track", "interport_bits"):
-            # geometry is derived from the tree shape; these are accepted for
-            # standalone device work but must agree with the derived values
-            continue
+            # accepted so a device-level settings file can be shared;
+            # checked once every other key has applied
+            derived_kw[key] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")
     if cost_kw:
@@ -260,6 +265,12 @@ def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConf
         cfg = replace(cfg, tree=replace(cfg.tree, **tree_kw))
     if exp_kw:
         cfg = replace(cfg, **exp_kw)
+    geom = cfg.geometry()
+    for key, value in derived_kw.items():
+        if value != getattr(geom, key):
+            raise ConfigError(
+                f"{key} = {value} from file disagrees with the geometry this "
+                f"run derives ({key} = {getattr(geom, key)})")
     return cfg
 
 

@@ -35,8 +35,27 @@ class OpCounters:
         return getattr(self, kind + "_steps")
 
     def _bump(self, kind, n, steps):
-        setattr(self, kind, getattr(self, kind) + n)
-        setattr(self, kind + "_steps", getattr(self, kind + "_steps") + steps)
+        if kind == "detect":
+            self.detect += n
+            self.detect_steps += steps
+        elif kind == "shift":
+            self.shift += n
+            self.shift_steps += steps
+        elif kind == "inject":
+            self.inject += n
+            self.inject_steps += steps
+        elif kind == "remove":
+            self.remove += n
+            self.remove_steps += steps
+        else:
+            raise ValueError(f"unknown primitive {kind!r}")
+
+    def log_steps(self, kind: str, n: int, steps: int) -> None:
+        """Append `steps` trace entries for n instances of one kind: one
+        (kind, n) entry when they fired together, n (kind, 1) entries when
+        each was its own step. Call only when ``trace`` is not None."""
+        if steps:
+            self.trace.extend([(kind, n // steps)] * steps)
 
     def record(self, kind: str, n: int, parallel: bool = False) -> None:
         """n primitive instances of one kind; one step if fired in parallel."""
@@ -47,10 +66,7 @@ class OpCounters:
         steps = 1 if parallel else n
         self._bump(kind, n, steps)
         if self.trace is not None:
-            if parallel:
-                self.trace.append((kind, n))
-            else:
-                self.trace.extend((kind, 1) for _ in range(n))
+            self.log_steps(kind, n, steps)
 
     def record_shift(self, tracks: int, steps: int, lockstep: bool = True) -> None:
         """steps shift steps over `tracks` tracks moved together.
@@ -62,10 +78,10 @@ class OpCounters:
             return
         n = tracks * steps
         latency_steps = steps if lockstep else n
-        self._bump("shift", n, latency_steps)
+        self.shift += n
+        self.shift_steps += latency_steps
         if self.trace is not None:
-            width = tracks if lockstep else 1
-            self.trace.extend(("shift", width) for _ in range(latency_steps))
+            self.log_steps("shift", n, latency_steps)
 
     def record_mixed(self, model: CostModel, inject: int = 0, remove: int = 0,
                      parallel: bool = True) -> None:

@@ -139,7 +139,8 @@ class Device:
             raise ConfigError("direction must be 'left' or 'right'")
         if steps == 0:
             return
-        handles = self._resolve(tracks)
+        handles = ((tracks,) if isinstance(tracks, (Racetrack, TrackGroup))
+                   else self._resolve(tracks))
         delta = steps if direction == RIGHT else -steps
         limit = self.geom.interport_bits
         for h in handles:
@@ -191,11 +192,15 @@ class Device:
         All tracks must sit at one common offset already (they are a shift
         set). Returns the steps issued; 0 when already aligned.
         """
-        handles = self._resolve(tracks)
-        offsets = {h.offset for h in handles}
-        if len(offsets) != 1:
-            raise ConfigError("align needs tracks at a common offset")
-        current = offsets.pop()
+        if isinstance(tracks, (Racetrack, TrackGroup)):
+            handles = tracks
+            current = tracks.offset
+        else:
+            handles = self._resolve(tracks)
+            offsets = {h.offset for h in handles}
+            if len(offsets) != 1:
+                raise ConfigError("align needs tracks at a common offset")
+            current = offsets.pop()
         delta = target_offset - current
         if delta == 0:
             return 0
@@ -209,18 +214,23 @@ class Device:
 
     # ----------------------------------------------- word-based charged passes
 
+    @staticmethod
+    def _check_slot(tr: Racetrack, slot: int, width: int) -> None:
+        if not (0 <= slot < tr.n_ports):
+            raise PortRangeError(f"word slot {slot} outside this track")
+        if not (0 <= width <= tr.interport):
+            raise ConfigError(f"width {width} outside one interport segment "
+                              f"(0..{tr.interport})")
+
     def _slot_array(self, tr: Racetrack, writes):
         starts = np.empty(len(writes), dtype=np.int64)
         widths = np.empty(len(writes), dtype=np.int64)
         seen = set()
         max_w = 0
         for i, (slot, _bits, width) in enumerate(writes):
-            if not (0 <= slot < tr.n_ports):
-                raise PortRangeError(f"word slot {slot} outside this track")
+            self._check_slot(tr, slot, width)
             if slot in seen:
                 raise ConfigError(f"slot {slot} written twice in one batch")
-            if not (0 <= width <= tr.interport):
-                raise ConfigError("width must be within one interport segment")
             seen.add(slot)
             starts[i] = tr.slot_start(slot)
             widths[i] = width
@@ -239,9 +249,9 @@ class Device:
         """One word through its port, naive or dcw; every port action is its
         own latency step."""
         tr = self._resolve(track)[0]
-        starts, widths, _ = self._slot_array(tr, [(slot, bits, width)])
+        self._check_slot(tr, slot, width)
         self._charge_pass_shifts(tr)
-        det, inj, rem = kernels.word_write(tr.cells, int(starts[0]),
+        det, inj, rem = kernels.word_write(tr.cells, tr.slot_start(slot),
                                            tr.interport, width,
                                            np.ascontiguousarray(bits[:width]),
                                            _MODES[mode])
@@ -257,8 +267,8 @@ class Device:
         to its new cell; only the population difference is injected or
         removed. Single-word by construction."""
         tr = self._resolve(track)[0]
-        starts, _, _ = self._slot_array(tr, [(slot, bits, width)])
-        start = int(starts[0])
+        self._check_slot(tr, slot, width)
+        start = tr.slot_start(slot)
         old = tr.cells[start:start + width]
         new = np.ascontiguousarray(bits[:width])
         inj, rem, repos = kernels.pw_match(old, new)
@@ -334,24 +344,44 @@ class Device:
         The sweep starts from whichever end of the bit range is closer to
         the current offset, so back-to-back reads ping-pong instead of
         paying a realign pass. Lazy policy leaves the track where the sweep
-        ends.
+        ends; eager returns it home.
+
+        Charged as one pass: the align shifts to the near end, width - 1
+        sweep shifts to the far end, width serial detects, then the eager
+        return, exactly what align/shift/record/_finish would bill one by
+        one, in the same trace order.
         """
+        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
+        self._check_slot(tr, slot, width)
         if width == 0:
             return 0
-        tr = self._resolve(track)[0]
-        if not (0 <= slot < tr.n_ports):
-            raise PortRangeError(f"word slot {slot} outside this track")
-        lo, hi = -(width - 1), 0
-        near = hi if abs(tr.offset - hi) <= abs(tr.offset - lo) else lo
-        far = lo if near == hi else hi
-        self.align(tr, near)
-        if width > 1:
-            self.shift(tr, RIGHT if far > near else LEFT, width - 1)
-        self.counters.record("detect", width)
+        # both sweep ends lie in [1 - width, 0]; width <= interport keeps
+        # them inside the overflow region, so no shift below can overrun
+        offset = tr.offset
+        lo = 1 - width
+        if abs(offset) <= abs(offset - lo):
+            near, far = 0, lo
+        else:
+            near, far = lo, 0
+        approach = abs(near - offset)
+        eager = self.geom.shift_policy == "eager"
+        home = abs(far) if eager else 0
+        tr.offset = 0 if eager else far
+        shifts = approach + width - 1 + home
+        c = self.counters
+        c.shift += shifts
+        c.shift_steps += shifts
+        c.detect += width
+        c.detect_steps += width
+        if c.trace is not None:
+            c.log_steps("shift", approach + width - 1, approach + width - 1)
+            c.log_steps("detect", width, width)
+            c.log_steps("shift", home, home)
+        # bits most significant first; slot starts are >= interport, so
+        # start - 1 never wraps to the array end
         start = tr.slot_start(slot)
-        value = kernels.bits_to_int(tr.cells[start:start + width])
-        self._finish(tr)
-        return value
+        msb_first = tr.cells[start + width - 1:start - 1:-1]
+        return int(msb_first.tobytes().translate(kernels.BIT_DIGITS), 2)
 
     # -------------------------------------------- bit-interleaved charged ops
 
@@ -378,9 +408,12 @@ class Device:
         if width == 0:
             return 0
         col = self._column(group, port, node_offset)
-        self.counters.record("detect", width, parallel=True)
-        value = kernels.bits_to_int(group.cells[row_start:row_start + width, col])
-        return value
+        c = self.counters
+        c.detect += width
+        c.detect_steps += 1
+        if c.trace is not None:
+            c.trace.append(("detect", width))
+        return kernels.bits_to_int(group.cells[row_start:row_start + width, col])
 
     def bi_write_word(self, group: TrackGroup, port: int, node_offset: int,
                       row_start: int, span: int, width: int, bits: np.ndarray,
@@ -398,18 +431,31 @@ class Device:
         det, inj, rem = kernels.bi_write(group.cells, row_start, span, width,
                                          col, np.ascontiguousarray(bits[:width]),
                                          _MODES[mode])
+        det, inj, rem = int(det), int(inj), int(rem)
         if self.count_new_detect:
             det *= 2
-        self.counters.record("detect", int(det), parallel=True)
-        if mode == "naive":
-            # clear-all fires before inject-all: two pulses, never one
-            self.counters.record("remove", int(rem), parallel=True)
-            self.counters.record("inject", int(inj), parallel=parallel)
+        # naive: the clear-all pulse fires before inject-all, two pulses,
+        # never one. Compare: flips are sequenced as a remove phase then an
+        # inject phase; the two pulse polarities never share a fire. A fire
+        # is one step when parallel, one step per instance otherwise, and
+        # no step at all when nothing fires.
+        det_steps = 1 if det else 0
+        if parallel or mode == "naive":
+            rem_steps = 1 if rem else 0
         else:
-            # flips are sequenced as a remove phase then an inject phase;
-            # the two pulse polarities never share a fire
-            self.counters.record("remove", int(rem), parallel=parallel)
-            self.counters.record("inject", int(inj), parallel=parallel)
+            rem_steps = rem
+        inj_steps = (1 if inj else 0) if parallel else inj
+        c = self.counters
+        c.detect += det
+        c.detect_steps += det_steps
+        c.remove += rem
+        c.remove_steps += rem_steps
+        c.inject += inj
+        c.inject_steps += inj_steps
+        if c.trace is not None:
+            c.log_steps("detect", det, det_steps)
+            c.log_steps("remove", rem, rem_steps)
+            c.log_steps("inject", inj, inj_steps)
 
     def counters_json(self) -> dict:
         return self.counters.as_flat_dict(self.cost)

@@ -22,21 +22,29 @@ MODE_NAIVE = 0
 MODE_DCW = 1
 
 
+# bit cell bytes <-> ASCII binary digits; a bit array converts to an int by
+# translating its reversed bytes into a digit string for int(..., 2)
+BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Little-endian bit array of `value`, exactly `width` cells."""
     if width == 0:
         return np.zeros(0, dtype=np.uint8)
     if value < 0 or value >> width:
         raise ValueError(f"value does not fit in {width} bits")
-    raw = value.to_bytes((width + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return np.ascontiguousarray(bits[:width])
+    digits = bytearray(format(value, f"0{width}b")[::-1], "ascii")
+    return np.frombuffer(digits.translate(DIGIT_BITS), dtype=np.uint8)
 
 
 def bits_to_int(bits: np.ndarray) -> int:
+    """Value of a little-endian 0/1 bit array (inverse of int_to_bits)."""
     if len(bits) == 0:
         return 0
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    if bits.dtype != np.uint8:
+        bits = bits.astype(np.uint8)
+    return int(bits[::-1].tobytes().translate(BIT_DIGITS), 2)
 
 
 # ---------------------------------------------------------------- loop backend

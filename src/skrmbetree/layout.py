@@ -45,7 +45,7 @@ class WordBasedLayout:
     def __init__(self, device, max_tracks=None):
         self.device = device
         self.max_tracks = max_tracks
-        self.assignments: dict[int, int] = {}   # node_id -> track_id
+        self.assignments: dict[int, object] = {}   # node_id -> Racetrack
         self.kinds: dict[int, str] = {}
 
     def place_node(self, node_id: int, kind: str):
@@ -53,12 +53,12 @@ class WordBasedLayout:
             raise ConfigError(f"node {node_id} already placed")
         _check_track_budget(self.device, self.max_tracks)
         tr = self.device.new_track()
-        self.assignments[node_id] = tr.track_id
+        self.assignments[node_id] = tr
         self.kinds[node_id] = kind
         return tr
 
     def track_of(self, node_id: int):
-        return self.device.track(self.assignments[node_id])
+        return self.assignments[node_id]
 
     def key_slot(self, pair_slot: int) -> int:
         return 2 * pair_slot
@@ -68,7 +68,7 @@ class WordBasedLayout:
 
     def to_json(self) -> dict:
         return {"mapping": self.mapping,
-                "nodes": {str(n): {"track": t, "kind": self.kinds[n]}
+                "nodes": {str(n): {"track": t.track_id, "kind": self.kinds[n]}
                           for n, t in sorted(self.assignments.items())}}
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from skrmbetree.bench import (MetricsReport, emit, parse_csv, run_experiment,
                               run_single, run_sweep, with_reductions)
+from skrmbetree.betree import BeTree
 from skrmbetree.cli import main
 from skrmbetree.config import ExperimentConfig, TreeConfig
-from skrmbetree.errors import ConfigError
+from skrmbetree.errors import ConfigError, StructureError
 
 UNIT_ENERGY = {"detect": 2.0, "shift": 20.0, "remove": 20.0, "inject": 200.0}
 UNIT_LATENCY = {"detect": 0.1, "shift": 0.5, "remove": 0.8, "inject": 1.0}
@@ -123,6 +124,25 @@ def test_checked_run_carries_tree_stats():
     assert extra["read_misses"] == 0
     assert extra["kv_writes"] > 0
     assert extra["arena_occupancy"] == 0
+
+
+def test_oracle_mismatch_is_a_structure_error(monkeypatch):
+    real_query = BeTree.query
+
+    def off_by_one(self, key):
+        got = real_query(self, key)
+        return None if got is None else got ^ 1
+
+    monkeypatch.setattr(BeTree, "query", off_by_one)
+    with pytest.raises(StructureError, match="oracle says"):
+        run_single(tiny_cfg(), check_oracle=True)
+
+
+def test_leaked_arena_slots_are_a_structure_error(monkeypatch):
+    # a flush that moves nothing leaves every buffered value in the arena
+    monkeypatch.setattr(BeTree, "flush_all", lambda self: None)
+    with pytest.raises(StructureError, match="arena slots leaked"):
+        run_single(tiny_cfg(strategy="bcw", encoding=True), audit=True)
 
 
 # --------------------------------------------------------------------- CLI

@@ -334,6 +334,28 @@ def test_deep_ascending_build_stays_sound():
     assert tree.query(3001) is None
 
 
+@pytest.mark.parametrize("mapping", ["word", "bit_interleaved"])
+def test_flush_wider_than_a_leaf_keeps_every_key(mapping):
+    # four-message flushes into three-pair leaves split one leaf into three
+    # or more pieces; each piece's pivot must land in the internal node
+    # that covers its keys, also after an earlier piece split the parent
+    rng = np.random.default_rng(17)
+    tree, _dev = make_device_tree(mapping, node_pairs=6, pivot_pairs=2,
+                                  element_pairs=3)
+    oracle = {}
+    for _ in range(400):
+        key = int(rng.integers(0, 2**16))
+        oracle[key] = int(rng.integers(0, 2**16))
+        tree.upsert(key, oracle[key])
+    tree.audit()
+    for key, value in oracle.items():
+        assert tree.query(key) == value
+    tree.flush_all()
+    tree.audit()
+    for key, value in oracle.items():
+        assert tree.query(key) == value
+
+
 def test_out_of_range_words_are_rejected():
     tree = make_null_tree(word_bits=16)
     with pytest.raises(ConfigError):

@@ -40,6 +40,10 @@ def test_tree_config_validation():
         TreeConfig(strategy="dcw", parallel_ports=True)
     with pytest.raises(ConfigError):
         TreeConfig(arena_capacity=0)
+    # a leaf's elements sit in the node's pair slots
+    with pytest.raises(ConfigError):
+        TreeConfig(node_pairs=6, pivot_pairs=2, buffer_pairs=4,
+                   element_pairs=7)
 
 
 def test_experiment_geometry_follows_mapping():
@@ -104,6 +108,31 @@ def test_settings_file_rejects_garbage(tmp_path):
         apply_file_settings(ExperimentConfig(), {"word_bits": 12})
     with pytest.raises(ConfigError):
         read_config_file(tmp_path / "missing.conf")
+
+
+def test_settings_file_geometry_keys_must_agree():
+    # word mapping: two word slots per pair, interport = word size
+    agree = {"word_bits": 16, "node_pairs": 8, "pivot_pairs": 2,
+             "buffer_pairs": 6, "element_pairs": 8, "ports_per_track": 16,
+             "interport_bits": 16}
+    cfg = apply_file_settings(ExperimentConfig(), agree)
+    assert cfg.geometry().ports_per_track == 16
+    assert cfg.geometry().interport_bits == 16
+    for key, bad, derived in (("ports_per_track", 8, 16),
+                              ("interport_bits", 32, 16)):
+        with pytest.raises(ConfigError) as err:
+            apply_file_settings(ExperimentConfig(), {**agree, key: bad})
+        assert f"{key} = {bad}" in str(err.value)
+        assert f"{key} = {derived}" in str(err.value)
+    # the bit-interleaved mapping derives one port per pair
+    bit = apply_file_settings(ExperimentConfig(),
+                              {"mapping": "bit_interleaved",
+                               "ports_per_track": 16})
+    assert bit.geometry().ports_per_track == 16
+    with pytest.raises(ConfigError):
+        apply_file_settings(ExperimentConfig(),
+                            {"mapping": "bit_interleaved",
+                             "ports_per_track": 32})
 
 
 def test_standalone_device_settings():

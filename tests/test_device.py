@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skrmbetree import kernels
 from skrmbetree.config import CostModel, Geometry
@@ -237,6 +239,142 @@ def test_eager_policy_returns_home():
     assert tr2.offset != 0
     # eager pays the return shifts that lazy skips
     assert dev.counters.shift_steps > lazy.counters.shift_steps
+
+
+def test_read_word_rejects_width_past_the_slot():
+    dev = small_device(word_bits=8)
+    tr = dev.new_track()
+    dev.write_serial(tr, 1, kernels.int_to_bits(0xFF, 8), 8, "naive")
+    dev.shift(tr, "left", 3)
+    before = dev.counters.as_flat_dict()
+    # width 9 would pick up bit 0 of slot 1; width 11 would overrun the
+    # overflow region after paying the align
+    for width in (9, 11, -1):
+        with pytest.raises(ConfigError):
+            dev.read_word(tr, 0, width)
+        assert dev.counters.as_flat_dict() == before
+        assert tr.offset == -3
+    with pytest.raises(PortRangeError):
+        dev.read_word(tr, 4, 8)
+    assert dev.counters.as_flat_dict() == before
+
+
+def _cells_value(tr, slot, width):
+    start = tr.slot_start(slot)
+    return sum(int(b) << i for i, b in enumerate(tr.cells[start:start + width]))
+
+
+def _composed_read(dev, tr, slot, width):
+    """read_word as the primitives bill it one call at a time."""
+    if width == 0:
+        return 0
+    lo = -(width - 1)
+    near = 0 if abs(tr.offset) <= abs(tr.offset - lo) else lo
+    far = lo if near == 0 else 0
+    dev.align(tr, near)
+    if width > 1:
+        dev.shift(tr, "right" if far > near else "left", width - 1)
+    dev.counters.record("detect", width)
+    value = _cells_value(tr, slot, width)
+    if dev.geom.shift_policy == "eager":
+        dev.align(tr, 0)
+    return value
+
+
+_SLOTS = 4
+_READ_OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, _SLOTS - 1),
+              st.integers(0, 255), st.integers(0, 8),
+              st.sampled_from(["naive", "dcw"])),
+    st.tuples(st.just("read"), st.integers(0, _SLOTS - 1),
+              st.integers(0, 8)),
+    st.tuples(st.just("align"), st.integers(-8, 8))), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       ops=_READ_OPS)
+# both sweep ends equally far away: the sweep starts from the home end
+@example(policy="lazy", record=True, ops=[("align", -2), ("read", 1, 5)])
+@example(policy="eager", record=False, ops=[("align", -2), ("read", 1, 5)])
+def test_read_word_bills_like_the_composed_primitives(policy, record, ops):
+    devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                         record_steps=record) for _ in range(2)]
+    trs = [d.new_track() for d in devs]
+    for op in ops:
+        got = []
+        for dev, tr, read in zip(devs, trs, (Device.read_word, _composed_read)):
+            if op[0] == "write":
+                _, slot, value, width, mode = op
+                value &= (1 << width) - 1
+                dev.write_serial(tr, slot, kernels.int_to_bits(value, width),
+                                 width, mode)
+            elif op[0] == "read":
+                got.append(read(dev, tr, op[1], op[2]))
+            else:
+                dev.align(tr, op[1])
+        assert len(set(got)) <= 1
+        if got:
+            assert got[0] == _cells_value(trs[0], op[1], op[2])
+        assert trs[0].offset == trs[1].offset
+        assert (devs[0].counters.as_flat_dict()
+                == devs[1].counters.as_flat_dict())
+        assert devs[0].counters.trace == devs[1].counters.trace
+
+
+def _composed_bi_write(dev, group, port, node_offset, row_start, span,
+                       width, bits, mode, parallel):
+    """bi_write_word billed through OpCounters.record, one fire per call."""
+    col = group.slot_start(port) + node_offset
+    det, inj, rem = kernels.bi_write(group.cells, row_start, span, width, col,
+                                     np.ascontiguousarray(bits[:width]),
+                                     kernels.MODE_NAIVE if mode == "naive"
+                                     else kernels.MODE_DCW)
+    c = dev.counters
+    c.record("detect", int(det), parallel=True)
+    c.record("remove", int(rem), parallel=parallel or mode == "naive")
+    c.record("inject", int(inj), parallel=parallel)
+
+
+def _composed_bi_read(dev, group, port, node_offset, row_start, width):
+    if width == 0:
+        return 0
+    col = group.slot_start(port) + node_offset
+    dev.counters.record("detect", width, parallel=True)
+    return sum(int(b) << i for i, b in
+               enumerate(group.cells[row_start:row_start + width, col]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(record=st.booleans(), ops=st.lists(st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 3), st.integers(0, 255),
+              st.integers(0, 8), st.sampled_from(["naive", "dcw"]),
+              st.booleans()),
+    st.tuples(st.just("read"), st.integers(0, 3), st.integers(0, 8))),
+    max_size=30))
+def test_bi_word_ops_bill_like_record(record, ops):
+    devs = [small_device(word_bits=8, ports=4, record_steps=record)
+            for _ in range(2)]
+    groups = [d.new_group(8) for d in devs]
+    for dev, g in zip(devs, groups):
+        dev.group_align(g, 2)
+    sides = ((Device.bi_write_word, Device.bi_read_word),
+             (_composed_bi_write, _composed_bi_read))
+    for op in ops:
+        got = []
+        for dev, g, (write, read) in zip(devs, groups, sides):
+            if op[0] == "write":
+                _, port, value, width, mode, parallel = op
+                value &= (1 << width) - 1
+                bits = kernels.int_to_bits(value, width)
+                write(dev, g, port, 2, 0, 8, width, bits, mode, parallel)
+            else:
+                got.append(read(dev, g, op[1], 2, 0, op[2]))
+        assert len(set(got)) <= 1
+        assert np.array_equal(groups[0].cells, groups[1].cells)
+        assert (devs[0].counters.as_flat_dict()
+                == devs[1].counters.as_flat_dict())
+        assert devs[0].counters.trace == devs[1].counters.trace
 
 
 def test_group_align_and_column_check():

@@ -8,6 +8,8 @@ bitwise-xor oracle (dcw), to popcount reuse (pw), and to each other
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skrmbetree import kernels
 from skrmbetree.config import CostModel, Geometry
@@ -188,3 +190,24 @@ def test_kernel_backends_agree(name):
             ra = loop(a, starts, widths, mat)
             rb = vec(b, starts, widths, mat)
             assert ra == rb and np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(0, 256))
+def test_bit_conversions_match_packbits(data, width):
+    value = data.draw(st.integers(0, (1 << width) - 1))
+    bits = kernels.int_to_bits(value, width)
+    # reference: little-endian bytes unpacked bit by bit
+    raw = value.to_bytes((width + 7) // 8, "little")
+    want = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little")[:width]
+    assert bits.dtype == np.uint8 and bits.flags.writeable
+    assert np.array_equal(bits, want)
+    assert kernels.bits_to_int(bits) == value
+    assert kernels.bits_to_int(bits.astype(np.int64)) == value
+    if width == 0:
+        return      # zero cells hold nothing; no value is checked
+    with pytest.raises(ValueError):
+        kernels.int_to_bits(value + (1 << width), width)
+    with pytest.raises(ValueError):
+        kernels.int_to_bits(-1 - value, width)
