@@ -1,9 +1,10 @@
 """Time the cell-array kernels under the numpy and numba backends.
 
 Runs each kernel over pregenerated random inputs and prints per-call
-times plus the speedup. Also cross-checks that both backends return the
-same numbers on a fresh copy of every input, since a fast wrong kernel
-would be worse than useless.
+times plus the speedup. Without numba the loop implementations run as
+plain Python instead, so the numpy backend still gets a number. Also
+cross-checks that both backends return the same numbers on a fresh copy
+of every input, since a fast wrong kernel would be worse than useless.
 
 Usage: python benchmarks/kernel_bench.py [--calls 2000] [--word-bits 64]
 """
@@ -60,6 +61,12 @@ def make_runners(track_cells, group_cells, cases, word_bits):
 
 
 def check_parity(loop_impls, np_impls, rng, word_bits):
+    def same(name, cells, *args):
+        copy = cells.copy()
+        if (loop_impls[name](cells, *args) != np_impls[name](copy, *args)
+                or not np.array_equal(cells, copy)):
+            raise SystemExit(f"backend mismatch: {name}")
+
     for trial in range(200):
         old = rng.integers(0, 2, size=word_bits, dtype=np.uint8)
         new = rng.integers(0, 2, size=word_bits, dtype=np.uint8)
@@ -67,12 +74,22 @@ def check_parity(loop_impls, np_impls, rng, word_bits):
             raise SystemExit("backend mismatch: xor_counts")
         if loop_impls["pw_match"](old, new) != np_impls["pw_match"](old, new):
             raise SystemExit("backend mismatch: pw_match")
-        a = rng.integers(0, 2, size=256, dtype=np.uint8)
-        b = a.copy()
-        ra = loop_impls["word_write"](a, 3, word_bits, word_bits, new, trial % 2)
-        rb = np_impls["word_write"](b, 3, word_bits, word_bits, new, trial % 2)
-        if ra != rb or not np.array_equal(a, b):
-            raise SystemExit("backend mismatch: word_write")
+        mode = trial % 2
+        same("word_write", rng.integers(0, 2, size=256, dtype=np.uint8),
+             3, word_bits, word_bits, new, mode)
+        # naive writes clear stale rows past the live width up to the span
+        row_start = int(rng.integers(0, 4))
+        width = int(rng.integers(0, word_bits + 1))
+        span = width + int(rng.integers(0, 3))
+        same("bi_write",
+             rng.integers(0, 2, size=(row_start + span, 32), dtype=np.uint8),
+             row_start, span, width, int(rng.integers(0, 32)), new, mode)
+        n = int(rng.integers(1, 6))
+        starts = rng.choice(8, size=n, replace=False).astype(np.int64) * word_bits
+        widths = rng.integers(1, word_bits + 1, size=n).astype(np.int64)
+        mat = rng.integers(0, 2, size=(n, int(widths.max())), dtype=np.uint8)
+        same("bcw_batch", rng.integers(0, 2, size=9 * word_bits, dtype=np.uint8),
+             starts, widths, mat)
 
 
 def main():
@@ -89,30 +106,33 @@ def main():
 
     try:
         from numba import njit
+        loop_label = "numba"
+        loop_impls = {name: njit(cache=True)(fn)
+                      for name, fn in kernels.LOOP_IMPLS.items()}
     except ImportError:
-        raise SystemExit("numba not installed; nothing to compare")
-
-    numba_impls = {name: njit(cache=True)(fn)
-                   for name, fn in kernels.LOOP_IMPLS.items()}
+        loop_label = "python"
+        loop_impls = kernels.LOOP_IMPLS
     np_impls = kernels.NUMPY_IMPLS
 
     rng = np.random.default_rng(args.seed)
-    check_parity(numba_impls, np_impls, rng, args.word_bits)
+    check_parity(loop_impls, np_impls, rng, args.word_bits)
     track_cells, group_cells, cases = build_inputs(
         rng, args.calls, args.word_bits, args.batch)
     runners = make_runners(track_cells, group_cells, cases, args.word_bits)
 
     print(f"{args.calls} calls/pass, best of {args.repeat}, "
-          f"word_bits={args.word_bits}, batch={args.batch}")
-    print(f"{'kernel':<12} {'numpy us':>10} {'numba us':>10} {'speedup':>8}")
+          f"word_bits={args.word_bits}, batch={args.batch}, "
+          f"loops run as {loop_label}")
+    print(f"{'kernel':<12} {'numpy us':>10} {loop_label + ' us':>10} "
+          f"{'speedup':>8}")
     for name, run in runners.items():
-        run(numba_impls[name])  # JIT warm-up outside the clock
+        run(loop_impls[name])  # warm-up (numba compiles here) outside the clock
         times = {}
-        for label, impls in (("numpy", np_impls), ("numba", numba_impls)):
+        for label, impls in (("numpy", np_impls), ("loop", loop_impls)):
             best = min(_timed(run, impls[name]) for _ in range(args.repeat))
             times[label] = best / args.calls * 1e6
-        ratio = times["numpy"] / times["numba"] if times["numba"] else float("inf")
-        print(f"{name:<12} {times['numpy']:>10.2f} {times['numba']:>10.2f} "
+        ratio = times["numpy"] / times["loop"] if times["loop"] else float("inf")
+        print(f"{name:<12} {times['numpy']:>10.2f} {times['loop']:>10.2f} "
               f"{ratio:>7.1f}x")
 
 

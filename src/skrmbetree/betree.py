@@ -183,14 +183,13 @@ class BeTree:
         if not (0 <= value < (1 << self.word_bits)):
             raise ConfigError(f"{what} does not fit in {self.word_bits} bits")
 
-    def _route(self, node: InternalNode, key: int) -> int:
-        # rightmost pivot at or below the key; pivot 0 anchors the range
-        return bisect.bisect_right(node.pivots, key, key=lambda p: p[0]) - 1
-
     def _kill_message(self, node: InternalNode, msg: Message) -> None:
+        node.buffer.remove(msg)
+        self._release(node, msg)
+
+    def _release(self, node: InternalNode, msg: Message) -> None:
         # shadowed upsert dies in place: no device traffic, the slot and
         # arena index just return to their pools
-        node.buffer.remove(msg)
         node.give_slot(msg.slot)
         if self.arena is not None:
             self.arena.free(msg.payload)
@@ -228,13 +227,17 @@ class BeTree:
         """Move the largest same-child batch of buffered messages one level
         down (or into the leaf), possibly recursing to make room."""
         while node.buffer:
-            counts = [0] * len(node.pivots)
-            for m in node.buffer:
-                counts[self._route(node, m.key)] += 1
-            ci = max(range(len(counts)), key=lambda i: (counts[i], -i))
-            batch = [m for m in node.buffer
-                     if self._route(node, m.key) == ci]
-            batch = self._dedupe_batch(node, batch)
+            # the buffer is key-sorted and pivot 0 anchors the node's key
+            # range, so child i's messages are the run between the first
+            # keys at or above pivots i and i + 1
+            keys = [m.key for m in node.buffer]
+            bounds = [0]
+            bounds += [bisect.bisect_left(keys, k) for k, _c in node.pivots[1:]]
+            bounds.append(len(keys))
+            ci = max(range(len(node.pivots)),
+                     key=lambda i: (bounds[i + 1] - bounds[i], -i))
+            lo = bounds[ci]
+            batch = self._dedupe_batch(node, lo, bounds[ci + 1])
             child = self.nodes[node.pivots[ci][1]]
             if child.kind == KIND_INTERNAL:
                 self._shadow_kill_in_child(child, batch)
@@ -242,20 +245,22 @@ class BeTree:
                     self._flush(child)
                     # splits may have rerouted everything; start over
                     continue
+                del node.buffer[lo:lo + len(batch)]
                 writes = []
                 for m in batch:
-                    node.buffer.remove(m)
                     node.give_slot(m.slot)
                     m.slot = child.take_slot()
-                    bisect.insort(child.buffer, m, key=Message.order)
                     writes.append((m.slot, m.key, m.payload,
                                    self.payload_width))
+                # two sorted runs: the merge sort is linear
+                child.buffer += batch
+                child.buffer.sort(key=Message.order)
                 self.store.write_pairs(child.node_id, writes)
                 self.kv_writes += len(writes)
             else:
+                del node.buffer[lo:lo + len(batch)]
                 arrivals = []
                 for m in batch:
-                    node.buffer.remove(m)
                     node.give_slot(m.slot)
                     if self.arena is not None:
                         value = self.store.arena_read(
@@ -268,13 +273,15 @@ class BeTree:
                 self._leaf_merge(child, arrivals)
             return
 
-    def _dedupe_batch(self, node: InternalNode, batch: list[Message]):
-        # batch is (key, seq)-sorted; only the newest of each key survives
+    def _dedupe_batch(self, node: InternalNode, lo: int, hi: int):
+        # buffer[lo:hi] is (key, seq)-sorted; only the newest of each key
+        # survives, and the survivors stay in place as buffer[lo:lo + n]
         survivors = []
-        for m in batch:
+        for m in node.buffer[lo:hi]:
             if survivors and survivors[-1].key == m.key:
-                self._kill_message(node, survivors.pop())
+                self._release(node, survivors.pop())
             survivors.append(m)
+        node.buffer[lo:hi] = survivors
         return survivors
 
     def _shadow_kill_in_child(self, child: InternalNode, batch) -> None:
@@ -380,13 +387,15 @@ class BeTree:
             self.nodes[cid].parent = sibling.node_id
         writes = [(i, k, cid, self.word_bits)
                   for i, (k, cid) in enumerate(sibling.pivots)]
-        moved = [m for m in node.buffer if m.key >= sep2]
+        # keys at or above sep2 are a suffix of the key-sorted buffer
+        cut = bisect.bisect_left(node.buffer, sep2, key=lambda m: m.key)
+        moved = node.buffer[cut:]
+        del node.buffer[cut:]
         for m in moved:
-            node.buffer.remove(m)
             node.give_slot(m.slot)
             m.slot = sibling.take_slot()
-            bisect.insort(sibling.buffer, m, key=Message.order)
             writes.append((m.slot, m.key, m.payload, self.payload_width))
+        sibling.buffer = moved
         self.store.write_pairs(sibling.node_id, writes)
         self.kv_writes += len(moved)
         self._write_pivot_diffs(node, old_pivots)

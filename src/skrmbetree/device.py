@@ -392,11 +392,20 @@ class Device:
             raise ConfigError("node offset outside the interport region")
         return self.align(group, -node_offset)
 
-    def _column(self, group: TrackGroup, port: int, node_offset: int) -> int:
-        self._check_port(group, port)
-        if group.offset != -node_offset:
+    @staticmethod
+    def _column(group: TrackGroup, port: int, node_offset: int,
+                row_start: int, rows: int) -> int:
+        """Cell column of port `port` at an aligned node offset, after
+        checking that rows [row_start, row_start + rows) exist. Raises
+        before any cell or counter changes."""
+        if not (0 <= port < group.n_ports):
+            raise PortRangeError(f"port {port} outside 0..{group.n_ports - 1}")
+        if group.offset != -node_offset or not (0 <= node_offset < group.interport):
             raise ConfigError("group not aligned to the requested node offset")
-        return group.slot_start(port) + node_offset
+        if row_start < 0 or rows < 0 or row_start + rows > group.n_tracks:
+            raise ConfigError(f"rows {row_start}..{row_start + rows - 1} "
+                              f"outside the group's {group.n_tracks} tracks")
+        return (port + 1) * group.interport + node_offset
 
     def bi_read_word(self, group: TrackGroup, port: int, node_offset: int,
                      row_start: int, width: int) -> int:
@@ -405,9 +414,9 @@ class Device:
         Every row head sits over the same column, so sensing is a single
         simultaneous fire regardless of how writes are driven.
         """
+        col = self._column(group, port, node_offset, row_start, width)
         if width == 0:
             return 0
-        col = self._column(group, port, node_offset)
         c = self.counters
         c.detect += width
         c.detect_steps += 1
@@ -427,19 +436,28 @@ class Device:
         need the parallel write drivers: one step with them, one step per
         landed instance without.
         """
-        col = self._column(group, port, node_offset)
+        col = self._column(group, port, node_offset, row_start, span)
+        if not (0 <= width <= span):
+            raise ConfigError(f"width {width} outside the {span}-row span")
+        bits = bits[:width]
+        if len(bits) != width:
+            raise ConfigError(f"{len(bits)} bits given for width {width}")
+        if mode not in _MODES:
+            raise ConfigError(f"unknown write mode {mode!r}")
+        # the numpy kernel compares columns as 0/1 bytes
+        if bits.dtype != np.uint8 or not bits.flags.c_contiguous:
+            bits = np.ascontiguousarray(bits, dtype=np.uint8)
         det, inj, rem = kernels.bi_write(group.cells, row_start, span, width,
-                                         col, np.ascontiguousarray(bits[:width]),
-                                         _MODES[mode])
+                                         col, bits, _MODES[mode])
         det, inj, rem = int(det), int(inj), int(rem)
-        if self.count_new_detect:
-            det *= 2
         # naive: the clear-all pulse fires before inject-all, two pulses,
         # never one. Compare: flips are sequenced as a remove phase then an
         # inject phase; the two pulse polarities never share a fire. A fire
         # is one step when parallel, one step per instance otherwise, and
         # no step at all when nothing fires.
         det_steps = 1 if det else 0
+        if self.count_new_detect:
+            det *= 2
         if parallel or mode == "naive":
             rem_steps = 1 if rem else 0
         else:

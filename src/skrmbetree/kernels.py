@@ -30,10 +30,10 @@ DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Little-endian bit array of `value`, exactly `width` cells."""
-    if width == 0:
-        return np.zeros(0, dtype=np.uint8)
     if value < 0 or value >> width:
         raise ValueError(f"value does not fit in {width} bits")
+    if width == 0:
+        return np.zeros(0, dtype=np.uint8)
     digits = bytearray(format(value, f"0{width}b")[::-1], "ascii")
     return np.frombuffer(digits.translate(DIGIT_BITS), dtype=np.uint8)
 
@@ -271,20 +271,24 @@ def _np_pw_match(old, new):
 
 
 def _np_bi_write(cells2d, row_start, span, width, col, new_bits, mode):
+    # new_bits must be contiguous 0/1 uint8: the compare reads the column
+    # and the word as two ints, far cheaper than elementwise numpy ops on
+    # a strided column of a few dozen cells
     if mode == MODE_NAIVE:
         region = cells2d[row_start:row_start + span, col]
-        removes = int(np.count_nonzero(region))
+        removes = region.tobytes().count(1)
         region[:] = 0
         live = new_bits[:width]
-        injects = int(np.count_nonzero(live))
         cells2d[row_start:row_start + width, col] = live
-        return 0, injects, removes
+        return 0, live.tobytes().count(1), removes
+    if width == 0:
+        return 0, 0, 0
     live = new_bits[:width]
     old = cells2d[row_start:row_start + width, col]
-    injects = int(np.count_nonzero((old == 0) & (live == 1)))
-    removes = int(np.count_nonzero((old == 1) & (live == 0)))
-    cells2d[row_start:row_start + width, col] = live
-    return width, injects, removes
+    o = int(old.tobytes().translate(BIT_DIGITS), 2)
+    n = int(live.tobytes().translate(BIT_DIGITS), 2)
+    old[:] = live
+    return width, (n & ~o).bit_count(), (o & ~n).bit_count()
 
 
 # ------------------------------------------------------------ backend selection

@@ -277,20 +277,21 @@ class DeviceStore:
 
     def _write_pairs_bi(self, node_id, writes):
         group, offset = self.layout.locate(node_id)
-        self.device.group_align(group, offset)
+        device = self.device
+        device.group_align(group, offset)
         # naive clears the whole row span; compare strategies flip in place
         mode = "naive" if self.strategy == "naive" else "dcw"
         wb = self.word_bits
+        parallel = self.parallel
+        write = device.bi_write_word
+        to_bits = kernels.int_to_bits
         for pair_slot, key, payload, pwidth in writes:
             if key is not None:
-                self.device.bi_write_word(group, pair_slot, offset, 0, wb, wb,
-                                          kernels.int_to_bits(key, wb), mode,
-                                          self.parallel)
+                write(group, pair_slot, offset, 0, wb, wb, to_bits(key, wb),
+                      mode, parallel)
             if payload is not None:
-                self.device.bi_write_word(group, pair_slot, offset, wb, wb,
-                                          pwidth,
-                                          kernels.int_to_bits(payload, pwidth),
-                                          mode, self.parallel)
+                write(group, pair_slot, offset, wb, wb, pwidth,
+                      to_bits(payload, pwidth), mode, parallel)
 
     # ----------------------------------------------------------------- arena
 

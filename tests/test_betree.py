@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skrmbetree.betree import (BeTree, ValueArena, encoding_overhead_bytes,
                                index_bits_for, next_pow2)
@@ -364,3 +366,42 @@ def test_out_of_range_words_are_rejected():
         tree.upsert(0, 1 << 16)
     with pytest.raises(ConfigError):
         tree.query(-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
+       buffer_pairs=st.integers(1, 3), element_pairs=st.integers(1, 3),
+       encoding=st.booleans(),
+       strategy=st.sampled_from(["naive", "dcw", "bcw", "bcw+ports"]),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 15),
+                              st.integers(0, 255)), max_size=60))
+def test_degenerate_shapes_match_the_oracle(store, buffer_pairs, element_pairs,
+                                            encoding, strategy, ops):
+    # two-pivot nodes with one to three buffer slots and tiny leaves: every
+    # flush moves a whole child run and most merges split
+    parallel = strategy == "bcw+ports"
+    cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
+                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     strategy=strategy.split("+")[0], parallel_ports=parallel,
+                     encoding=encoding)
+    if store == "null":
+        tree = BeTree(NullStore(), cfg, 8, planned_upserts=len(ops))
+    else:
+        ports = cfg.node_pairs * (2 if store == "word" else 1)
+        geom = Geometry(word_bits=8, interport_bits=8, ports_per_track=ports)
+        tree = BeTree(DeviceStore(Device(geom, CostModel()), store, cfg, 8),
+                      cfg, 8, planned_upserts=len(ops))
+    oracle = {}
+    for upsert, key, value in ops:
+        if upsert:
+            tree.upsert(key, value)
+            oracle[key] = value
+        else:
+            assert tree.query(key) == oracle.get(key)
+    tree.audit()
+    tree.flush_all()
+    tree.audit()
+    for key in range(16):
+        assert tree.query(key) == oracle.get(key)
+    if encoding:
+        assert tree.arena.occupancy == 0

@@ -463,3 +463,98 @@ def test_skyrmion_conservation_bookkeeping():
         dev.write_serial(tr, slot, bits, 8, "naive")
         total += int(bits.sum())
     assert dev.total_skyrmions() == total
+
+
+def _device_state(dev, g):
+    return g.cells.copy(), g.offset, dev.counters.as_flat_dict()
+
+
+@pytest.mark.parametrize("call", [
+    lambda dev, g: dev.bi_read_word(g, 0, 0, 10, 12),
+    lambda dev, g: dev.bi_read_word(g, 0, 0, -1, 4),
+    lambda dev, g: dev.bi_read_word(g, 0, 0, 0, -1),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 10, 12, 6, np.ones(6, np.uint8),
+                                     "naive", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 8, 10, 8, np.ones(8, np.uint8),
+                                     "dcw", True),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, -1, 8, 8, np.ones(8, np.uint8),
+                                     "dcw", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 9, np.ones(9, np.uint8),
+                                     "naive", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 8, np.ones(7, np.uint8),
+                                     "dcw", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 8, np.ones(8, np.uint8),
+                                     "pw", False),
+])
+def test_bi_ops_reject_rows_outside_the_group(call):
+    dev = small_device(word_bits=8, ports=4)
+    g = dev.new_group(16)
+    g.cells[:] = 1
+    before = _device_state(dev, g)
+    with pytest.raises(ConfigError):
+        call(dev, g)
+    after = _device_state(dev, g)
+    assert np.array_equal(before[0], after[0])
+    assert before[1:] == after[1:]
+
+
+def test_bi_write_takes_any_integer_bit_dtype():
+    rng = np.random.default_rng(4)
+    devs = [small_device(word_bits=8, ports=4) for _ in range(2)]
+    groups = [d.new_group(16) for d in devs]
+    for dev, g in zip(devs, groups):
+        dev.group_align(g, 1)
+    for trial in range(40):
+        bits = rng.integers(0, 2, size=8, dtype=np.uint8)
+        mode = ("naive", "dcw")[trial % 2]
+        port = int(rng.integers(0, 4))
+        for dev, g, b in zip(devs, groups, (bits, bits.astype(np.int64))):
+            dev.bi_write_word(g, port, 1, 8, 8, 8, b, mode, trial % 3 == 0)
+        assert np.array_equal(groups[0].cells, groups[1].cells)
+        assert (devs[0].counters.as_flat_dict()
+                == devs[1].counters.as_flat_dict())
+
+
+def _doubling_cases():
+    bits = [kernels.int_to_bits(v, 8) for v in (0xA5, 0x3C, 0xF0)]
+
+    def serial(dev):
+        tr = dev.new_track()
+        dev.write_serial(tr, 1, bits[0], 8, "naive")
+        dev.write_serial(tr, 1, bits[1], 8, "dcw")
+        return tr.cells
+
+    def bcw(dev):
+        tr = dev.new_track()
+        dev.write_batch_bcw(tr, [(s, b, 8) for s, b in enumerate(bits)])
+        dev.write_batch_bcw(tr, [(s, b, 6) for s, b in enumerate(bits[::-1])])
+        return tr.cells
+
+    def bi(dev):
+        g = dev.new_group(16)
+        dev.group_align(g, 2)
+        for i, b in enumerate(bits):
+            dev.bi_write_word(g, i, 2, 0, 8, 8, b, "dcw", i % 2 == 0)
+            dev.bi_write_word(g, i, 2, 8, 8, 8, b, "naive", False)
+        return g.cells
+
+    return [("write_serial", serial, False), ("bcw", bcw, False),
+            ("bcw_traced", bcw, True), ("bi_write_word", bi, False)]
+
+
+@pytest.mark.parametrize("name,run,record", _doubling_cases(),
+                         ids=[c[0] for c in _doubling_cases()])
+def test_count_new_detect_doubles_detects(name, run, record):
+    plain = small_device(word_bits=8, ports=4, record_steps=record)
+    doubled = small_device(word_bits=8, ports=4, record_steps=record,
+                           count_new_detect=True)
+    cells = [run(plain), run(doubled)]
+    assert np.array_equal(cells[0], cells[1])
+    a = plain.counters.as_flat_dict()
+    b = doubled.counters.as_flat_dict()
+    assert a["detect"] > 0 and b["detect"] == 2 * a["detect"]
+    # only the serial write bills one latency step per detect
+    want_steps = a["detect_steps"] * (2 if name == "write_serial" else 1)
+    assert b["detect_steps"] == want_steps
+    rest = {k for k in a if k not in ("detect", "detect_steps")}
+    assert {k: a[k] for k in rest} == {k: b[k] for k in rest}

@@ -173,12 +173,17 @@ def test_kernel_backends_agree(name):
             rb = vec(b, width, width * 2, width, new, mode)
             assert ra == rb and np.array_equal(a, b)
         elif name == "bi_write":
+            # naive clears stale rows past `width` up to `span`; the word
+            # may start past row 0 of the group and may be empty
             mode = trial % 2
-            a = rng.integers(0, 2, size=(width, 32), dtype=np.uint8)
+            row_start = int(rng.integers(0, 4))
+            live = 0 if trial % 7 == 0 else int(rng.integers(0, width + 1))
+            span = live + int(rng.integers(0, 3))
+            a = rng.integers(0, 2, size=(row_start + span, 32), dtype=np.uint8)
             b = a.copy()
             col = int(rng.integers(0, 32))
-            ra = loop(a, 0, width, width, col, new, mode)
-            rb = vec(b, 0, width, width, col, new, mode)
+            ra = loop(a, row_start, span, live, col, new, mode)
+            rb = vec(b, row_start, span, live, col, new, mode)
             assert ra == rb and np.array_equal(a, b)
         else:   # bcw_batch
             n = int(rng.integers(1, 6))
@@ -205,8 +210,6 @@ def test_bit_conversions_match_packbits(data, width):
     assert np.array_equal(bits, want)
     assert kernels.bits_to_int(bits) == value
     assert kernels.bits_to_int(bits.astype(np.int64)) == value
-    if width == 0:
-        return      # zero cells hold nothing; no value is checked
     with pytest.raises(ValueError):
         kernels.int_to_bits(value + (1 << width), width)
     with pytest.raises(ValueError):
