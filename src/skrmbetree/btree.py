@@ -108,11 +108,14 @@ class BTree:
     def audit(self) -> None:
         depths = set()
 
+        # insert takes any int key, so the root's range is open (None) at
+        # both ends
         def walk(node, lo, hi, depth, is_root):
             keys = [k for k, _v in node.pairs]
             if keys != sorted(set(keys)):
                 raise StructureError("pairs unsorted")
-            if keys and not (lo <= keys[0] and keys[-1] < hi):
+            if keys and ((lo is not None and keys[0] < lo)
+                         or (hi is not None and keys[-1] >= hi)):
                 raise StructureError("keys escape their range")
             if len(keys) > self.capacity:
                 raise StructureError("node over capacity")
@@ -128,7 +131,7 @@ class BTree:
                                          zip(bounds, bounds[1:])):
                 walk(child, clo, chi, depth + 1, False)
 
-        walk(self.root, 0, 1 << 64, 0, True)
+        walk(self.root, None, None, 0, True)
         if len(depths) != 1:
             raise StructureError("leaves at unequal depth")
 

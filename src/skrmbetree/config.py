@@ -226,7 +226,6 @@ def read_config_file(path) -> dict:
 
 
 _COST_KEYS = [f.name for f in fields(CostModel)]
-_GEOM_KEYS = ("word_bits", "ports_per_track", "interport_bits", "shift_policy")
 _TREE_KEYS = [f.name for f in fields(TreeConfig)]
 _EXP_KEYS = ("workload", "mapping", "entries", "op_count", "word_bytes", "seed")
 
@@ -273,18 +272,3 @@ def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConf
                 f"run derives ({key} = {getattr(geom, key)})")
     return cfg
 
-
-def geometry_from_settings(settings: dict) -> Geometry:
-    """Build a standalone Geometry from config-file keys (device-level use)."""
-    kw = {}
-    for key in _GEOM_KEYS:
-        if key in settings:
-            kw[key] = settings[key]
-    if "word_bits" in kw and "interport_bits" not in kw:
-        kw["interport_bits"] = kw["word_bits"]
-    return Geometry(**kw)
-
-
-def cost_model_from_settings(settings: dict) -> CostModel:
-    kw = {k: float(v) for k, v in settings.items() if k in _COST_KEYS}
-    return CostModel(**kw)

@@ -11,7 +11,7 @@ exported numbers reproduces them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import PRIMITIVES, CostModel
 
@@ -68,7 +68,7 @@ class OpCounters:
         if self.trace is not None:
             self.log_steps(kind, n, steps)
 
-    def record_shift(self, tracks: int, steps: int, lockstep: bool = True) -> None:
+    def record_shift(self, tracks: int, steps: int) -> None:
         """steps shift steps over `tracks` tracks moved together.
 
         Energy scales with tracks * steps; lockstep movement costs one
@@ -77,26 +77,18 @@ class OpCounters:
         if steps == 0 or tracks == 0:
             return
         n = tracks * steps
-        latency_steps = steps if lockstep else n
         self.shift += n
-        self.shift_steps += latency_steps
+        self.shift_steps += steps
         if self.trace is not None:
-            self.log_steps("shift", n, latency_steps)
+            self.log_steps("shift", n, steps)
 
-    def record_mixed(self, model: CostModel, inject: int = 0, remove: int = 0,
-                     parallel: bool = True) -> None:
-        """One write fire that may issue injects and removes together.
-
-        Parallel: a single step billed at the dominant (slowest) kind.
-        Serial: every instance is its own step.
-        """
+    def record_mixed(self, model: CostModel, inject: int = 0,
+                     remove: int = 0) -> None:
+        """One parallel write fire that may issue injects and removes
+        together: a single step billed at the dominant (slowest) kind."""
         if inject < 0 or remove < 0:
             raise ValueError("negative op count")
         if inject == 0 and remove == 0:
-            return
-        if not parallel:
-            self.record("inject", inject)
-            self.record("remove", remove)
             return
         kinds = [k for k, n in (("inject", inject), ("remove", remove)) if n]
         dom = model.dominant(kinds)
@@ -105,12 +97,6 @@ class OpCounters:
         self._bump(dom, 0, 1)
         if self.trace is not None:
             self.trace.append((dom, inject + remove))
-
-    def merge(self, other: "OpCounters") -> None:
-        for kind in PRIMITIVES:
-            self._bump(kind, other.count(kind), other.steps(kind))
-        if self.trace is not None and other.trace is not None:
-            self.trace.extend(other.trace)
 
     def snapshot(self) -> "OpCounters":
         return OpCounters(self.detect, self.shift, self.remove, self.inject,

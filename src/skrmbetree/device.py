@@ -79,6 +79,14 @@ class TrackGroup:
 _MODES = {"naive": kernels.MODE_NAIVE, "dcw": kernels.MODE_DCW}
 
 
+def _head_bits(bits, width: int):
+    """The first `width` bits; raises when fewer are given."""
+    head = bits[:width]
+    if len(head) != width:
+        raise ConfigError(f"{len(bits)} bits given for width {width}")
+    return head
+
+
 class Device:
     """Owns the track pool, the counters, and every charging rule."""
 
@@ -152,7 +160,7 @@ class Device:
         for h in handles:
             h.offset += delta
             width += getattr(h, "n_tracks", 1)
-        self.counters.record_shift(width, steps, lockstep=True)
+        self.counters.record_shift(width, steps)
 
     def _check_port(self, handle, port: int) -> None:
         if not (0 <= port < handle.n_ports):
@@ -250,10 +258,12 @@ class Device:
         own latency step."""
         tr = self._resolve(track)[0]
         self._check_slot(tr, slot, width)
+        if mode not in _MODES:
+            raise ConfigError(f"unknown write mode {mode!r}")
+        bits = np.ascontiguousarray(_head_bits(bits, width))
         self._charge_pass_shifts(tr)
         det, inj, rem = kernels.word_write(tr.cells, tr.slot_start(slot),
-                                           tr.interport, width,
-                                           np.ascontiguousarray(bits[:width]),
+                                           tr.interport, width, bits,
                                            _MODES[mode])
         if self.count_new_detect:
             det *= 2
@@ -268,9 +278,9 @@ class Device:
         removed. Single-word by construction."""
         tr = self._resolve(track)[0]
         self._check_slot(tr, slot, width)
+        new = np.ascontiguousarray(_head_bits(bits, width))
         start = tr.slot_start(slot)
         old = tr.cells[start:start + width]
-        new = np.ascontiguousarray(bits[:width])
         inj, rem, repos = kernels.pw_match(old, new)
         self.align(tr, 0)
         self.counters.record_shift(1, 2 * tr.interport + int(repos))
@@ -289,54 +299,34 @@ class Device:
         if not writes:
             return
         tr = self._resolve(track)[0]
-        starts, widths, _ = self._slot_array(tr, writes)
-        max_w = int(widths.max())
+        starts, widths, max_w = self._slot_array(tr, writes)
         mat = np.zeros((len(writes), max_w), dtype=np.uint8)
         for i, (_slot, bits, width) in enumerate(writes):
-            mat[i, :width] = bits[:width]
+            mat[i, :width] = _head_bits(bits, width)
         self._charge_pass_shifts(tr)
-        if self.counters.trace is not None:
-            self._bcw_traced(tr, starts, widths, mat)
+        det, inj, rem, act, inj_only, rem_only, both = kernels.bcw_batch(
+            tr.cells, starts, widths, mat)
+        det, inj, rem, act = int(det), int(inj), int(rem), int(act)
+        if self.count_new_detect:
+            det *= 2
+        # a column that both injects and removes is one mixed fire, billed
+        # at the slower kind
+        if self.cost.dominant(("inject", "remove")) == "inject":
+            inj_steps, rem_steps = int(inj_only) + int(both), int(rem_only)
         else:
-            det, inj, rem, act, inj_only, rem_only, both = kernels.bcw_batch(
-                tr.cells, starts, widths, mat)
-            if self.count_new_detect:
-                det *= 2
-            c = self.counters
-            c.detect += int(det)
-            c.detect_steps += int(act)
-            c.inject += int(inj)
-            c.remove += int(rem)
-            dom_both = self.cost.dominant(("inject", "remove"))
-            inj_steps = int(inj_only) + (int(both) if dom_both == "inject" else 0)
-            rem_steps = int(rem_only) + (int(both) if dom_both == "remove" else 0)
-            c.inject_steps += inj_steps
-            c.remove_steps += rem_steps
+            inj_steps, rem_steps = int(inj_only), int(rem_only) + int(both)
+        c = self.counters
+        c.detect += det
+        c.detect_steps += act
+        c.inject += inj
+        c.inject_steps += inj_steps
+        c.remove += rem
+        c.remove_steps += rem_steps
+        if c.trace is not None:
+            c.log_steps("detect", det, act)
+            c.log_steps("inject", inj, inj_steps)
+            c.log_steps("remove", rem, rem_steps)
         self._finish(tr)
-
-    def _bcw_traced(self, tr, starts, widths, mat):
-        # slow reference path used when a step trace is requested; must
-        # charge exactly what the kernel path charges
-        max_w = mat.shape[1]
-        for i in range(max_w):
-            live = [s for s in range(len(starts)) if widths[s] > i]
-            if not live:
-                continue
-            n_det = len(live) * (2 if self.count_new_detect else 1)
-            self.counters.record("detect", n_det, parallel=True)
-            inj = rem = 0
-            for s in live:
-                idx = int(starts[s]) + i
-                old = int(tr.cells[idx])
-                new = int(mat[s, i])
-                if old != new:
-                    if new:
-                        inj += 1
-                    else:
-                        rem += 1
-                    tr.cells[idx] = new
-            self.counters.record_mixed(self.cost, inject=inj, remove=rem,
-                                       parallel=True)
 
     def read_word(self, track, slot: int, width: int) -> int:
         """Stream one word's bits through its port, detecting each.
@@ -474,6 +464,3 @@ class Device:
             c.log_steps("detect", det, det_steps)
             c.log_steps("remove", rem, rem_steps)
             c.log_steps("inject", inj, inj_steps)
-
-    def counters_json(self) -> dict:
-        return self.counters.as_flat_dict(self.cost)

@@ -29,14 +29,6 @@ class ArenaFullError(SimError):
     """No free slot left in the value arena."""
 
 
-class UnsupportedBatchError(SimError):
-    """Multi-word batch handed to a single-word-only strategy."""
-
-
-class AlignmentError(SimError):
-    """Batch members do not share one track or overlap the same slot."""
-
-
 class AllocationError(SimError):
     """Unknown node, track, or slot in an allocation table."""
 

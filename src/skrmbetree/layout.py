@@ -20,9 +20,7 @@ different groups so a hot buffer never drags leaf tracks around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import kernels
+from . import kernels, strategies
 from .errors import CapacityError, ConfigError, StructureError
 
 KIND_INTERNAL = "internal"
@@ -157,25 +155,6 @@ class _BiArenaMap:
                 "slots_per_group": self.slots_per_group}
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One homogeneous group in an access schedule: `count` primitive
-    instances taking `steps` latency steps."""
-    op: str
-    count: int
-    steps: int
-
-
-def plan_cost(plan, model) -> tuple[float, float]:
-    energy = 0.0
-    latency = 0.0
-    for step in plan:
-        kind = "shift" if step.op == "shift" else step.op
-        energy += step.count * model.energy(kind)
-        latency += step.steps * model.latency(kind)
-    return energy, latency
-
-
 class DeviceStore:
     """Charged access path between the tree and the device.
 
@@ -260,7 +239,6 @@ class DeviceStore:
             self._write_pairs_bi(node_id, writes)
 
     def _write_pairs_word(self, node_id, writes):
-        from .strategies import apply_strategy
         tr = self.layout.track_of(node_id)
         word_writes = []
         for pair_slot, key, payload, pwidth in writes:
@@ -272,8 +250,8 @@ class DeviceStore:
                 word_writes.append((self.layout.payload_slot(pair_slot),
                                     kernels.int_to_bits(payload, pwidth),
                                     pwidth))
-        apply_strategy(self.device, tr, word_writes, self.strategy,
-                       self.parallel)
+        strategies.apply_strategy(self.device, tr, word_writes, self.strategy,
+                                  self.parallel)
 
     def _write_pairs_bi(self, node_id, writes):
         group, offset = self.layout.locate(node_id)
@@ -346,69 +324,6 @@ class DeviceStore:
         group, port, offset = self.arena_map.locate(index)
         col = group.slot_start(port) + offset
         return kernels.bits_to_int(group.cells[0:width, col])
-
-    # ------------------------------------------------------------------ plans
-
-    def plan_node_access(self, node_id: int, access_kind: str,
-                         pair_slots=(), payload_width=None):
-        """Schedule for touching `pair_slots` of one node, assuming the node
-        is already aligned under its ports (alignment slack is state
-        dependent and excluded). Write counts are worst case: content
-        decides how many flips actually fire.
-        """
-        if access_kind not in ("read", "write"):
-            raise ConfigError("access_kind must be 'read' or 'write'")
-        slots = list(pair_slots)
-        if not slots:
-            return []
-        wb = self.word_bits
-        pw = payload_width if payload_width is not None else wb
-        words = len(slots) * 2
-        bits_per = wb + pw
-        plan: list[PlanStep] = []
-        if access_kind == "read":
-            if self.mapping == "word":
-                for _ in slots:
-                    plan.append(PlanStep("shift", wb - 1, wb - 1))
-                    plan.append(PlanStep("detect", wb, wb))
-                    plan.append(PlanStep("shift", pw - 1, pw - 1))
-                    plan.append(PlanStep("detect", pw, pw))
-            else:
-                # row heads share the column: one simultaneous fire per word
-                for _ in slots:
-                    plan.append(PlanStep("detect", wb, 1))
-                    plan.append(PlanStep("detect", pw, 1))
-            return plan
-        if self.mapping == "word":
-            span = self.device.geom.interport_bits
-            if self.parallel:
-                plan.append(PlanStep("shift", 2 * span, 2 * span))
-                plan.append(PlanStep("detect", len(slots) * bits_per, wb))
-                plan.append(PlanStep("inject", len(slots) * bits_per, wb))
-            else:
-                for _ in range(words):
-                    plan.append(PlanStep("shift", 2 * span, 2 * span))
-                if self.strategy == "naive":
-                    plan.append(PlanStep("remove", len(slots) * bits_per,
-                                         len(slots) * bits_per))
-                    plan.append(PlanStep("inject", len(slots) * bits_per,
-                                         len(slots) * bits_per))
-                else:
-                    plan.append(PlanStep("detect", len(slots) * bits_per,
-                                         len(slots) * bits_per))
-                    plan.append(PlanStep("inject", len(slots) * bits_per,
-                                         len(slots) * bits_per))
-        else:
-            # compare pass (or the naive clear pulse) is dataless and fires
-            # the whole span at once; patterned injects need the parallel
-            # drivers to collapse into one step
-            first = "remove" if self.strategy == "naive" else "detect"
-            for _ in slots:
-                for width in (wb, pw):
-                    plan.append(PlanStep(first, wb, 1))
-                    plan.append(PlanStep("inject", width,
-                                         1 if self.parallel else width))
-        return plan
 
 
 class NullStore:

@@ -10,97 +10,11 @@ they differ only in how many primitives that costs:
 ``bcw``    the batched compare write: many slots of one track share a single
            out-and-back pass, detecting and flipping in parallel per bit.
 
-All take the uniform (device, track, writes) shape where writes is a list
-of (word_slot, bits, width).
+The charging rules live on :class:`~skrmbetree.device.Device`; this module
+only routes a batch of (word_slot, bits, width) writes to them.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from . import kernels
-from .errors import ConfigError, UnsupportedBatchError
-
-
-class WordPattern:
-    """A word as a little-endian bit array with its population count."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        self.bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        if self.bits.ndim != 1:
-            raise ConfigError("a word pattern is one-dimensional")
-        if np.any(self.bits > 1):
-            raise ConfigError("bit cells hold 0 or 1")
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "WordPattern":
-        return cls(kernels.int_to_bits(value, width))
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-    @property
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def as_int(self) -> int:
-        return kernels.bits_to_int(self.bits)
-
-
-class BatchUpdate:
-    """A validated same-track batch: parallel slot lists plus patterns."""
-
-    def __init__(self, slots, new_patterns, old_patterns=None):
-        if len(slots) != len(new_patterns):
-            raise ConfigError("one new pattern per slot")
-        if old_patterns is not None and len(old_patterns) != len(slots):
-            raise ConfigError("old patterns, when given, match slots 1:1")
-        if len(set(slots)) != len(slots):
-            raise ConfigError("batch slots must be distinct")
-        self.slots = list(slots)
-        self.new_patterns = [p if isinstance(p, WordPattern) else WordPattern(p)
-                             for p in new_patterns]
-        self.old_patterns = (None if old_patterns is None else
-                             [p if isinstance(p, WordPattern) else WordPattern(p)
-                              for p in old_patterns])
-
-    def writes(self):
-        return [(slot, p.bits, p.width)
-                for slot, p in zip(self.slots, self.new_patterns)]
-
-
-def naive_write(device, track, writes) -> None:
-    for slot, bits, width in writes:
-        device.write_serial(track, slot, bits, width, "naive")
-
-
-def dcw_write(device, track, writes) -> None:
-    for slot, bits, width in writes:
-        device.write_serial(track, slot, bits, width, "dcw")
-
-
-def pw_write(device, track, writes) -> None:
-    if len(writes) > 1:
-        raise UnsupportedBatchError(
-            "pw repositions skyrmions within one word and cannot run as a "
-            "parallel multi-word batch")
-    for slot, bits, width in writes:
-        device.write_pw(track, slot, bits, width)
-
-
-def bcw_parallel_write(device, track, writes) -> None:
-    device.write_batch_bcw(track, writes)
-
-
-STRATEGY_FNS = {
-    "naive": naive_write,
-    "dcw": dcw_write,
-    "pw": pw_write,
-    "bcw": bcw_parallel_write,
-}
 
 
 def apply_strategy(device, track, writes, strategy: str, parallel: bool) -> None:
@@ -113,8 +27,13 @@ def apply_strategy(device, track, writes, strategy: str, parallel: bool) -> None
     if not writes:
         return
     if parallel:
-        bcw_parallel_write(device, track, writes)
-        return
-    fn = STRATEGY_FNS[strategy]
-    for w in writes:
-        fn(device, track, [w])
+        device.write_batch_bcw(track, writes)
+    elif strategy == "pw":
+        for slot, bits, width in writes:
+            device.write_pw(track, slot, bits, width)
+    elif strategy == "bcw":
+        for w in writes:
+            device.write_batch_bcw(track, [w])
+    else:
+        for slot, bits, width in writes:
+            device.write_serial(track, slot, bits, width, strategy)

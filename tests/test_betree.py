@@ -241,6 +241,57 @@ def test_full_arena_refuses_further_upserts():
         tree.upsert(102, 3)
 
 
+def _device_image(device):
+    handles = list(device.tracks.values()) + list(device.groups.values())
+    return [(h.cells.copy(), h.offset) for h in handles]
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+@pytest.mark.parametrize("policy", ("lazy", "eager"))
+@pytest.mark.parametrize("strategy", ("naive", "bcw+ports"))
+def test_arena_exhaustion_fails_typed_and_harmless(mapping, policy, strategy):
+    # two-slot buffers and two-pair leaves: flushes free and reuse arena
+    # slots and grow the tree to height 4 before six in-flight values
+    # exhaust the arena
+    cfg = make_cfg(node_pairs=4, pivot_pairs=2, element_pairs=2,
+                   strategy=strategy.split("+")[0],
+                   parallel=strategy == "bcw+ports", encoding=True,
+                   arena_capacity=6)
+    ports = 2 * cfg.node_pairs if mapping == "word" else cfg.node_pairs
+    geom = Geometry(word_bits=16, interport_bits=16, ports_per_track=ports,
+                    shift_policy=policy)
+    device = Device(geom, CostModel())
+    tree = BeTree(DeviceStore(device, mapping, cfg, 16), cfg, 16)
+    rng = np.random.default_rng(5)
+    oracle = {}
+    for _ in range(200):
+        key, value = (int(v) for v in rng.integers(0, 1 << 16, size=2))
+        counters, image = device.counters.as_flat_dict(), _device_image(device)
+        try:
+            tree.upsert(key, value)
+        except ArenaFullError:
+            break
+        oracle[key] = value
+    else:
+        pytest.fail("the arena never filled")
+    # the refused upsert charged nothing and touched no cell
+    assert device.counters.as_flat_dict() == counters
+    after = _device_image(device)
+    assert len(after) == len(image)
+    assert all(np.array_equal(a[0], b[0]) and a[1] == b[1]
+               for a, b in zip(image, after))
+    tree.audit()
+    for k, v in oracle.items():
+        assert tree.query(k) == v
+    # draining the buffers frees the arena; the refused key then lands
+    tree.flush_all()
+    tree.upsert(key, value)
+    oracle[key] = value
+    tree.audit()
+    for k, v in oracle.items():
+        assert tree.query(k) == v
+
+
 # ----------------------------------------------------------- flush traffic
 
 def test_flush_moves_a_batch_in_one_write_pass():

@@ -6,7 +6,7 @@ import pytest
 
 from skrmbetree.btree import (BTree, betree_config_for_capacity,
                               write_count_experiment, write_count_series)
-from skrmbetree.errors import ConfigError
+from skrmbetree.errors import ConfigError, StructureError
 
 
 def test_single_insert_counts_one_write():
@@ -51,6 +51,20 @@ def test_oracle_equivalence_and_audit():
     for k, v in shadow.items():
         assert t.get(k) == v
     assert t.get(999_999) is None
+
+
+def test_audit_accepts_keys_past_64_bits():
+    # insert takes any int key; the root's range must not cap it at 2^64
+    t = BTree(4)
+    keys = [1 << 70, 3, -5, (1 << 64) + 1, 1 << 64, 7, 1 << 90]
+    for k in keys:
+        t.insert(k, k)
+    t.audit()
+    assert all(t.get(k) == k for k in keys)
+    # a child key equal to its upper separator still fails the audit
+    t.root.children[0].pairs[-1] = (t.root.pairs[0][0], 0)
+    with pytest.raises(StructureError):
+        t.audit()
 
 
 def test_capacity_floor():

@@ -4,8 +4,7 @@ import pytest
 
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
                                TreeConfig, apply_file_settings,
-                               cost_model_from_settings,
-                               geometry_from_settings, read_config_file)
+                               read_config_file)
 from skrmbetree.errors import ConfigError
 
 
@@ -134,10 +133,3 @@ def test_settings_file_geometry_keys_must_agree():
                             {"mapping": "bit_interleaved",
                              "ports_per_track": 32})
 
-
-def test_standalone_device_settings():
-    geom = geometry_from_settings({"word_bits": 32, "ports_per_track": 4})
-    assert geom.interport_bits == 32 and geom.ports_per_track == 4
-    model = cost_model_from_settings({"latency_shift": 0.25, "entries": 9})
-    assert model.latency_shift == 0.25
-    assert model.energy_detect == 2.0

@@ -173,26 +173,6 @@ def test_bcw_rejects_duplicate_slots():
         dev.write_batch_bcw(tr, [(0, bits, 8), (0, bits, 8)])
 
 
-def test_bcw_trace_agrees_with_aggregate_counters():
-    rng = np.random.default_rng(7)
-    writes = [(slot, rand_bits(rng, 8), 8) for slot in range(6)]
-    results = []
-    for record in (False, True):
-        dev = small_device(word_bits=8, ports=8, record_steps=record)
-        tr = dev.new_track()
-        for slot, _, _ in writes:
-            tr.cells[tr.slot_start(slot):tr.slot_start(slot) + 8] = \
-                rand_bits(np.random.default_rng(slot), 8)
-        dev.write_batch_bcw(tr, [(s, b.copy(), w) for s, b, w in writes])
-        results.append(dev.counters.as_flat_dict(dev.cost))
-        if record:
-            _, lat = accumulate_cost(dev.counters, dev.cost)
-            # trace sums step by step, so only float association differs
-            assert latency_from_trace(dev.counters.trace, dev.cost) == \
-                pytest.approx(lat)
-    assert results[0] == results[1]
-
-
 def test_write_pw_reuses_population():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
@@ -320,6 +300,76 @@ def test_read_word_bills_like_the_composed_primitives(policy, record, ops):
         assert (devs[0].counters.as_flat_dict()
                 == devs[1].counters.as_flat_dict())
         assert devs[0].counters.trace == devs[1].counters.trace
+
+
+def _composed_bcw(dev, tr, writes):
+    """write_batch_bcw billed bit position by bit position: every live
+    slot detects in one parallel fire, then the differing bits flip in one
+    mixed fire."""
+    dev.align(tr, 0)
+    dev.counters.record_shift(1, 2 * tr.interport)
+    per_slot = 2 if dev.count_new_detect else 1
+    for i in range(max(width for _slot, _bits, width in writes)):
+        live = [(slot, bits) for slot, bits, width in writes if width > i]
+        dev.counters.record("detect", per_slot * len(live), parallel=True)
+        inj = rem = 0
+        for slot, bits in live:
+            idx = tr.slot_start(slot) + i
+            old, new = int(tr.cells[idx]), int(bits[i])
+            if old != new:
+                inj += new
+                rem += old
+                tr.cells[idx] = new
+        dev.counters.record_mixed(dev.cost, inject=inj, remove=rem)
+    if dev.geom.shift_policy == "eager":
+        dev.align(tr, 0)
+
+
+_BCW_PORTS = 6
+_BCW_OPS = st.lists(st.one_of(
+    st.dictionaries(st.integers(0, _BCW_PORTS - 1),
+                    st.tuples(st.integers(0, 255), st.integers(0, 8)),
+                    min_size=1),
+    st.integers(-8, 8)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       doubled=st.booleans(), slow_remove=st.booleans(),
+       image=st.integers(0, (1 << 8 * _BCW_PORTS) - 1), ops=_BCW_OPS)
+def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
+                                                 slow_remove, image, ops):
+    # a dict op is one batch {slot: (value, width)}; an int op realigns
+    # the track so the pass pays lazy slack. slow_remove makes remove the
+    # dominant kind of a mixed fire.
+    cost = CostModel(latency_remove=1.5) if slow_remove else CostModel()
+    geom = Geometry(word_bits=8, interport_bits=8, ports_per_track=_BCW_PORTS,
+                    shift_policy=policy)
+    devs = [Device(geom, cost, record_steps=record, count_new_detect=doubled)
+            for _ in range(2)]
+    trs = [d.new_track() for d in devs]
+    start, data = trs[0].slot_start(0), 8 * _BCW_PORTS
+    for tr in trs:
+        tr.cells[start:start + data] = kernels.int_to_bits(image, data)
+    for op in ops:
+        if isinstance(op, int):
+            for dev, tr in zip(devs, trs):
+                dev.align(tr, op)
+            continue
+        # 8 bits per word: the device reads only the first `width` of them
+        writes = [(slot, kernels.int_to_bits(value, 8), width)
+                  for slot, (value, width) in op.items()]
+        devs[0].write_batch_bcw(trs[0], writes)
+        _composed_bcw(devs[1], trs[1], writes)
+        assert np.array_equal(trs[0].cells, trs[1].cells)
+        assert trs[0].offset == trs[1].offset
+        assert (devs[0].counters.as_flat_dict()
+                == devs[1].counters.as_flat_dict())
+    if record:
+        _, lat = accumulate_cost(devs[0].counters, cost)
+        # the trace sums step by step, so only float association differs
+        assert latency_from_trace(devs[0].counters.trace, cost) == \
+            pytest.approx(lat)
 
 
 def _composed_bi_write(dev, group, port, node_offset, row_start, span,
@@ -496,6 +546,32 @@ def test_bi_ops_reject_rows_outside_the_group(call):
     after = _device_state(dev, g)
     assert np.array_equal(before[0], after[0])
     assert before[1:] == after[1:]
+
+
+@pytest.mark.parametrize("call", [
+    lambda dev, tr: dev.write_serial(tr, 1, kernels.int_to_bits(5, 3), 8,
+                                     "naive"),
+    lambda dev, tr: dev.write_serial(tr, 1, kernels.int_to_bits(5, 3), 8,
+                                     "dcw"),
+    lambda dev, tr: dev.write_serial(tr, 1, np.ones(8, np.uint8), 8, "pw"),
+    lambda dev, tr: dev.write_serial(tr, 1, np.ones(8, np.uint8), 8, "bcw"),
+    lambda dev, tr: dev.write_pw(tr, 1, kernels.int_to_bits(5, 3), 8),
+    lambda dev, tr: dev.write_batch_bcw(tr, [(0, np.ones(8, np.uint8), 8),
+                                             (1, np.ones(3, np.uint8), 8)]),
+])
+@pytest.mark.parametrize("policy", ("lazy", "eager"))
+def test_word_writes_reject_short_bits_and_unknown_modes(call, policy):
+    dev = small_device(word_bits=8, policy=policy, record_steps=True)
+    tr = dev.new_track()
+    tr.cells[:] = 1
+    dev.shift(tr, "left", 3)    # off home: a charged align would show
+    before = _device_state(dev, tr), list(dev.counters.trace)
+    with pytest.raises(ConfigError):
+        call(dev, tr)
+    after = _device_state(dev, tr), list(dev.counters.trace)
+    assert np.array_equal(before[0][0], after[0][0])
+    assert before[0][1:] == after[0][1:]
+    assert before[1] == after[1]
 
 
 def test_bi_write_takes_any_integer_bit_dtype():

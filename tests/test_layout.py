@@ -1,4 +1,4 @@
-"""Node placement, charged store accesses, and access plans."""
+"""Node placement and charged store accesses."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
                                TreeConfig)
 from skrmbetree.device import Device
-from skrmbetree.errors import CapacityError, ConfigError
-from skrmbetree.layout import (KIND_INTERNAL, KIND_LEAF, DeviceStore,
-                               PlanStep, plan_cost)
+from skrmbetree.errors import CapacityError
+from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore
 
 
 def make_store(mapping, word_bits=16, strategy="bcw", parallel=True,
@@ -145,55 +144,19 @@ def test_peek_matches_charged_read_after_shifts():
     assert store.read_key(0, 2) == 0xBEEF
 
 
-def test_plan_bit_read_is_parallel_detect():
-    store = make_store("bit_interleaved", word_bits=64, parallel=False,
-                       strategy="dcw")
-    store.add_node(0, KIND_INTERNAL)
-    plan = store.plan_node_access(0, "read", [3])
-    assert plan[0] == PlanStep("detect", 64, 1)
-    energy, latency = plan_cost(plan[:1], CostModel())
-    assert energy == 64 * 2.0
-    assert latency == pytest.approx(0.1)
-
-
-def test_plan_word_read_serializes_detects_with_shifts():
-    store = make_store("word", word_bits=64)
-    store.add_node(0, KIND_INTERNAL)
-    plan = store.plan_node_access(0, "read", [0])
-    kinds = [(s.op, s.count, s.steps) for s in plan]
-    assert ("detect", 64, 64) in kinds
-    assert any(op == "shift" and steps > 0 for op, _, steps in kinds)
-
-
-def test_plan_empty_batch_is_empty():
-    store = make_store("word")
-    store.add_node(0, KIND_INTERNAL)
-    assert store.plan_node_access(0, "write", []) == []
-    assert store.plan_node_access(0, "read", []) == []
-
-
-def test_plan_rejects_unknown_access_kind():
-    store = make_store("word")
-    store.add_node(0, KIND_INTERNAL)
-    with pytest.raises(ConfigError):
-        store.plan_node_access(0, "scan", [0])
-
-
-def test_plan_detect_count_matches_charged_read():
-    # the plan's detect totals are exact; shifts depend on track state
+def test_node_read_detects_per_mapping():
+    # reading 4 pairs is 8 words: the word mapping streams every bit past
+    # one port, one detect step each; bit-interleaved senses a word's rows
+    # in one simultaneous fire
     for mapping in ("word", "bit_interleaved"):
         store = make_store(mapping)
+        wb = store.word_bits
         store.add_node(0, KIND_INTERNAL)
-        store.write_pairs(0, [(s, s + 1, s + 2, store.word_bits)
-                              for s in range(4)])
-        plan = store.plan_node_access(0, "read", [0, 1, 2, 3])
-        planned = sum(s.count for s in plan if s.op == "detect")
+        store.write_pairs(0, [(s, s + 1, s + 2, wb) for s in range(4)])
         before = store.device.counters.snapshot()
         for s in range(4):
-            store.read_key(0, s)
-            store.read_payload(0, s, store.word_bits)
+            assert store.read_key(0, s) == s + 1
+            assert store.read_payload(0, s, wb) == s + 2
         d = store.device.counters.delta(before)
-        assert d.detect == planned
-        if mapping == "bit_interleaved":
-            assert d.detect_steps == sum(
-                s.steps for s in plan if s.op == "detect")
+        assert d.detect == 8 * wb
+        assert d.detect_steps == (8 * wb if mapping == "word" else 8)

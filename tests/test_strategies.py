@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from skrmbetree import kernels
 from skrmbetree.config import CostModel, Geometry
 from skrmbetree.device import Device
-from skrmbetree.errors import ConfigError, UnsupportedBatchError
-from skrmbetree.strategies import (BatchUpdate, WordPattern, apply_strategy,
-                                   pw_write)
+from skrmbetree.strategies import apply_strategy
 
 WIDTHS = (4, 8, 16, 64)
 TRIALS = 1000
@@ -35,32 +33,6 @@ def xor_oracle(old, new):
     return inj, rem
 
 
-def test_word_pattern_round_trip():
-    p = WordPattern.from_int(0x2B, 8)
-    assert p.width == 8
-    assert p.popcount == 4
-    assert p.as_int() == 0x2B
-    with pytest.raises(ConfigError):
-        WordPattern(np.array([0, 2], dtype=np.uint8))
-
-
-def test_batch_update_validation():
-    a = WordPattern.from_int(1, 4)
-    with pytest.raises(ConfigError):
-        BatchUpdate([0, 0], [a, a])
-    with pytest.raises(ConfigError):
-        BatchUpdate([0, 1], [a])
-    batch = BatchUpdate([1, 0], [a, a])
-    assert [w[0] for w in batch.writes()] == [1, 0]
-
-
-def test_pw_refuses_multi_word_batches():
-    dev, tr = fresh_track(8)
-    bits = kernels.int_to_bits(3, 8)
-    with pytest.raises(UnsupportedBatchError):
-        pw_write(dev, tr, [(0, bits, 8), (1, bits, 8)])
-
-
 @pytest.mark.parametrize("width", WIDTHS)
 def test_all_strategies_land_the_new_pattern(width):
     rng = np.random.default_rng(width)
@@ -74,6 +46,34 @@ def test_all_strategies_land_the_new_pattern(width):
             apply_strategy(dev, tr, [(1, new, width)], strategy,
                            parallel=(strategy == "bcw"))
             assert np.array_equal(tr.cells[start:start + width], new), strategy
+
+
+@pytest.mark.parametrize("strategy", ("naive", "dcw", "pw", "bcw", "ports"))
+def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
+    # without parallel ports every word is its own pass, pw included; with
+    # them the whole batch shares one bcw pass
+    rng = np.random.default_rng(17)
+    writes = [(slot, rng.integers(0, 2, size=8, dtype=np.uint8), 8)
+              for slot in (3, 0, 2)]
+    routed, direct = fresh_track(8), fresh_track(8)
+    image = rng.integers(0, 2, size=len(routed[1].cells), dtype=np.uint8)
+    routed[1].cells[:] = image
+    direct[1].cells[:] = image
+    parallel = strategy == "ports"
+    apply_strategy(*routed, writes, "bcw" if parallel else strategy, parallel)
+    dev, tr = direct
+    if parallel:
+        dev.write_batch_bcw(tr, writes)
+    else:
+        for slot, bits, width in writes:
+            if strategy == "pw":
+                dev.write_pw(tr, slot, bits, width)
+            elif strategy == "bcw":
+                dev.write_batch_bcw(tr, [(slot, bits, width)])
+            else:
+                dev.write_serial(tr, slot, bits, width, strategy)
+    assert np.array_equal(routed[1].cells, tr.cells)
+    assert routed[0].counters.as_flat_dict() == dev.counters.as_flat_dict()
 
 
 @pytest.mark.parametrize("width", WIDTHS)
