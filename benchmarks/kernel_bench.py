@@ -1,10 +1,17 @@
-"""Time the cell-array kernels under the numpy and numba backends.
+"""Time the cell-array kernels under the numpy and numba backends, and the
+node-granular device passes against the per-word calls they replace.
 
 Runs each kernel over pregenerated random inputs and prints per-call
 times plus the speedup. Without numba the loop implementations run as
 plain Python instead, so the numpy backend still gets a number. Also
 cross-checks that both backends return the same numbers on a fresh copy
 of every input, since a fast wrong kernel would be worse than useless.
+
+The device-pass section times a 12-slot ``Device.scan_words`` against 12
+``read_word`` calls and a 12-word ``Device.bi_write_node`` against 12
+``bi_write_word`` calls (bits converted outside the clock), after checking
+that both sides return the same words and leave the same cells, offsets
+and counters.
 
 Usage: python benchmarks/kernel_bench.py [--calls 2000] [--word-bits 64]
 """
@@ -15,6 +22,11 @@ import time
 import numpy as np
 
 from skrmbetree import kernels
+from skrmbetree.config import CostModel, Geometry
+from skrmbetree.device import Device
+
+# a ycsb-sized node: 16 pairs, 4 pivots, so a full buffer is 12 messages
+NODE_PAIRS, BUFFER_SLOTS = 16, range(4, 16)
 
 
 def build_inputs(rng, n, word_bits, batch):
@@ -92,6 +104,118 @@ def check_parity(loop_impls, np_impls, rng, word_bits):
              starts, widths, mat)
 
 
+def _twin_devices(word_bits, ports, policy="lazy"):
+    geom = Geometry(word_bits=word_bits, interport_bits=word_bits,
+                    ports_per_track=ports, shift_policy=policy)
+    return Device(geom, CostModel()), Device(geom, CostModel())
+
+
+def _scan_setup(rng, word_bits, policy="lazy"):
+    devs = _twin_devices(word_bits, 2 * NODE_PAIRS, policy)
+    trs = [d.new_track() for d in devs]
+    cells = rng.integers(0, 2, size=trs[0].cells.shape, dtype=np.uint8)
+    for tr in trs:
+        tr.cells[:] = cells
+    return devs, trs, [2 * s for s in BUFFER_SLOTS]
+
+
+def _node_setup(rng, word_bits):
+    devs = _twin_devices(word_bits, NODE_PAIRS)
+    groups = [d.new_group(2 * word_bits) for d in devs]
+    cells = rng.integers(0, 2, size=groups[0].cells.shape, dtype=np.uint8)
+    for dev, g in zip(devs, groups):
+        g.cells[:] = cells
+        dev.group_align(g, 3)
+    return devs, groups
+
+
+def _rand_value(rng, width):
+    return int.from_bytes(rng.bytes(width // 8 + 1), "little") >> (
+        8 - width % 8)
+
+
+def _node_words(rng, word_bits):
+    """Six pairs, a key and a narrower encoded payload each: 12 words."""
+    words = []
+    for port in rng.choice(BUFFER_SLOTS, size=6, replace=False):
+        words.append((int(port), 0, word_bits, word_bits,
+                      _rand_value(rng, word_bits)))
+        width = int(rng.integers(1, word_bits + 1))
+        words.append((int(port), word_bits, word_bits, width,
+                      _rand_value(rng, width)))
+    return words
+
+
+def check_device_parity(rng, word_bits):
+    """Each pass against the per-word calls it replaces, plus the node
+    write's cells against the loop kernel applied word by word."""
+    for trial in range(100):
+        devs, trs, slots = _scan_setup(rng, word_bits,
+                                       ("lazy", "eager")[trial % 2])
+        devs[0].align(trs[0], -trial % word_bits)
+        devs[1].align(trs[1], -trial % word_bits)
+        got = devs[0].scan_words(trs[0], slots, word_bits)
+        want = [devs[1].read_word(trs[1], s, word_bits) for s in slots]
+        if (got != want or trs[0].offset != trs[1].offset
+                or devs[0].counters != devs[1].counters):
+            raise SystemExit("device pass mismatch: scan_words")
+        devs, groups = _node_setup(rng, word_bits)
+        words = _node_words(rng, word_bits)
+        mode = ("naive", "dcw")[trial % 2]
+        oracle = groups[0].cells.copy()
+        devs[0].bi_write_node(groups[0], 3, words, mode, trial % 3 == 0)
+        for port, row_start, span, width, value in words:
+            devs[1].bi_write_word(groups[1], port, 3, row_start, span, width,
+                                  kernels.int_to_bits(value, width), mode,
+                                  trial % 3 == 0)
+            kernels.LOOP_IMPLS["bi_write"](
+                oracle, row_start, span, width, (port + 1) * word_bits + 3,
+                kernels.int_to_bits(value, width),
+                kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
+        if (not np.array_equal(groups[0].cells, groups[1].cells)
+                or not np.array_equal(groups[0].cells, oracle)
+                or devs[0].counters != devs[1].counters):
+            raise SystemExit("device pass mismatch: bi_write_node")
+
+
+def time_device_passes(rng, args):
+    wb, calls = args.word_bits, args.calls
+    (dev, _), (tr, _), slots = _scan_setup(rng, wb)
+    (ndev, _), (group, _) = _node_setup(rng, wb)
+    batches = [_node_words(rng, wb) for _ in range(calls)]
+    bits = [[kernels.int_to_bits(w[4], w[3]) for w in ws] for ws in batches]
+
+    def scan():
+        for _ in range(calls):
+            dev.scan_words(tr, slots, wb)
+
+    def reads():
+        for _ in range(calls):
+            for s in slots:
+                dev.read_word(tr, s, wb)
+
+    def node():
+        for ws in batches:
+            ndev.bi_write_node(group, 3, ws, "dcw", True)
+
+    def per_word():
+        for ws, bs in zip(batches, bits):
+            for (port, row_start, span, width, _v), b in zip(ws, bs):
+                ndev.bi_write_word(group, port, 3, row_start, span, width, b,
+                                   "dcw", True)
+
+    print(f"\n{'device pass (12 words)':<24} {'pass us':>10} "
+          f"{'per-word us':>12} {'speedup':>8}")
+    for name, one, many in (("scan_words", scan, reads),
+                            ("bi_write_node", node, per_word)):
+        one()
+        many()
+        t_one = min(_timed(one) for _ in range(args.repeat)) / calls * 1e6
+        t_many = min(_timed(many) for _ in range(args.repeat)) / calls * 1e6
+        print(f"{name:<24} {t_one:>10.2f} {t_many:>12.2f} "
+              f"{t_many / t_one:>7.1f}x")
+
+
 def main():
     ap = argparse.ArgumentParser(description="kernel backend micro-benchmark")
     ap.add_argument("--calls", type=int, default=2000,
@@ -135,10 +259,13 @@ def main():
         print(f"{name:<12} {times['numpy']:>10.2f} {times['loop']:>10.2f} "
               f"{ratio:>7.1f}x")
 
+    check_device_parity(rng, args.word_bits)
+    time_device_passes(rng, args)
 
-def _timed(run, impl):
+
+def _timed(run, *args):
     t0 = time.perf_counter()
-    run(impl)
+    run(*args)
     return time.perf_counter() - t0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (ArenaFullError, ConfigError, StructureError)
 from .layout import KIND_INTERNAL, KIND_LEAF
@@ -101,6 +102,9 @@ class Message:
 
     def order(self):
         return (self.key, self.seq)
+
+
+_SEQ = attrgetter("seq")
 
 
 class LeafNode:
@@ -431,10 +435,14 @@ class BeTree:
         return self._search_leaf(node, key)
 
     def _scan_buffer(self, node: InternalNode, key: int):
-        # newest first, so the first hit is the live version
-        for m in sorted(node.buffer, key=lambda m: -m.seq):
-            got = self.store.read_key(node.node_id, m.slot, expect=m.key)
-            if got == key:
+        # newest first, so the first hit is the live version. The store
+        # reads the keys as one pass that stops at the hit and checks every
+        # key it reads against the tree's, so the tree's own keys decide.
+        newest = sorted(node.buffer, key=_SEQ, reverse=True)
+        self.store.scan_keys(node.node_id, [m.slot for m in newest],
+                             [m.key for m in newest], key)
+        for m in newest:
+            if m.key == key:
                 return m
         return None
 

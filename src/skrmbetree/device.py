@@ -79,11 +79,25 @@ class TrackGroup:
 _MODES = {"naive": kernels.MODE_NAIVE, "dcw": kernels.MODE_DCW}
 
 
+_U8 = np.dtype(np.uint8)
+
+
 def _head_bits(bits, width: int):
-    """The first `width` bits; raises when fewer are given."""
-    head = bits[:width]
+    """The first `width` bits; raises when fewer are given or any of them
+    is not 0 or 1."""
+    head = bits
     if len(head) != width:
-        raise ConfigError(f"{len(bits)} bits given for width {width}")
+        head = bits[:width]
+        if len(head) != width:
+            raise ConfigError(f"{len(bits)} bits given for width {width}")
+    # one byte per bit: deleting the 0 and 1 bytes must leave nothing
+    if getattr(head, "dtype", None) is _U8:
+        bad = head.tobytes().translate(None, b"\x00\x01")
+    else:
+        head = np.asarray(head)
+        bad = ((head != 0) & (head != 1)).any()
+    if bad:
+        raise ConfigError("bits must be 0 or 1")
     return head
 
 
@@ -255,22 +269,39 @@ class Device:
     def write_serial(self, track, slot: int, bits: np.ndarray, width: int,
                      mode: str) -> None:
         """One word through its port, naive or dcw; every port action is its
-        own latency step."""
-        tr = self._resolve(track)[0]
+        own latency step.
+
+        Charged as one pass: the align home, the 2 * interport out-and-back
+        stream, then the detects, injects and removes, exactly what
+        align/record_shift/record would bill one by one, in the same trace
+        order. The stream ends home, so the eager return costs nothing.
+        """
+        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
         self._check_slot(tr, slot, width)
         if mode not in _MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
         bits = np.ascontiguousarray(_head_bits(bits, width))
-        self._charge_pass_shifts(tr)
         det, inj, rem = kernels.word_write(tr.cells, tr.slot_start(slot),
                                            tr.interport, width, bits,
                                            _MODES[mode])
         if self.count_new_detect:
             det *= 2
-        self.counters.record("detect", det)
-        self.counters.record("inject", inj)
-        self.counters.record("remove", rem)
-        self._finish(tr)
+        shifts = abs(tr.offset) + 2 * tr.interport
+        tr.offset = 0
+        c = self.counters
+        c.shift += shifts
+        c.shift_steps += shifts
+        c.detect += det
+        c.detect_steps += det
+        c.inject += inj
+        c.inject_steps += inj
+        c.remove += rem
+        c.remove_steps += rem
+        if c.trace is not None:
+            c.log_steps("shift", shifts, shifts)
+            c.log_steps("detect", det, det)
+            c.log_steps("inject", inj, inj)
+            c.log_steps("remove", rem, rem)
 
     def write_pw(self, track, slot: int, bits: np.ndarray, width: int) -> None:
         """Permutation-style write: reuse surviving skyrmions, shifting each
@@ -329,49 +360,76 @@ class Device:
         self._finish(tr)
 
     def read_word(self, track, slot: int, width: int) -> int:
-        """Stream one word's bits through its port, detecting each.
+        """Stream one word's bits through its port, detecting each; the
+        one-slot scan."""
+        return self.scan_words(track, (slot,), width)[0]
 
-        The sweep starts from whichever end of the bit range is closer to
+    def scan_words(self, track, slots, width: int, expect=None,
+                   target=None) -> list[int]:
+        """Read the words in `slots` one after another and return them.
+
+        Stops after the first word that equals `target` or differs from
+        its entry in `expect` (None: no such stop), so a buffer scan pays
+        for the reads up to its hit and no further.
+
+        Each read sweeps from whichever end of the bit range is closer to
         the current offset, so back-to-back reads ping-pong instead of
         paying a realign pass. Lazy policy leaves the track where the sweep
-        ends; eager returns it home.
-
-        Charged as one pass: the align shifts to the near end, width - 1
-        sweep shifts to the far end, width serial detects, then the eager
-        return, exactly what align/shift/record/_finish would bill one by
-        one, in the same trace order.
+        ends; eager returns it home. A read is charged the align shifts to
+        the near end, width - 1 sweep shifts to the far end, width serial
+        detects, then the eager return: exactly what align/shift/record/
+        _finish would bill one by one, in the same trace order.
         """
         tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
-        self._check_slot(tr, slot, width)
-        if width == 0:
-            return 0
-        # both sweep ends lie in [1 - width, 0]; width <= interport keeps
-        # them inside the overflow region, so no shift below can overrun
-        offset = tr.offset
-        lo = 1 - width
-        if abs(offset) <= abs(offset - lo):
-            near, far = 0, lo
-        else:
-            near, far = lo, 0
-        approach = abs(near - offset)
-        eager = self.geom.shift_policy == "eager"
-        home = abs(far) if eager else 0
-        tr.offset = 0 if eager else far
-        shifts = approach + width - 1 + home
+        n_ports, ip = tr.n_ports, tr.interport
+        for slot in slots:
+            if not (0 <= slot < n_ports):
+                raise PortRangeError(f"word slot {slot} outside this track")
+        if not (0 <= width <= ip):
+            raise ConfigError(f"width {width} outside one interport segment "
+                              f"(0..{ip})")
+        if expect is not None and len(expect) != len(slots):
+            raise ConfigError(f"{len(expect)} expected words for "
+                              f"{len(slots)} slots")
+        # bits most significant first; slot starts are >= interport, so
+        # start - 1 never wraps to the array end. Width 0 reads 0, free.
+        # Both sweep ends lie in [1 - width, 0]; width <= interport keeps
+        # them inside the overflow region, so no shift can overrun.
+        raw = tr.cells.tobytes()
         c = self.counters
+        eager = self.geom.shift_policy == "eager"
+        lo = 1 - width
+        offset = tr.offset
+        shifts = 0
+        words = []
+        for slot in slots:
+            start = (slot + 1) * ip
+            word = int(raw[start + width - 1:start - 1:-1]
+                       .translate(kernels.BIT_DIGITS) or b"0", 2)
+            words.append(word)
+            if width:
+                if abs(offset) <= abs(offset - lo):
+                    near, far = 0, lo
+                else:
+                    near, far = lo, 0
+                sweep = abs(near - offset) + width - 1
+                home = -far if eager else 0
+                offset = 0 if eager else far
+                shifts += sweep + home
+                if c.trace is not None:
+                    c.log_steps("shift", sweep, sweep)
+                    c.log_steps("detect", width, width)
+                    c.log_steps("shift", home, home)
+            if word == target or (expect is not None
+                                  and word != expect[len(words) - 1]):
+                break
+        tr.offset = offset
+        detects = width * len(words)
         c.shift += shifts
         c.shift_steps += shifts
-        c.detect += width
-        c.detect_steps += width
-        if c.trace is not None:
-            c.log_steps("shift", approach + width - 1, approach + width - 1)
-            c.log_steps("detect", width, width)
-            c.log_steps("shift", home, home)
-        # bits most significant first; slot starts are >= interport, so
-        # start - 1 never wraps to the array end
-        start = tr.slot_start(slot)
-        msb_first = tr.cells[start + width - 1:start - 1:-1]
-        return int(msb_first.tobytes().translate(kernels.BIT_DIGITS), 2)
+        c.detect += detects
+        c.detect_steps += detects
+        return words
 
     # -------------------------------------------- bit-interleaved charged ops
 
@@ -383,42 +441,94 @@ class Device:
         return self.align(group, -node_offset)
 
     @staticmethod
-    def _column(group: TrackGroup, port: int, node_offset: int,
-                row_start: int, rows: int) -> int:
-        """Cell column of port `port` at an aligned node offset, after
-        checking that rows [row_start, row_start + rows) exist. Raises
-        before any cell or counter changes."""
-        if not (0 <= port < group.n_ports):
-            raise PortRangeError(f"port {port} outside 0..{group.n_ports - 1}")
-        if group.offset != -node_offset or not (0 <= node_offset < group.interport):
-            raise ConfigError("group not aligned to the requested node offset")
-        if row_start < 0 or rows < 0 or row_start + rows > group.n_tracks:
-            raise ConfigError(f"rows {row_start}..{row_start + rows - 1} "
-                              f"outside the group's {group.n_tracks} tracks")
-        return (port + 1) * group.interport + node_offset
+    def _columns(group: TrackGroup, node_offset: int, lo: int, hi: int):
+        """Index of the cell columns of ports lo..hi at a node offset: one
+        column, or every interport-th from lo's."""
+        col = (lo + 1) * group.interport + node_offset
+        if lo == hi:
+            return col
+        return slice(col, col + (hi - lo) * group.interport + 1,
+                     group.interport)
+
+    @staticmethod
+    def _rows_error(group: TrackGroup, row_start: int, rows: int):
+        return ConfigError(f"rows {row_start}..{row_start + rows - 1} "
+                           f"outside the group's {group.n_tracks} tracks")
 
     def bi_read_word(self, group: TrackGroup, port: int, node_offset: int,
                      row_start: int, width: int) -> int:
-        """Read one word stored one-bit-per-track at an aligned column.
+        """Read one word stored one-bit-per-track at an aligned column; the
+        one-port scan."""
+        return self.bi_scan_words(group, (port,), node_offset, row_start,
+                                  width)[0]
 
-        Every row head sits over the same column, so sensing is a single
-        simultaneous fire regardless of how writes are driven.
+    def bi_scan_words(self, group: TrackGroup, ports, node_offset: int,
+                      row_start: int, width: int, expect=None,
+                      target=None) -> list[int]:
+        """Read the node's words under `ports` one after another and return
+        them, stopping as :meth:`scan_words` does.
+
+        Every row head sits over the same column, so sensing a word is a
+        single simultaneous fire regardless of how writes are driven.
         """
-        col = self._column(group, port, node_offset, row_start, width)
-        if width == 0:
-            return 0
-        c = self.counters
-        c.detect += width
-        c.detect_steps += 1
-        if c.trace is not None:
-            c.trace.append(("detect", width))
-        return kernels.bits_to_int(group.cells[row_start:row_start + width, col])
+        n_ports = group.n_ports
+        for port in ports:
+            if not (0 <= port < n_ports):
+                raise PortRangeError(f"port {port} outside 0..{n_ports - 1}")
+        if row_start < 0 or width < 0 or row_start + width > group.n_tracks:
+            raise self._rows_error(group, row_start, width)
+        if expect is not None and len(expect) != len(ports):
+            raise ConfigError(f"{len(expect)} expected words for "
+                              f"{len(ports)} ports")
+        ip = group.interport
+        if group.offset != -node_offset or not (0 <= node_offset < ip):
+            raise ConfigError("group not aligned to the requested node offset")
+        if not ports:
+            return []
+        # column-major bytes of the node's columns, rows most significant
+        # first: each port's word is one run of `width` bytes (none when
+        # width is 0, whatever rows the slice then spans)
+        lo = min(ports)
+        raw = group.cells[
+            row_start + width - 1:row_start - 1 if row_start else None:-1,
+            self._columns(group, node_offset, lo, max(ports))].tobytes("F")
+        words = []
+        for port in ports:
+            at = (port - lo) * width
+            word = int(raw[at:at + width].translate(kernels.BIT_DIGITS)
+                       or b"0", 2)
+            words.append(word)
+            if word == target or (expect is not None
+                                  and word != expect[len(words) - 1]):
+                break
+        if width:
+            c = self.counters
+            c.detect += width * len(words)
+            c.detect_steps += len(words)
+            if c.trace is not None:
+                c.trace.extend([("detect", width)] * len(words))
+        return words
 
     def bi_write_word(self, group: TrackGroup, port: int, node_offset: int,
                       row_start: int, span: int, width: int, bits: np.ndarray,
                       mode: str, parallel: bool) -> None:
-        """Write one word across tracks at an aligned column, naive or
-        compare-and-flip.
+        """Write one word across tracks at an aligned column; the one-word
+        node write."""
+        value = kernels.bits_to_int(_head_bits(bits, width))
+        self.bi_write_node(group, node_offset,
+                           [(port, row_start, span, width, value)], mode,
+                           parallel)
+
+    def bi_write_node(self, group: TrackGroup, node_offset: int, words,
+                      mode: str, parallel: bool) -> None:
+        """Write words of one node at an aligned column offset, naive or
+        compare-and-flip, each billed as its own pass.
+
+        words: (port, row_start, span, width, value) per word; the value
+        fills rows [row_start, row_start + width), least significant bit
+        first. A naive write clears the whole row span, a compare write
+        leaves rows past `width` alone. Every word is checked before any
+        cell or counter changes.
 
         Sensing (the compare pass) and the unconditional clear pulse of a
         naive write carry no per-row data, so they fire all rows in one
@@ -426,41 +536,80 @@ class Device:
         need the parallel write drivers: one step with them, one step per
         landed instance without.
         """
-        col = self._column(group, port, node_offset, row_start, span)
-        if not (0 <= width <= span):
-            raise ConfigError(f"width {width} outside the {span}-row span")
-        bits = bits[:width]
-        if len(bits) != width:
-            raise ConfigError(f"{len(bits)} bits given for width {width}")
+        if not words:
+            return
         if mode not in _MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
-        # the numpy kernel compares columns as 0/1 bytes
-        if bits.dtype != np.uint8 or not bits.flags.c_contiguous:
-            bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        det, inj, rem = kernels.bi_write(group.cells, row_start, span, width,
-                                         col, bits, _MODES[mode])
-        det, inj, rem = int(det), int(inj), int(rem)
-        # naive: the clear-all pulse fires before inject-all, two pulses,
+        n_ports, rows = group.n_ports, group.n_tracks
+        seen = set()
+        for port, row_start, span, width, value in words:
+            if not (0 <= port < n_ports):
+                raise PortRangeError(f"port {port} outside 0..{n_ports - 1}")
+            if row_start < 0 or span < 0 or row_start + span > rows:
+                raise self._rows_error(group, row_start, span)
+            if not (0 <= width <= span):
+                raise ConfigError(f"width {width} outside the {span}-row span")
+            if value < 0 or value >> width:
+                raise ConfigError(f"value does not fit in {width} bits")
+            if (port, row_start) in seen:
+                raise ConfigError(f"word at port {port} row {row_start} "
+                                  f"written twice in one batch")
+            seen.add((port, row_start))
+        ip = group.interport
+        if group.offset != -node_offset or not (0 <= node_offset < ip):
+            raise ConfigError("group not aligned to the requested node offset")
+        ports = [w[0] for w in words]
+        lo = min(ports)
+        # the node's columns as one bytearray, one column after another and
+        # most significant row first: a word is the run of `width` bytes
+        # ending `row_start` bytes before its column's end, compared as two
+        # ints and written back with the rest in one go
+        view = group.cells[::-1, self._columns(group, node_offset, lo,
+                                               max(ports))]
+        buf = bytearray(view.tobytes("F"))
+        digits, to_cells = kernels.BIT_DIGITS, kernels.DIGIT_BITS
+        naive = mode == "naive"
+        # the naive clear-all pulse fires before inject-all, two pulses,
         # never one. Compare: flips are sequenced as a remove phase then an
         # inject phase; the two pulse polarities never share a fire. A fire
         # is one step when parallel, one step per instance otherwise, and
         # no step at all when nothing fires.
-        det_steps = 1 if det else 0
-        if self.count_new_detect:
-            det *= 2
-        if parallel or mode == "naive":
-            rem_steps = 1 if rem else 0
-        else:
-            rem_steps = rem
-        inj_steps = (1 if inj else 0) if parallel else inj
+        serial_rem = not (parallel or naive)
+        serial_inj = not parallel
+        per_bit = 2 if self.count_new_detect else 1
         c = self.counters
+        trace = c.trace
+        det = det_steps = inj = inj_steps = rem = rem_steps = 0
+        for port, row_start, span, width, value in words:
+            end = (port - lo + 1) * rows - row_start
+            new = (format(value, f"0{width}b").encode().translate(to_cells)
+                   if width else b"")
+            if naive:
+                d, r, i = 0, buf.count(1, end - span, end), value.bit_count()
+                buf[end - span:end] = bytes(span - width) + new
+            else:
+                old = int(buf[end - width:end].translate(digits) or b"0", 2)
+                d, r, i = (per_bit * width, (old & ~value).bit_count(),
+                           (value & ~old).bit_count())
+                buf[end - width:end] = new
+            ds = d > 0
+            rs = r if serial_rem else r > 0
+            is_ = i if serial_inj else i > 0
+            det += d
+            det_steps += ds
+            rem += r
+            rem_steps += rs
+            inj += i
+            inj_steps += is_
+            if trace is not None:
+                c.log_steps("detect", d, ds)
+                c.log_steps("remove", r, rs)
+                c.log_steps("inject", i, is_)
+        view[...] = np.frombuffer(buf, dtype=np.uint8).reshape(
+            view.shape[::-1]).T
         c.detect += det
         c.detect_steps += det_steps
         c.remove += rem
         c.remove_steps += rem_steps
         c.inject += inj
         c.inject_steps += inj_steps
-        if c.trace is not None:
-            c.log_steps("detect", det, det_steps)
-            c.log_steps("remove", rem, rem_steps)
-            c.log_steps("inject", inj, inj_steps)

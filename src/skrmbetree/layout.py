@@ -194,10 +194,12 @@ class DeviceStore:
 
     # ----------------------------------------------------------------- reads
 
-    def _checked(self, got: int, expect, what: str) -> int:
+    @staticmethod
+    def _checked(got: int, expect, what: str, *where) -> int:
+        # the message is built only on a mismatch: reads run hot
         if expect is not None and got != expect:
-            raise StructureError(
-                f"{what}: device holds {got:#x}, tree expected {expect:#x}")
+            raise StructureError(f"{what.format(*where)}: device holds "
+                                 f"{got:#x}, tree expected {expect:#x}")
         return got
 
     def read_key(self, node_id: int, pair_slot: int, expect=None) -> int:
@@ -210,7 +212,31 @@ class DeviceStore:
             self.device.group_align(group, offset)
             got = self.device.bi_read_word(group, pair_slot, offset, 0,
                                            self.word_bits)
-        return self._checked(got, expect, f"node {node_id} slot {pair_slot} key")
+        return self._checked(got, expect, "node {} slot {} key", node_id,
+                             pair_slot)
+
+    def scan_keys(self, node_id: int, pair_slots, expect, target) -> list[int]:
+        """Read the keys of `pair_slots` in order as one charged pass,
+        stopping after the first that equals `target`. Each key read must
+        equal its entry in `expect`; the first that does not raises. Returns
+        the keys read."""
+        if not pair_slots:
+            return []
+        device, wb = self.device, self.word_bits
+        if self.mapping == "word":
+            # the key of pair slot s is word slot 2s (WordBasedLayout.key_slot)
+            got = device.scan_words(self.layout.track_of(node_id),
+                                    [2 * s for s in pair_slots], wb, expect,
+                                    target)
+        else:
+            group, offset = self.layout.locate(node_id)
+            device.group_align(group, offset)
+            got = device.bi_scan_words(group, pair_slots, offset, 0, wb,
+                                       expect, target)
+        last = len(got) - 1
+        self._checked(got[last], expect[last], "node {} slot {} key",
+                      node_id, pair_slots[last])
+        return got
 
     def read_payload(self, node_id: int, pair_slot: int, width: int,
                      expect=None) -> int:
@@ -223,8 +249,8 @@ class DeviceStore:
             self.device.group_align(group, offset)
             got = self.device.bi_read_word(group, pair_slot, offset,
                                            self.word_bits, width)
-        return self._checked(got, expect,
-                             f"node {node_id} slot {pair_slot} payload")
+        return self._checked(got, expect, "node {} slot {} payload", node_id,
+                             pair_slot)
 
     # ---------------------------------------------------------------- writes
 
@@ -255,35 +281,34 @@ class DeviceStore:
 
     def _write_pairs_bi(self, node_id, writes):
         group, offset = self.layout.locate(node_id)
-        device = self.device
-        device.group_align(group, offset)
-        # naive clears the whole row span; compare strategies flip in place
-        mode = "naive" if self.strategy == "naive" else "dcw"
+        self.device.group_align(group, offset)
         wb = self.word_bits
-        parallel = self.parallel
-        write = device.bi_write_word
-        to_bits = kernels.int_to_bits
+        words = []
         for pair_slot, key, payload, pwidth in writes:
             if key is not None:
-                write(group, pair_slot, offset, 0, wb, wb, to_bits(key, wb),
-                      mode, parallel)
+                words.append((pair_slot, 0, wb, wb, key))
             if payload is not None:
-                write(group, pair_slot, offset, wb, wb, pwidth,
-                      to_bits(payload, pwidth), mode, parallel)
+                words.append((pair_slot, wb, wb, pwidth, payload))
+        # naive clears the whole row span; compare strategies flip in place
+        self.device.bi_write_node(
+            group, offset, words,
+            "naive" if self.strategy == "naive" else "dcw", self.parallel)
 
     # ----------------------------------------------------------------- arena
 
     def arena_write(self, index: int, value: int, width: int) -> None:
         # values are spilled once per upsert; compare-write keeps that cheap
-        bits = kernels.int_to_bits(value, width)
         if self.mapping == "word":
             tr, slot = self.arena_map.locate(index)
-            self.device.write_serial(tr, slot, bits, width, "dcw")
+            self.device.write_serial(tr, slot,
+                                     kernels.int_to_bits(value, width), width,
+                                     "dcw")
         else:
             group, port, offset = self.arena_map.locate(index)
             self.device.group_align(group, offset)
-            self.device.bi_write_word(group, port, offset, 0, self.word_bits,
-                                      width, bits, "dcw", self.parallel)
+            self.device.bi_write_node(
+                group, offset, [(port, 0, self.word_bits, width, value)],
+                "dcw", self.parallel)
 
     def arena_read(self, index: int, width: int, expect=None) -> int:
         if self.mapping == "word":
@@ -293,7 +318,7 @@ class DeviceStore:
             group, port, offset = self.arena_map.locate(index)
             self.device.group_align(group, offset)
             got = self.device.bi_read_word(group, port, offset, 0, width)
-        return self._checked(got, expect, f"arena slot {index}")
+        return self._checked(got, expect, "arena slot {}", index)
 
     # ------------------------------------------------- uncharged verification
 
@@ -340,6 +365,10 @@ class NullStore:
 
     def read_key(self, node_id, pair_slot, expect=None):
         return expect
+
+    def scan_keys(self, node_id, pair_slots, expect, target):
+        """No device words: the tree compares its own keys."""
+        return None
 
     def read_payload(self, node_id, pair_slot, width, expect=None):
         return expect

@@ -347,6 +347,51 @@ def test_query_sees_buffered_then_flushed_value():
     assert tree.query(250) == 4321
 
 
+def _read_key_by_key(tree, node, key):
+    """The buffer scan as one read_key per message, newest first: the
+    reference for what a scan charges."""
+    for m in sorted(node.buffer, key=lambda m: -m.seq):
+        if tree.store.read_key(node.node_id, m.slot, expect=m.key) == key:
+            return m
+    return None
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+def test_corrupt_buffered_key_fails_the_scan_at_the_same_read(mapping):
+    # six-slot buffers; the corrupted message sits in the middle of the
+    # newest-first order, so the scan pays for reads before it fails
+    runs = []
+    for reference in (False, True):
+        tree, device = make_device_tree(mapping, node_pairs=8,
+                                        element_pairs=4)
+        for i in range(9):
+            tree.upsert(i * 1000 + 7, i)
+        root = tree.nodes[tree.root_id]
+        newest = sorted(root.buffer, key=lambda m: -m.seq)
+        assert len(newest) == 4
+        victim = newest[2]
+        if mapping == "word":
+            tr = tree.store.layout.track_of(root.node_id)
+            tr.cells[tr.slot_start(2 * victim.slot)] ^= 1
+        else:
+            group, offset = tree.store.layout.locate(root.node_id)
+            group.cells[0, group.slot_start(victim.slot) + offset] ^= 1
+        if reference:
+            tree._scan_buffer = (
+                lambda node, key, tree=tree: _read_key_by_key(tree, node, key))
+        device.counters.trace = []
+        before = device.counters.snapshot()
+        with pytest.raises(StructureError, match="key"):
+            tree.query(victim.key)
+        runs.append((device.counters.as_flat_dict(), device.counters.trace,
+                     [(h.offset, h.cells.tobytes())
+                      for h in (*device.tracks.values(),
+                                *device.groups.values())]))
+        # three keys read, the third one wrong
+        assert device.counters.delta(before).detect == 3 * 16
+    assert runs[0] == runs[1]
+
+
 # ------------------------------------------------------------------ audits
 
 def test_audit_cross_checks_the_device_image():

@@ -302,6 +302,55 @@ def test_read_word_bills_like_the_composed_primitives(policy, record, ops):
         assert devs[0].counters.trace == devs[1].counters.trace
 
 
+def _composed_serial(dev, tr, slot, bits, width, mode):
+    """write_serial as the primitives bill it one call at a time, with the
+    plain-Python loop kernel applying the cells."""
+    dev.align(tr, 0)
+    dev.counters.record_shift(1, 2 * tr.interport)
+    det, inj, rem = kernels._loop_word_write(
+        tr.cells, tr.slot_start(slot), tr.interport, width, bits,
+        kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
+    dev.counters.record("detect", det * (2 if dev.count_new_detect else 1))
+    dev.counters.record("inject", inj)
+    dev.counters.record("remove", rem)
+    if dev.geom.shift_policy == "eager":
+        dev.align(tr, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       doubled=st.booleans(), image=st.integers(0, (1 << 8 * _SLOTS) - 1),
+       ops=st.lists(st.one_of(
+           st.tuples(st.integers(0, _SLOTS - 1), st.integers(0, 255),
+                     st.integers(0, 8), st.sampled_from(["naive", "dcw"])),
+           st.integers(-8, 8)), max_size=12))
+def test_write_serial_bills_like_the_composed_primitives(policy, record,
+                                                         doubled, image, ops):
+    # a tuple op writes (slot, value, width, mode); an int op realigns the
+    # track so the pass pays the align home
+    devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                         record_steps=record, count_new_detect=doubled)
+            for _ in range(2)]
+    trs = [d.new_track() for d in devs]
+    for tr in trs:
+        tr.cells[tr.slot_start(0):tr.slot_start(_SLOTS)] = \
+            kernels.int_to_bits(image, 8 * _SLOTS)
+    for op in ops:
+        if isinstance(op, int):
+            for dev, tr in zip(devs, trs):
+                dev.align(tr, op)
+            continue
+        slot, value, width, mode = op
+        bits = kernels.int_to_bits(value & ((1 << width) - 1), width)
+        devs[0].write_serial(trs[0], slot, bits, width, mode)
+        _composed_serial(devs[1], trs[1], slot, bits, width, mode)
+        assert np.array_equal(trs[0].cells, trs[1].cells)
+        assert trs[0].offset == trs[1].offset
+        assert (devs[0].counters.as_flat_dict()
+                == devs[1].counters.as_flat_dict())
+        assert devs[0].counters.trace == devs[1].counters.trace
+
+
 def _composed_bcw(dev, tr, writes):
     """write_batch_bcw billed bit position by bit position: every live
     slot detects in one parallel fire, then the differing bits flip in one
@@ -374,14 +423,15 @@ def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
 
 def _composed_bi_write(dev, group, port, node_offset, row_start, span,
                        width, bits, mode, parallel):
-    """bi_write_word billed through OpCounters.record, one fire per call."""
+    """bi_write_word billed through OpCounters.record, one fire per call,
+    with the plain-Python loop kernel applying the cells."""
     col = group.slot_start(port) + node_offset
-    det, inj, rem = kernels.bi_write(group.cells, row_start, span, width, col,
-                                     np.ascontiguousarray(bits[:width]),
-                                     kernels.MODE_NAIVE if mode == "naive"
-                                     else kernels.MODE_DCW)
+    det, inj, rem = kernels._loop_bi_write(
+        group.cells, row_start, span, width, col, bits[:width],
+        kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
     c = dev.counters
-    c.record("detect", int(det), parallel=True)
+    c.record("detect", int(det) * (2 if dev.count_new_detect else 1),
+             parallel=True)
     c.record("remove", int(rem), parallel=parallel or mode == "naive")
     c.record("inject", int(inj), parallel=parallel)
 
@@ -425,6 +475,189 @@ def test_bi_word_ops_bill_like_record(record, ops):
         assert (devs[0].counters.as_flat_dict()
                 == devs[1].counters.as_flat_dict())
         assert devs[0].counters.trace == devs[1].counters.trace
+
+
+def _stops(word, i, expect, target):
+    """The scan's stop rule: a hit, or a word the tree did not expect."""
+    return word == target or (expect is not None and word != expect[i])
+
+
+def _scanned(words, expect, target):
+    """The prefix of `words` a scan reads."""
+    for i, word in enumerate(words):
+        if _stops(word, i, expect, target):
+            return words[:i + 1]
+    return words
+
+
+def _read_one_by_one(read, slots, expect, target):
+    words = []
+    for i, slot in enumerate(slots):
+        words.append(read(slot))
+        if _stops(words[-1], i, expect, target):
+            break
+    return words
+
+
+# slots (repeats allowed), how the expected words are given (none, the
+# cell contents, or with one corrupted), a pick and a noise value, and
+# whether the target is absent, one of the words, or arbitrary
+_SCAN_CASE = st.tuples(
+    st.lists(st.integers(0, 3), max_size=8),
+    st.sampled_from(["none", "cells", "corrupt"]),
+    st.integers(0, 7), st.integers(0, 255),
+    st.sampled_from(["absent", "hit", "random"]))
+
+
+def _expect_and_target(values, how, pick, noise, target_kind):
+    expect = None if how == "none" else list(values)
+    if how == "corrupt" and expect:
+        expect[pick % len(expect)] ^= noise or 1
+    if target_kind == "hit" and values:
+        return expect, values[pick % len(values)]
+    return expect, noise if target_kind == "random" else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       image=st.integers(0, (1 << 8 * _SLOTS) - 1), start=st.integers(-8, 8),
+       width=st.integers(0, 8), composed=st.booleans(), case=_SCAN_CASE)
+def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
+                                                width, composed, case):
+    # the reference reads one slot at a time through read_word (the
+    # one-slot scan) or through the primitives (align/shift/record)
+    slots, how, pick, noise, target_kind = case
+    devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                         record_steps=record) for _ in range(2)]
+    trs = [d.new_track() for d in devs]
+    for dev, tr in zip(devs, trs):
+        tr.cells[tr.slot_start(0):tr.slot_start(_SLOTS)] = \
+            kernels.int_to_bits(image, 8 * _SLOTS)
+        dev.align(tr, start)
+    values = [_cells_value(trs[0], s, width) for s in slots]
+    expect, target = _expect_and_target(values, how, pick, noise, target_kind)
+    got = devs[0].scan_words(trs[0], slots, width, expect, target)
+    read = _composed_read if composed else Device.read_word
+    want = _read_one_by_one(lambda s: read(devs[1], trs[1], s, width), slots,
+                            expect, target)
+    assert got == want == _scanned(values, expect, target)
+    assert trs[0].offset == trs[1].offset
+    assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
+    assert devs[0].counters.trace == devs[1].counters.trace
+
+
+def _column_value(group, port, node_offset, row_start, width):
+    col = group.slot_start(port) + node_offset
+    return sum(int(b) << i for i, b in
+               enumerate(group.cells[row_start:row_start + width, col]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       width=st.integers(0, 8), composed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), case=_SCAN_CASE)
+def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
+                                                   composed, seed, case):
+    # rows 3..3+width of a 12-track group at node offset 2
+    slots, how, pick, noise, target_kind = case
+    devs = [small_device(word_bits=8, ports=4, policy=policy,
+                         record_steps=record) for _ in range(2)]
+    groups = [d.new_group(12) for d in devs]
+    cells = np.random.default_rng(seed).integers(
+        0, 2, size=groups[0].cells.shape, dtype=np.uint8)
+    for dev, g in zip(devs, groups):
+        g.cells[:] = cells
+        dev.group_align(g, 2)
+    values = [_column_value(groups[0], p, 2, 3, width) for p in slots]
+    expect, target = _expect_and_target(values, how, pick, noise, target_kind)
+    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width, expect, target)
+    read = _composed_bi_read if composed else Device.bi_read_word
+    want = _read_one_by_one(lambda p: read(devs[1], groups[1], p, 2, 3, width),
+                            slots, expect, target)
+    assert got == want == _scanned(values, expect, target)
+    assert groups[0].offset == groups[1].offset == -2
+    assert np.array_equal(groups[0].cells, cells)
+    assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
+    assert devs[0].counters.trace == devs[1].counters.trace
+
+
+_NODE_WORDS = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from([0, 8]), st.integers(0, 8),
+              st.integers(0, 255)),
+    max_size=8, unique_by=lambda w: (w[0], w[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=st.booleans(), doubled=st.booleans(), parallel=st.booleans(),
+       mode=st.sampled_from(["naive", "dcw"]), seed=st.integers(0, 2**32 - 1),
+       words=_NODE_WORDS)
+@example(record=True, doubled=False, parallel=True, mode="dcw", seed=0,
+         words=[])
+# a key and an encoded 3-bit payload in one column, then another pair
+@example(record=True, doubled=True, parallel=False, mode="naive", seed=1,
+         words=[(1, 0, 8, 0xA5), (1, 8, 3, 5), (3, 0, 8, 0x0F)])
+@example(record=True, doubled=True, parallel=False, mode="dcw", seed=1,
+         words=[(1, 0, 8, 0xA5), (1, 8, 3, 5), (3, 0, 8, 0x0F)])
+def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
+                                                  mode, seed, words):
+    # (port, row_start, width, value) over an 8-row span: a payload word
+    # narrower than its span is the encoded arena index
+    words = [(port, row, 8, width, value & ((1 << width) - 1))
+             for port, row, width, value in words]
+    devs = [small_device(word_bits=8, ports=4, record_steps=record,
+                         count_new_detect=doubled) for _ in range(3)]
+    groups = [d.new_group(16) for d in devs]
+    cells = np.random.default_rng(seed).integers(
+        0, 2, size=groups[0].cells.shape, dtype=np.uint8)
+    for dev, g in zip(devs, groups):
+        g.cells[:] = cells
+        dev.group_align(g, 2)
+    aligned = devs[0].counters.as_flat_dict()
+    devs[0].bi_write_node(groups[0], 2, words, mode, parallel)
+    for dev, g, write in zip(devs[1:], groups[1:],
+                             (Device.bi_write_word, _composed_bi_write)):
+        for port, row_start, span, width, value in words:
+            write(dev, g, port, 2, row_start, span, width,
+                  kernels.int_to_bits(value, width), mode, parallel)
+    for dev, g in zip(devs[1:], groups[1:]):
+        assert np.array_equal(groups[0].cells, g.cells)
+        assert g.offset == -2
+        assert (devs[0].counters.as_flat_dict()
+                == dev.counters.as_flat_dict())
+        assert devs[0].counters.trace == dev.counters.trace
+    if not words:
+        assert np.array_equal(groups[0].cells, cells)
+        assert devs[0].counters.as_flat_dict() == aligned
+
+
+@pytest.mark.parametrize("words,offset,error", [
+    ([(1, 0, 8, 8, 5), (4, 0, 8, 8, 5)], 2, PortRangeError),
+    ([(1, 0, 8, 8, 5), (-1, 0, 8, 8, 5)], 2, PortRangeError),
+    ([(1, 0, 8, 8, 5), (2, 8, 8, 8, 6), (1, 0, 8, 4, 3)], 2, ConfigError),
+    ([(1, 0, 8, 8, 5), (2, 8, 8, 4, 16)], 2, ConfigError),
+    ([(1, 0, 8, 8, 256)], 2, ConfigError),
+    ([(1, 0, 8, 8, -1)], 2, ConfigError),
+    ([(1, 0, 8, 8, 5)], 3, ConfigError),
+    ([(1, 0, 8, 8, 5), (2, 10, 8, 8, 5)], 2, ConfigError),
+    ([(1, 0, 8, 8, 5), (2, -1, 8, 8, 5)], 2, ConfigError),
+    ([(1, 0, 8, 9, 5)], 2, ConfigError),
+])
+@pytest.mark.parametrize("mode", ("naive", "dcw"))
+def test_bi_write_node_rejects_bad_batches_before_any_change(words, offset,
+                                                             error, mode):
+    # bad port, duplicate word, value >= 2^width or negative, misaligned
+    # group, rows outside the group, width past the span; the valid words
+    # in front of the bad one must not land
+    dev = small_device(word_bits=8, ports=4, record_steps=True)
+    g = dev.new_group(16)
+    dev.group_align(g, 2)
+    before = _device_state(dev, g), list(dev.counters.trace)
+    with pytest.raises(error):
+        dev.bi_write_node(g, offset, words, mode, True)
+    after = _device_state(dev, g), list(dev.counters.trace)
+    assert np.array_equal(before[0][0], after[0][0])
+    assert before[0][1:] == after[0][1:]
+    assert before[1] == after[1]
 
 
 def test_group_align_and_column_check():
@@ -572,6 +805,44 @@ def test_word_writes_reject_short_bits_and_unknown_modes(call, policy):
     assert np.array_equal(before[0][0], after[0][0])
     assert before[0][1:] == after[0][1:]
     assert before[1] == after[1]
+
+
+def _bits_with(bad):
+    bits = kernels.int_to_bits(0xA5, 8).copy()
+    bits[3] = bad
+    return bits
+
+
+_NON_BINARY_WRITES = {
+    "serial-naive": lambda dev, tr, g, b: dev.write_serial(tr, 1, b, 8,
+                                                           "naive"),
+    "serial-dcw": lambda dev, tr, g, b: dev.write_serial(tr, 1, b, 8, "dcw"),
+    "pw": lambda dev, tr, g, b: dev.write_pw(tr, 1, b, 8),
+    "bcw": lambda dev, tr, g, b: dev.write_batch_bcw(
+        tr, [(0, kernels.int_to_bits(3, 8), 8), (1, b, 8)]),
+    "bi": lambda dev, tr, g, b: dev.bi_write_word(g, 1, 3, 8, 8, 8, b, "dcw",
+                                                  True),
+}
+
+
+@pytest.mark.parametrize("bad", (2, 3))
+@pytest.mark.parametrize("dtype", (np.uint8, np.int64))
+@pytest.mark.parametrize("name", sorted(_NON_BINARY_WRITES))
+@pytest.mark.parametrize("policy", ("lazy", "eager"))
+def test_writes_reject_bits_other_than_0_and_1(name, bad, dtype, policy):
+    dev = small_device(word_bits=8, policy=policy, record_steps=True)
+    tr, g = dev.new_track(), dev.new_group(16)
+    for h in (tr, g):
+        h.cells[:] = 1
+        dev.shift(h, "left", 3)     # off home: a charged align would show
+    before = ([(h.cells.copy(), h.offset) for h in (tr, g)],
+              dev.counters.as_flat_dict(), list(dev.counters.trace))
+    with pytest.raises(ConfigError, match="0 or 1"):
+        _NON_BINARY_WRITES[name](dev, tr, g, _bits_with(bad).astype(dtype))
+    assert all(np.array_equal(c, h.cells) and o == h.offset
+               for (c, o), h in zip(before[0], (tr, g)))
+    assert dev.counters.as_flat_dict() == before[1]
+    assert dev.counters.trace == before[2]
 
 
 def test_bi_write_takes_any_integer_bit_dtype():

@@ -6,7 +6,7 @@ import pytest
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
                                TreeConfig)
 from skrmbetree.device import Device
-from skrmbetree.errors import CapacityError
+from skrmbetree.errors import CapacityError, StructureError
 from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore
 
 
@@ -106,7 +106,6 @@ def test_track_budget_enforced_bit():
 
 
 def test_expectation_mismatch_raises():
-    from skrmbetree.errors import StructureError
     store = make_store("word")
     store.add_node(0, KIND_LEAF)
     store.write_pairs(0, [(0, 7, 9, store.word_bits)])
@@ -160,3 +159,26 @@ def test_node_read_detects_per_mapping():
         d = store.device.counters.delta(before)
         assert d.detect == 8 * wb
         assert d.detect_steps == (8 * wb if mapping == "word" else 8)
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+def test_scan_keys_stops_at_the_hit_and_bills_like_read_key(mapping):
+    stores = [make_store(mapping) for _ in range(2)]
+    for store in stores:
+        store.add_node(0, KIND_INTERNAL)
+        store.write_pairs(0, [(s, 100 + s, s, store.word_bits)
+                              for s in range(4)])
+    slots = [3, 1, 2, 0]
+    keys = [100 + s for s in slots]
+    scan, ref = stores
+    before = scan.device.counters.as_flat_dict()
+    # an empty scan reads nothing and moves nothing, not even an align
+    assert scan.scan_keys(0, [], [], 102) == []
+    assert scan.device.counters.as_flat_dict() == before
+    assert scan.scan_keys(0, slots, keys, 102) == [103, 101, 102]
+    assert [ref.read_key(0, s, expect=100 + s) for s in slots[:3]] == \
+        [103, 101, 102]
+    assert (scan.device.counters.as_flat_dict()
+            == ref.device.counters.as_flat_dict())
+    with pytest.raises(StructureError, match="slot 1 key"):
+        scan.scan_keys(0, slots, [103, 999, 102, 100], None)
