@@ -8,10 +8,12 @@ cross-checks that both backends return the same numbers on a fresh copy
 of every input, since a fast wrong kernel would be worse than useless.
 
 The device-pass section times a 12-slot ``Device.scan_words`` against 12
-``read_word`` calls and a 12-word ``Device.bi_write_node`` against 12
-``bi_write_word`` calls (bits converted outside the clock), after checking
-that both sides return the same words and leave the same cells, offsets
-and counters.
+``read_word`` calls, a 12-word ``Device.bi_write_node`` against 12
+``bi_write_word`` calls, and a 12-word int ``Device.write_batch_bcw`` on
+the word mapping against the bit-array pass it replaced (``int_to_bits``
+rows into the numpy ``kernels.bcw_batch``), after checking that both sides
+return the same words and leave the same cells, offsets and all eight
+counters.
 
 Usage: python benchmarks/kernel_bench.py [--calls 2000] [--word-bits 64]
 """
@@ -146,6 +148,41 @@ def _node_words(rng, word_bits):
     return words
 
 
+def _bcw_words(rng, word_bits):
+    """The node words of _node_words at their word-mapping slots: pair
+    slot s holds its key in word slot 2s and its payload in 2s + 1."""
+    return [(2 * port + (row > 0), value, width)
+            for port, row, _span, width, value in _node_words(rng, word_bits)]
+
+
+def bcw_by_kernel(dev, tr, writes):
+    """The bit-array bcw pass the int pass replaced, billed as it was:
+    ``int_to_bits`` rows in an (n, max width) matrix, the cells applied and
+    the bit positions classified by the numpy kernel. Lazy policy, no
+    step trace and no doubled detects, as the bench devices are built."""
+    starts = np.array([tr.slot_start(s) for s, _v, _w in writes], np.int64)
+    widths = np.array([w for _s, _v, w in writes], np.int64)
+    mat = np.zeros((len(writes), int(widths.max())), np.uint8)
+    for row, (_slot, value, width) in zip(mat, writes):
+        row[:width] = kernels.int_to_bits(value, width)
+    dev.align(tr, 0)
+    dev.counters.record_shift(1, 2 * tr.interport)
+    det, inj, rem, act, inj_steps, rem_steps, both = (
+        int(n) for n in kernels.NUMPY_IMPLS["bcw_batch"](tr.cells, starts,
+                                                          widths, mat))
+    if dev.cost.dominant(("inject", "remove")) == "inject":
+        inj_steps += both
+    else:
+        rem_steps += both
+    c = dev.counters
+    c.detect += det
+    c.detect_steps += act
+    c.inject += inj
+    c.inject_steps += inj_steps
+    c.remove += rem
+    c.remove_steps += rem_steps
+
+
 def check_device_parity(rng, word_bits):
     """Each pass against the per-word calls it replaces, plus the node
     write's cells against the loop kernel applied word by word."""
@@ -166,8 +203,7 @@ def check_device_parity(rng, word_bits):
         devs[0].bi_write_node(groups[0], 3, words, mode, trial % 3 == 0)
         for port, row_start, span, width, value in words:
             devs[1].bi_write_word(groups[1], port, 3, row_start, span, width,
-                                  kernels.int_to_bits(value, width), mode,
-                                  trial % 3 == 0)
+                                  value, mode, trial % 3 == 0)
             kernels.LOOP_IMPLS["bi_write"](
                 oracle, row_start, span, width, (port + 1) * word_bits + 3,
                 kernels.int_to_bits(value, width),
@@ -176,6 +212,16 @@ def check_device_parity(rng, word_bits):
                 or not np.array_equal(groups[0].cells, oracle)
                 or devs[0].counters != devs[1].counters):
             raise SystemExit("device pass mismatch: bi_write_node")
+        devs, trs, _ = _scan_setup(rng, word_bits)
+        for dev, tr in zip(devs, trs):
+            dev.align(tr, -trial % word_bits)
+        writes = _bcw_words(rng, word_bits)
+        devs[0].write_batch_bcw(trs[0], writes)
+        bcw_by_kernel(devs[1], trs[1], writes)
+        if (not np.array_equal(trs[0].cells, trs[1].cells)
+                or trs[0].offset != trs[1].offset
+                or devs[0].counters != devs[1].counters):
+            raise SystemExit("device pass mismatch: write_batch_bcw")
 
 
 def time_device_passes(rng, args):
@@ -183,7 +229,8 @@ def time_device_passes(rng, args):
     (dev, _), (tr, _), slots = _scan_setup(rng, wb)
     (ndev, _), (group, _) = _node_setup(rng, wb)
     batches = [_node_words(rng, wb) for _ in range(calls)]
-    bits = [[kernels.int_to_bits(w[4], w[3]) for w in ws] for ws in batches]
+    (bdev, kdev), (btr, ktr), _ = _scan_setup(rng, wb)
+    bcw_batches = [_bcw_words(rng, wb) for _ in range(calls)]
 
     def scan():
         for _ in range(calls):
@@ -199,15 +246,26 @@ def time_device_passes(rng, args):
             ndev.bi_write_node(group, 3, ws, "dcw", True)
 
     def per_word():
-        for ws, bs in zip(batches, bits):
-            for (port, row_start, span, width, _v), b in zip(ws, bs):
-                ndev.bi_write_word(group, port, 3, row_start, span, width, b,
-                                   "dcw", True)
+        for ws in batches:
+            for port, row_start, span, width, value in ws:
+                ndev.bi_write_word(group, port, 3, row_start, span, width,
+                                   value, "dcw", True)
 
+    def bcw_ints():
+        for ws in bcw_batches:
+            bdev.write_batch_bcw(btr, ws)
+
+    def bcw_bits():
+        for ws in bcw_batches:
+            bcw_by_kernel(kdev, ktr, ws)
+
+    # the right-hand column is the replaced path: per-word calls for the
+    # first two, the bit-array kernel pass for write_batch_bcw
     print(f"\n{'device pass (12 words)':<24} {'pass us':>10} "
-          f"{'per-word us':>12} {'speedup':>8}")
+          f"{'before us':>12} {'speedup':>8}")
     for name, one, many in (("scan_words", scan, reads),
-                            ("bi_write_node", node, per_word)):
+                            ("bi_write_node", node, per_word),
+                            ("write_batch_bcw", bcw_ints, bcw_bits)):
         one()
         many()
         t_one = min(_timed(one) for _ in range(args.repeat)) / calls * 1e6

@@ -169,14 +169,14 @@ def run_experiment(cfg: ExperimentConfig, check_oracle: bool = False,
 
 
 def run_sweep(cfg: ExperimentConfig, entries_grid=(10**3, 10**4, 10**5, 10**6),
-              word_bytes_grid=(4, 8, 16, 32),
-              check_oracle: bool = False) -> list[MetricsReport]:
+              word_bytes_grid=(4, 8, 16, 32), check_oracle: bool = False,
+              audit: bool = False) -> list[MetricsReport]:
     """Grid of comparison sets over dataset size and word size."""
     reports = []
     for entries in entries_grid:
         for wb in word_bytes_grid:
             point = replace(cfg, entries=int(entries), word_bytes=int(wb))
-            reports.extend(run_experiment(point, check_oracle))
+            reports.extend(run_experiment(point, check_oracle, audit))
     return reports
 
 

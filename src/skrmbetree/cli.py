@@ -107,7 +107,7 @@ def cmd_sweep(args) -> int:
     cfg = build_config(args)
     reports = run_sweep(cfg, entries_grid=args.entries_grid,
                         word_bytes_grid=args.word_bytes_grid,
-                        check_oracle=args.check)
+                        check_oracle=args.check, audit=args.check)
     _deliver(emit(reports, args.format), args.out)
     return 0
 

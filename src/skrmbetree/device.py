@@ -17,6 +17,8 @@ holds them to that.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from . import kernels
@@ -76,29 +78,7 @@ class TrackGroup:
         return int(self.cells.sum())
 
 
-_MODES = {"naive": kernels.MODE_NAIVE, "dcw": kernels.MODE_DCW}
-
-
-_U8 = np.dtype(np.uint8)
-
-
-def _head_bits(bits, width: int):
-    """The first `width` bits; raises when fewer are given or any of them
-    is not 0 or 1."""
-    head = bits
-    if len(head) != width:
-        head = bits[:width]
-        if len(head) != width:
-            raise ConfigError(f"{len(bits)} bits given for width {width}")
-    # one byte per bit: deleting the 0 and 1 bytes must leave nothing
-    if getattr(head, "dtype", None) is _U8:
-        bad = head.tobytes().translate(None, b"\x00\x01")
-    else:
-        head = np.asarray(head)
-        bad = ((head != 0) & (head != 1)).any()
-    if bad:
-        raise ConfigError("bits must be 0 or 1")
-    return head
+_MODES = ("naive", "dcw")
 
 
 class Device:
@@ -229,135 +209,146 @@ class Device:
         self.shift(handles, RIGHT if delta > 0 else LEFT, abs(delta))
         return abs(delta)
 
-    def _finish(self, tracks) -> None:
-        # eager policy restores the home position after every access
-        if self.geom.shift_policy == "eager":
-            self.align(tracks, 0)
-
     # ----------------------------------------------- word-based charged passes
 
     @staticmethod
-    def _check_slot(tr: Racetrack, slot: int, width: int) -> None:
-        if not (0 <= slot < tr.n_ports):
-            raise PortRangeError(f"word slot {slot} outside this track")
-        if not (0 <= width <= tr.interport):
-            raise ConfigError(f"width {width} outside one interport segment "
-                              f"(0..{tr.interport})")
-
-    def _slot_array(self, tr: Racetrack, writes):
-        starts = np.empty(len(writes), dtype=np.int64)
-        widths = np.empty(len(writes), dtype=np.int64)
+    def _swap_words(tr: Racetrack, writes, span: int = 0) -> list[int]:
+        """Check every (slot, value, width) word, then write each into its
+        slot and return the words the slots held, read as ints from one
+        bytes snapshot of the cells. Nothing changes unless every word is
+        valid. A word replaces its `width` cells, or `span` cells when
+        given (the naive clear takes the whole interport span)."""
+        n_ports, ip = tr.n_ports, tr.interport
         seen = set()
-        max_w = 0
-        for i, (slot, _bits, width) in enumerate(writes):
-            self._check_slot(tr, slot, width)
+        for slot, value, width in writes:
+            if not (0 <= slot < n_ports):
+                raise PortRangeError(f"word slot {slot} outside this track")
+            if not (0 <= width <= ip):
+                raise ConfigError(f"width {width} outside one interport "
+                                  f"segment (0..{ip})")
+            if value < 0 or value >> width:
+                raise ConfigError(f"value {value} does not fit in {width} bits")
             if slot in seen:
                 raise ConfigError(f"slot {slot} written twice in one batch")
             seen.add(slot)
-            starts[i] = tr.slot_start(slot)
-            widths[i] = width
-            max_w = max(max_w, width)
-        return starts, widths, max_w
+        # bits most significant first; slot starts are >= interport, so
+        # start - 1 never wraps to the array end. Only changed words are
+        # written back, so a width-0 word never is.
+        raw = tr.cells.tobytes()
+        cells = memoryview(tr.cells)
+        olds = []
+        for slot, value, width in writes:
+            n = span or width
+            start = (slot + 1) * ip
+            old = int(raw[start + n - 1:start - 1:-1]
+                      .translate(kernels.BIT_DIGITS) or b"0", 2)
+            if old != value:
+                cells[start:start + n] = format(value, f"0{n}b").encode() \
+                    .translate(kernels.DIGIT_BITS)[::-1]
+            olds.append(old)
+        return olds
 
-    def _charge_pass_shifts(self, tr: Racetrack) -> None:
-        """The out-and-back stream of a through-port write: align home, shift
-        the word span out, write while shifting back. Exactly 2 * interport
-        shift steps plus any lazy-alignment slack."""
-        self.align(tr, 0)
-        self.counters.record_shift(1, 2 * tr.interport)
-
-    def write_serial(self, track, slot: int, bits: np.ndarray, width: int,
-                     mode: str) -> None:
-        """One word through its port, naive or dcw; every port action is its
-        own latency step.
-
-        Charged as one pass: the align home, the 2 * interport out-and-back
-        stream, then the detects, injects and removes, exactly what
+    def _bill_pass(self, tr: Racetrack, det: int, det_steps: int, inj: int,
+                   inj_steps: int, rem: int, rem_steps: int,
+                   repos: int = 0) -> None:
+        """Charge a through-port write pass: the align home, the
+        2 * interport out-and-back stream plus `repos` repositioning
+        shifts, then the detects, injects and removes, exactly what
         align/record_shift/record would bill one by one, in the same trace
-        order. The stream ends home, so the eager return costs nothing.
-        """
-        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
-        self._check_slot(tr, slot, width)
-        if mode not in _MODES:
-            raise ConfigError(f"unknown write mode {mode!r}")
-        bits = np.ascontiguousarray(_head_bits(bits, width))
-        det, inj, rem = kernels.word_write(tr.cells, tr.slot_start(slot),
-                                           tr.interport, width, bits,
-                                           _MODES[mode])
-        if self.count_new_detect:
-            det *= 2
-        shifts = abs(tr.offset) + 2 * tr.interport
+        order. The stream ends home, so the eager return costs nothing."""
+        shifts = abs(tr.offset) + 2 * tr.interport + repos
         tr.offset = 0
         c = self.counters
         c.shift += shifts
         c.shift_steps += shifts
         c.detect += det
-        c.detect_steps += det
+        c.detect_steps += det_steps
         c.inject += inj
-        c.inject_steps += inj
+        c.inject_steps += inj_steps
         c.remove += rem
-        c.remove_steps += rem
+        c.remove_steps += rem_steps
         if c.trace is not None:
             c.log_steps("shift", shifts, shifts)
-            c.log_steps("detect", det, det)
-            c.log_steps("inject", inj, inj)
-            c.log_steps("remove", rem, rem)
+            c.log_steps("detect", det, det_steps)
+            c.log_steps("inject", inj, inj_steps)
+            c.log_steps("remove", rem, rem_steps)
 
-    def write_pw(self, track, slot: int, bits: np.ndarray, width: int) -> None:
+    def write_serial(self, track, slot: int, value: int, width: int,
+                     mode: str) -> None:
+        """One word through its port, naive or dcw; every port action is its
+        own latency step.
+
+        A naive write clears the slot's whole interport span and injects
+        the new 1s blind; dcw detects the `width` live bits, compares old
+        and new as two ints and flips only the differences, leaving bits
+        past `width` alone.
+        """
+        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
+        if mode not in _MODES:
+            raise ConfigError(f"unknown write mode {mode!r}")
+        if mode == "naive":
+            old = self._swap_words(tr, ((slot, value, width),), tr.interport)[0]
+            det, inj, rem = 0, value.bit_count(), old.bit_count()
+        else:
+            old = self._swap_words(tr, ((slot, value, width),))[0]
+            det, inj, rem = (width, (value & ~old).bit_count(),
+                             (old & ~value).bit_count())
+        if self.count_new_detect:
+            det *= 2
+        self._bill_pass(tr, det, det, inj, inj, rem, rem)
+
+    def write_pw(self, track, slot: int, value: int, width: int) -> None:
         """Permutation-style write: reuse surviving skyrmions, shifting each
         to its new cell; only the population difference is injected or
-        removed. Single-word by construction."""
+        removed. Single-word by construction.
+
+        Survivors are matched first-to-first in position order, each match
+        charging one shift per cell of displacement."""
         tr = self._resolve(track)[0]
-        self._check_slot(tr, slot, width)
-        new = np.ascontiguousarray(_head_bits(bits, width))
-        start = tr.slot_start(slot)
-        old = tr.cells[start:start + width]
-        inj, rem, repos = kernels.pw_match(old, new)
-        self.align(tr, 0)
-        self.counters.record_shift(1, 2 * tr.interport + int(repos))
-        self.counters.record("inject", int(inj))
-        self.counters.record("remove", int(rem))
-        tr.cells[start:start + width] = new
-        self._finish(tr)
+        old = self._swap_words(tr, ((slot, value, width),))[0]
+        olds = [i for i in range(width) if old >> i & 1]
+        news = [i for i in range(width) if value >> i & 1]
+        reused = min(len(olds), len(news))
+        inj, rem = len(news) - reused, len(olds) - reused
+        self._bill_pass(tr, 0, 0, inj, inj, rem, rem,
+                        sum(abs(o - n) for o, n in zip(olds, news)))
 
     def write_batch_bcw(self, track, writes) -> None:
         """Batched compare-write: one shared out-and-back pass; at every bit
         position all live slots detect in parallel (one step) and flip
         differing bits in parallel (one step billed at the slowest kind).
 
-        writes: list of (word_slot, bits, width) on one track.
+        writes: list of (word_slot, value, width) on one track. Each slot
+        compares its old and new words as two ints: inject mask new & ~old,
+        remove mask old & ~new. A bit position is live while some slot is
+        that wide, and its flip fire is inject-only, remove-only or mixed
+        by which of the ORed masks hold the bit.
         """
         if not writes:
             return
-        tr = self._resolve(track)[0]
-        starts, widths, max_w = self._slot_array(tr, writes)
-        mat = np.zeros((len(writes), max_w), dtype=np.uint8)
-        for i, (_slot, bits, width) in enumerate(writes):
-            mat[i, :width] = _head_bits(bits, width)
-        self._charge_pass_shifts(tr)
-        det, inj, rem, act, inj_only, rem_only, both = kernels.bcw_batch(
-            tr.cells, starts, widths, mat)
-        det, inj, rem, act = int(det), int(inj), int(rem), int(act)
-        if self.count_new_detect:
-            det *= 2
+        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
+        olds = self._swap_words(tr, writes)
+        det = act = inj = rem = inj_or = rem_or = 0
+        for (_slot, value, width), old in zip(writes, olds):
+            det += width
+            if width > act:
+                act = width
+            i, r = value & ~old, old & ~value
+            inj += i.bit_count()
+            rem += r.bit_count()
+            inj_or |= i
+            rem_or |= r
+        both = (inj_or & rem_or).bit_count()
+        inj_only, rem_only = inj_or.bit_count() - both, rem_or.bit_count() - both
         # a column that both injects and removes is one mixed fire, billed
         # at the slower kind
         if self.cost.dominant(("inject", "remove")) == "inject":
-            inj_steps, rem_steps = int(inj_only) + int(both), int(rem_only)
+            inj_only += both
         else:
-            inj_steps, rem_steps = int(inj_only), int(rem_only) + int(both)
-        c = self.counters
-        c.detect += det
-        c.detect_steps += act
-        c.inject += inj
-        c.inject_steps += inj_steps
-        c.remove += rem
-        c.remove_steps += rem_steps
-        if c.trace is not None:
-            c.log_steps("detect", det, act)
-            c.log_steps("inject", inj, inj_steps)
-            c.log_steps("remove", rem, rem_steps)
-        self._finish(tr)
+            rem_only += both
+        if self.count_new_detect:
+            det *= 2
+        self._bill_pass(tr, det, act, inj, inj_only, rem, rem_only)
 
     def read_word(self, track, slot: int, width: int) -> int:
         """Stream one word's bits through its port, detecting each; the
@@ -377,8 +368,8 @@ class Device:
         paying a realign pass. Lazy policy leaves the track where the sweep
         ends; eager returns it home. A read is charged the align shifts to
         the near end, width - 1 sweep shifts to the far end, width serial
-        detects, then the eager return: exactly what align/shift/record/
-        _finish would bill one by one, in the same trace order.
+        detects, then the eager return: exactly what align/shift/record
+        and an eager align home would bill one by one, in the same order.
         """
         tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
         n_ports, ip = tr.n_ports, tr.interport
@@ -510,11 +501,12 @@ class Device:
         return words
 
     def bi_write_word(self, group: TrackGroup, port: int, node_offset: int,
-                      row_start: int, span: int, width: int, bits: np.ndarray,
+                      row_start: int, span: int, width: int, value: int,
                       mode: str, parallel: bool) -> None:
         """Write one word across tracks at an aligned column; the one-word
-        node write."""
-        value = kernels.bits_to_int(_head_bits(bits, width))
+        node write. The value may be any integer type, numpy scalars
+        included."""
+        value = index(value)
         self.bi_write_node(group, node_offset,
                            [(port, row_start, span, width, value)], mode,
                            parallel)

@@ -1,14 +1,12 @@
-"""Hot inner loops over track cell arrays, in two interchangeable backends.
+"""Per-bit loops over cell arrays, with numpy twins; off the simulated path.
 
-The loop implementations compile with numba's @njit when available; the
-``_np_*`` twins are vectorized numpy and are used when numba is missing or
-disabled. Selection happens at import via the ``SKRMBETREE_NUMBA`` env var:
-``auto`` (default) uses numba when importable, ``1`` requires it, ``0``
-forces the numpy path. Both backends must return identical numbers; the
-test suite checks them against each other and against brute force.
-
-Cells are uint8 arrays, one byte per bit cell. Word patterns are uint8 bit
-arrays with index 0 the least significant bit.
+The device compares and writes words as Python ints, so no pass calls these
+kernels. They stay as the names the benchmark harness traces and warms up,
+and the ``_loop_*`` loops are the tests' per-bit oracle for the int passes.
+The loops compile with numba's @njit when ``SKRMBETREE_NUMBA`` allows
+(``auto`` default, ``1`` requires numba, ``0`` forces numpy); both backends
+return identical numbers. Cells and word patterns are uint8 bit arrays,
+index 0 the least significant bit.
 """
 
 from __future__ import annotations

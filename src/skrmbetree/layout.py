@@ -265,16 +265,14 @@ class DeviceStore:
             self._write_pairs_bi(node_id, writes)
 
     def _write_pairs_word(self, node_id, writes):
-        tr = self.layout.track_of(node_id)
+        layout, wb = self.layout, self.word_bits
+        tr = layout.track_of(node_id)
         word_writes = []
         for pair_slot, key, payload, pwidth in writes:
             if key is not None:
-                word_writes.append((self.layout.key_slot(pair_slot),
-                                    kernels.int_to_bits(key, self.word_bits),
-                                    self.word_bits))
+                word_writes.append((layout.key_slot(pair_slot), key, wb))
             if payload is not None:
-                word_writes.append((self.layout.payload_slot(pair_slot),
-                                    kernels.int_to_bits(payload, pwidth),
+                word_writes.append((layout.payload_slot(pair_slot), payload,
                                     pwidth))
         strategies.apply_strategy(self.device, tr, word_writes, self.strategy,
                                   self.parallel)
@@ -300,9 +298,7 @@ class DeviceStore:
         # values are spilled once per upsert; compare-write keeps that cheap
         if self.mapping == "word":
             tr, slot = self.arena_map.locate(index)
-            self.device.write_serial(tr, slot,
-                                     kernels.int_to_bits(value, width), width,
-                                     "dcw")
+            self.device.write_serial(tr, slot, value, width, "dcw")
         else:
             group, port, offset = self.arena_map.locate(index)
             self.device.group_align(group, offset)

@@ -11,7 +11,8 @@ they differ only in how many primitives that costs:
            out-and-back pass, detecting and flipping in parallel per bit.
 
 The charging rules live on :class:`~skrmbetree.device.Device`; this module
-only routes a batch of (word_slot, bits, width) writes to them.
+only routes a batch of (word_slot, value, width) writes to them, each value
+an int below 2**width.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ def apply_strategy(device, track, writes, strategy: str, parallel: bool) -> None
     if parallel:
         device.write_batch_bcw(track, writes)
     elif strategy == "pw":
-        for slot, bits, width in writes:
-            device.write_pw(track, slot, bits, width)
+        for slot, value, width in writes:
+            device.write_pw(track, slot, value, width)
     elif strategy == "bcw":
         for w in writes:
             device.write_batch_bcw(track, [w])
     else:
-        for slot, bits, width in writes:
-            device.write_serial(track, slot, bits, width, strategy)
+        for slot, value, width in writes:
+            device.write_serial(track, slot, value, width, strategy)

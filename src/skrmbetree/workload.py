@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError
 
 MASK64 = (1 << 64) - 1
+GOLDEN64 = 0x9E3779B97F4A7C15
 
 # workload -> (read%, update%, insert%, distribution), as commonly tabled;
 # e and f repeat b and a respectively
@@ -37,18 +38,27 @@ OP_NAMES = ("read", "update", "insert")
 
 
 def splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = (x + GOLDEN64) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
 
 
+def _draw(state: int, word_bits: int) -> int:
+    """A dense word_bits-wide draw: lane j of each 64 bits is step j of the
+    splitmix64 sequence from `state`, so lane 0 alone is a word <= 64 bits."""
+    word = splitmix64(state)
+    for lane in range(1, (word_bits + 63) // 64):
+        word |= splitmix64(state + lane * GOLDEN64) << (64 * lane)
+    return word & ((1 << word_bits) - 1)
+
+
 def make_key(seed: int, index: int, word_bits: int) -> int:
-    return splitmix64(splitmix64(seed) + index) & ((1 << word_bits) - 1)
+    return _draw(splitmix64(seed) + index, word_bits)
 
 
 def make_value(seed: int, counter: int, word_bits: int) -> int:
-    return splitmix64(splitmix64(~seed & MASK64) + counter) & ((1 << word_bits) - 1)
+    return _draw(splitmix64(~seed & MASK64) + counter, word_bits)
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,8 @@ class WorkloadSpec:
 
 class OpStream:
     """Materialized stream: a load phase plus mixed operations, all numpy
-    arrays so multi-million-op streams stay cheap."""
+    arrays so multi-million-op streams stay cheap. Words wider than 64 bits
+    are Python ints in object arrays, so they are stored losslessly."""
 
     def __init__(self, load_keys, load_values, ops, keys, values):
         self.load_keys = load_keys
@@ -118,15 +129,16 @@ def generate(spec: WorkloadSpec, word_bits: int = 64) -> OpStream:
     """Build the full deterministic stream for one workload."""
     rng = np.random.default_rng(spec.seed)
     n_load = spec.load_count
+    words = np.uint64 if word_bits <= 64 else object
     load_keys = np.array([make_key(spec.seed, i, word_bits)
-                          for i in range(n_load)], dtype=np.uint64)
+                          for i in range(n_load)], dtype=words)
     load_values = np.array([make_value(spec.seed, i, word_bits)
-                            for i in range(n_load)], dtype=np.uint64)
+                            for i in range(n_load)], dtype=words)
 
     n_ops = spec.op_count
     ops = np.empty(n_ops, dtype=np.uint8)
-    keys = np.empty(n_ops, dtype=np.uint64)
-    values = np.zeros(n_ops, dtype=np.uint64)
+    keys = np.empty(n_ops, dtype=words)
+    values = np.zeros(n_ops, dtype=words)
 
     # one cdf sized for the final keyspace; sampling over the current size n
     # just rescales into its prefix

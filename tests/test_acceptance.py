@@ -92,19 +92,20 @@ def test_batch_flush_shift_step_formula():
         for n_words in (1, 2, 4, 8, 16):
             geom = Geometry(word_bits=word_bits, interport_bits=word_bits,
                             ports_per_track=32)
-            words = [rng.integers(0, 2, size=word_bits, dtype=np.uint8)
+            words = [bits_to_int(rng.integers(0, 2, size=word_bits,
+                                              dtype=np.uint8))
                      for _ in range(n_words)]
 
             dev = Device(geom, CostModel())
             track = dev.new_track()
-            for slot, bits in enumerate(words):
-                dev.write_serial(track, slot, bits, word_bits, "naive")
+            for slot, value in enumerate(words):
+                dev.write_serial(track, slot, value, word_bits, "naive")
             assert dev.counters.shift_steps == n_words * 2 * word_bits
 
             dev = Device(geom, CostModel())
             track = dev.new_track()
-            batch = [(slot, bits, word_bits)
-                     for slot, bits in enumerate(words)]
+            batch = [(slot, value, word_bits)
+                     for slot, value in enumerate(words)]
             dev.write_batch_bcw(track, batch)
             assert dev.counters.shift_steps == 2 * word_bits
             assert abs(dev.counters.shift_steps - 2 * word_bits) <= word_bits
@@ -150,14 +151,14 @@ def test_strategy_count_oracles():
             counts = {}
             for name, dev in devices.items():
                 track = tracks[name]
-                dev.write_serial(track, 0, old_bits, width, "naive")
+                dev.write_serial(track, 0, old, width, "naive")
                 before = dev.counters.snapshot()
                 if name == "pw":
-                    dev.write_pw(track, 0, new_bits, width)
+                    dev.write_pw(track, 0, new, width)
                 elif name == "bcw":
-                    dev.write_batch_bcw(track, [(0, new_bits, width)])
+                    dev.write_batch_bcw(track, [(0, new, width)])
                 else:
-                    dev.write_serial(track, 0, new_bits, width, name)
+                    dev.write_serial(track, 0, new, width, name)
                 counts[name] = dev.counters.delta(before)
                 start = track.slot_start(0)
                 assert bits_to_int(track.cells[start:start + width]) == new

@@ -208,6 +208,24 @@ def test_cli_sweep(tmp_path):
     assert [r["strategy"] for r in rows] == ["naive", "dcw"]
 
 
+@pytest.mark.parametrize("command", ("run", "sweep"))
+def test_cli_check_audits_the_tree(command, tmp_path, monkeypatch):
+    # --check must audit on every subcommand that offers it: run and sweep
+    # each audit before and after the full flush, baseline and tuned run
+    audits = []
+    monkeypatch.setattr(BeTree, "audit", lambda tree: audits.append(tree))
+    grid = (["--entries-grid", "40", "--word-bytes-grid", "2"]
+            if command == "sweep" else ["--entries", "40", "--word-bytes", "2"])
+    rc = main([command, "--workload", "a", "--strategy", "dcw", *grid,
+               "--check", "--out", str(tmp_path / "out.csv")])
+    assert rc == 0
+    assert len(audits) == 4
+    audits.clear()
+    rc = main([command, "--workload", "a", "--strategy", "dcw", *grid,
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 0 and not audits
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("entries = 0\n")

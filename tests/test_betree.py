@@ -501,3 +501,71 @@ def test_degenerate_shapes_match_the_oracle(store, buffer_pairs, element_pairs,
         assert tree.query(key) == oracle.get(key)
     if encoding:
         assert tree.arena.occupancy == 0
+
+
+class _ShadowDevice(Device):
+    """A device that also keeps the image its writes should leave: the
+    last value written to each slot, as the int its cells spell. A naive
+    write clears the slot's whole span first; a compare write leaves the
+    cells past `width` as they were. Nothing ever clears a dead slot."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shadow = {}
+
+    def _land(self, where, value, width, naive):
+        kept = 0 if naive else self.shadow.get(where, 0) >> width << width
+        self.shadow[where] = kept | value
+
+    def write_serial(self, track, slot, value, width, mode):
+        super().write_serial(track, slot, value, width, mode)
+        self._land((track.track_id, slot), value, width, mode == "naive")
+
+    def write_pw(self, track, slot, value, width):
+        super().write_pw(track, slot, value, width)
+        self._land((track.track_id, slot), value, width, False)
+
+    def write_batch_bcw(self, track, writes):
+        super().write_batch_bcw(track, writes)
+        for slot, value, width in writes:
+            self._land((track.track_id, slot), value, width, False)
+
+    def bi_write_node(self, group, node_offset, words, mode, parallel):
+        super().bi_write_node(group, node_offset, words, mode, parallel)
+        for port, row_start, _span, width, value in words:
+            self._land((group.group_id, port, node_offset, row_start), value,
+                       width, mode == "naive")
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=st.sampled_from(
+           [("word", s) for s in ("naive", "dcw", "pw", "bcw", "bcw+ports")]
+           + [("bit_interleaved", s)
+              for s in ("naive", "dcw", "bcw", "bcw+ports")]),
+       encoding=st.booleans(), buffer_pairs=st.integers(1, 3),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 15),
+                              st.integers(0, 255)), max_size=60))
+def test_skyrmions_are_conserved_against_a_shadow_image(config, encoding,
+                                                        buffer_pairs, ops):
+    # after every op the device holds exactly the skyrmions of the words
+    # last written to each slot, so no write loses or strands a skyrmion
+    mapping, strategy = config
+    cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
+                     buffer_pairs=buffer_pairs, element_pairs=2,
+                     strategy=strategy.split("+")[0],
+                     parallel_ports=strategy == "bcw+ports", encoding=encoding)
+    ports = cfg.node_pairs * (2 if mapping == "word" else 1)
+    device = _ShadowDevice(Geometry(word_bits=8, interport_bits=8,
+                                    ports_per_track=ports), CostModel())
+    tree = BeTree(DeviceStore(device, mapping, cfg, 8), cfg, 8,
+                  planned_upserts=len(ops))
+    for upsert, key, value in ops:
+        if upsert:
+            tree.upsert(key, value)
+        else:
+            tree.query(key)
+        assert device.total_skyrmions() == sum(
+            v.bit_count() for v in device.shadow.values())
+    tree.flush_all()
+    assert device.total_skyrmions() == sum(
+        v.bit_count() for v in device.shadow.values())

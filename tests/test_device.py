@@ -106,17 +106,16 @@ def test_align_needs_common_offset():
     assert dev.align([a, b], 0) == 0
 
 
-def rand_bits(rng, width):
-    return rng.integers(0, 2, size=width, dtype=np.uint8)
+def _cells_value(tr, slot, width):
+    start = tr.slot_start(slot)
+    return sum(int(b) << i for i, b in enumerate(tr.cells[start:start + width]))
 
 
 def test_write_serial_content_and_pass_shifts():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
-    bits = kernels.int_to_bits(0xA5, 8)
-    dev.write_serial(tr, 2, bits, 8, "naive")
-    start = tr.slot_start(2)
-    assert kernels.bits_to_int(tr.cells[start:start + 8]) == 0xA5
+    dev.write_serial(tr, 2, 0xA5, 8, "naive")
+    assert _cells_value(tr, 2, 8) == 0xA5
     # through-port pass from home: exactly 2 * interport shift steps
     assert dev.counters.shift_steps == 16
     assert tr.offset == 0
@@ -125,9 +124,9 @@ def test_write_serial_content_and_pass_shifts():
 def test_write_serial_dcw_flips_only_differences():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
-    dev.write_serial(tr, 0, kernels.int_to_bits(0x0F, 8), 8, "naive")
+    dev.write_serial(tr, 0, 0x0F, 8, "naive")
     before = dev.counters.snapshot()
-    dev.write_serial(tr, 0, kernels.int_to_bits(0x3C, 8), 8, "dcw")
+    dev.write_serial(tr, 0, 0x3C, 8, "dcw")
     d = dev.counters.delta(before)
     # 0x0F -> 0x3C: inject bits 4,5; remove bits 0,1
     assert (d.inject, d.remove, d.detect) == (2, 2, 8)
@@ -136,10 +135,9 @@ def test_write_serial_dcw_flips_only_differences():
 def test_naive_clears_stale_wide_content():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
-    dev.write_serial(tr, 1, kernels.int_to_bits(0xFF, 8), 8, "naive")
-    dev.write_serial(tr, 1, kernels.int_to_bits(0x1, 4), 4, "naive")
-    start = tr.slot_start(1)
-    assert kernels.bits_to_int(tr.cells[start:start + 8]) == 0x1
+    dev.write_serial(tr, 1, 0xFF, 8, "naive")
+    dev.write_serial(tr, 1, 0x1, 4, "naive")
+    assert _cells_value(tr, 1, 8) == 0x1
 
 
 def test_serial_naive_batch_pass_arithmetic():
@@ -149,7 +147,7 @@ def test_serial_naive_batch_pass_arithmetic():
         tr = dev.new_track()
         rng = np.random.default_rng(n)
         for slot in range(n):
-            dev.write_serial(tr, slot, rand_bits(rng, 8), 8, "naive")
+            dev.write_serial(tr, slot, int(rng.integers(0, 256)), 8, "naive")
         assert dev.counters.shift_steps == n * 16
 
 
@@ -157,40 +155,37 @@ def test_bcw_batch_single_shared_pass():
     dev = small_device(word_bits=8, ports=16)
     tr = dev.new_track()
     rng = np.random.default_rng(3)
-    writes = [(slot, rand_bits(rng, 8), 8) for slot in range(8)]
+    writes = [(slot, int(rng.integers(0, 256)), 8) for slot in range(8)]
     dev.write_batch_bcw(tr, writes)
     assert dev.counters.shift_steps == 16
-    for slot, bits, width in writes:
-        start = tr.slot_start(slot)
-        assert np.array_equal(tr.cells[start:start + width], bits)
+    for slot, value, width in writes:
+        assert _cells_value(tr, slot, width) == value
 
 
 def test_bcw_rejects_duplicate_slots():
     dev = small_device()
     tr = dev.new_track()
-    bits = kernels.int_to_bits(1, 8)
     with pytest.raises(ConfigError):
-        dev.write_batch_bcw(tr, [(0, bits, 8), (0, bits, 8)])
+        dev.write_batch_bcw(tr, [(0, 1, 8), (0, 1, 8)])
 
 
 def test_write_pw_reuses_population():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
-    dev.write_serial(tr, 0, kernels.int_to_bits(0b00001111, 8), 8, "naive")
+    dev.write_serial(tr, 0, 0b00001111, 8, "naive")
     before = dev.counters.snapshot()
-    dev.write_pw(tr, 0, kernels.int_to_bits(0b11110000, 8), 8)
+    dev.write_pw(tr, 0, 0b11110000, 8)
     d = dev.counters.delta(before)
     # same popcount: pure repositioning, no injects or removes
     assert (d.inject, d.remove) == (0, 0)
     assert d.shift_steps == 16 + 4 * 4
-    start = tr.slot_start(0)
-    assert kernels.bits_to_int(tr.cells[start:start + 8]) == 0b11110000
+    assert _cells_value(tr, 0, 8) == 0b11110000
 
 
 def test_read_word_value_and_detects():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
-    dev.write_serial(tr, 3, kernels.int_to_bits(0x5A, 8), 8, "naive")
+    dev.write_serial(tr, 3, 0x5A, 8, "naive")
     before = dev.counters.snapshot()
     assert dev.read_word(tr, 3, 8) == 0x5A
     d = dev.counters.delta(before)
@@ -224,7 +219,7 @@ def test_eager_policy_returns_home():
 def test_read_word_rejects_width_past_the_slot():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
-    dev.write_serial(tr, 1, kernels.int_to_bits(0xFF, 8), 8, "naive")
+    dev.write_serial(tr, 1, 0xFF, 8, "naive")
     dev.shift(tr, "left", 3)
     before = dev.counters.as_flat_dict()
     # width 9 would pick up bit 0 of slot 1; width 11 would overrun the
@@ -237,11 +232,6 @@ def test_read_word_rejects_width_past_the_slot():
     with pytest.raises(PortRangeError):
         dev.read_word(tr, 4, 8)
     assert dev.counters.as_flat_dict() == before
-
-
-def _cells_value(tr, slot, width):
-    start = tr.slot_start(slot)
-    return sum(int(b) << i for i, b in enumerate(tr.cells[start:start + width]))
 
 
 def _composed_read(dev, tr, slot, width):
@@ -286,9 +276,8 @@ def test_read_word_bills_like_the_composed_primitives(policy, record, ops):
         for dev, tr, read in zip(devs, trs, (Device.read_word, _composed_read)):
             if op[0] == "write":
                 _, slot, value, width, mode = op
-                value &= (1 << width) - 1
-                dev.write_serial(tr, slot, kernels.int_to_bits(value, width),
-                                 width, mode)
+                dev.write_serial(tr, slot, value & ((1 << width) - 1), width,
+                                 mode)
             elif op[0] == "read":
                 got.append(read(dev, tr, op[1], op[2]))
             else:
@@ -302,13 +291,14 @@ def test_read_word_bills_like_the_composed_primitives(policy, record, ops):
         assert devs[0].counters.trace == devs[1].counters.trace
 
 
-def _composed_serial(dev, tr, slot, bits, width, mode):
+def _composed_serial(dev, tr, slot, value, width, mode):
     """write_serial as the primitives bill it one call at a time, with the
-    plain-Python loop kernel applying the cells."""
+    per-bit loop kernel applying the cells."""
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
     det, inj, rem = kernels._loop_word_write(
-        tr.cells, tr.slot_start(slot), tr.interport, width, bits,
+        tr.cells, tr.slot_start(slot), tr.interport, width,
+        kernels.int_to_bits(value, width),
         kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
     dev.counters.record("detect", det * (2 if dev.count_new_detect else 1))
     dev.counters.record("inject", inj)
@@ -341,9 +331,9 @@ def test_write_serial_bills_like_the_composed_primitives(policy, record,
                 dev.align(tr, op)
             continue
         slot, value, width, mode = op
-        bits = kernels.int_to_bits(value & ((1 << width) - 1), width)
-        devs[0].write_serial(trs[0], slot, bits, width, mode)
-        _composed_serial(devs[1], trs[1], slot, bits, width, mode)
+        value &= (1 << width) - 1
+        devs[0].write_serial(trs[0], slot, value, width, mode)
+        _composed_serial(devs[1], trs[1], slot, value, width, mode)
         assert np.array_equal(trs[0].cells, trs[1].cells)
         assert trs[0].offset == trs[1].offset
         assert (devs[0].counters.as_flat_dict()
@@ -358,18 +348,45 @@ def _composed_bcw(dev, tr, writes):
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
     per_slot = 2 if dev.count_new_detect else 1
-    for i in range(max(width for _slot, _bits, width in writes)):
-        live = [(slot, bits) for slot, bits, width in writes if width > i]
+    for i in range(max(width for _slot, _value, width in writes)):
+        live = [(slot, value) for slot, value, width in writes if width > i]
         dev.counters.record("detect", per_slot * len(live), parallel=True)
         inj = rem = 0
-        for slot, bits in live:
+        for slot, value in live:
             idx = tr.slot_start(slot) + i
-            old, new = int(tr.cells[idx]), int(bits[i])
+            old, new = int(tr.cells[idx]), value >> i & 1
             if old != new:
                 inj += new
                 rem += old
                 tr.cells[idx] = new
         dev.counters.record_mixed(dev.cost, inject=inj, remove=rem)
+    if dev.geom.shift_policy == "eager":
+        dev.align(tr, 0)
+
+
+def _kernel_bcw(dev, tr, writes):
+    """write_batch_bcw as the bit-array pass billed it, with the per-bit
+    loop kernel applying the cells and classifying the bit positions."""
+    starts = np.array([tr.slot_start(s) for s, _v, _w in writes], np.int64)
+    widths = np.array([w for _s, _v, w in writes], np.int64)
+    mat = np.zeros((len(writes), int(widths.max())), np.uint8)
+    for row, (_slot, value, width) in zip(mat, writes):
+        row[:width] = kernels.int_to_bits(value, width)
+    dev.align(tr, 0)
+    dev.counters.record_shift(1, 2 * tr.interport)
+    det, inj, rem, act, inj_steps, rem_steps, both = kernels._loop_bcw_batch(
+        tr.cells, starts, widths, mat)
+    if dev.cost.dominant(("inject", "remove")) == "inject":
+        inj_steps += both
+    else:
+        rem_steps += both
+    c = dev.counters
+    for kind, n, steps in (("detect", det * (2 if dev.count_new_detect else 1),
+                            act), ("inject", inj, inj_steps),
+                           ("remove", rem, rem_steps)):
+        c._bump(kind, n, steps)
+        if c.trace is not None:
+            c.log_steps(kind, n, steps)
     if dev.geom.shift_policy == "eager":
         dev.align(tr, 0)
 
@@ -390,12 +407,13 @@ def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
                                                  slow_remove, image, ops):
     # a dict op is one batch {slot: (value, width)}; an int op realigns
     # the track so the pass pays lazy slack. slow_remove makes remove the
-    # dominant kind of a mixed fire.
+    # dominant kind of a mixed fire. The references: every bit position
+    # billed as its own fires, and the bit-array pass on the loop kernel.
     cost = CostModel(latency_remove=1.5) if slow_remove else CostModel()
     geom = Geometry(word_bits=8, interport_bits=8, ports_per_track=_BCW_PORTS,
                     shift_policy=policy)
     devs = [Device(geom, cost, record_steps=record, count_new_detect=doubled)
-            for _ in range(2)]
+            for _ in range(3)]
     trs = [d.new_track() for d in devs]
     start, data = trs[0].slot_start(0), 8 * _BCW_PORTS
     for tr in trs:
@@ -405,15 +423,17 @@ def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
             for dev, tr in zip(devs, trs):
                 dev.align(tr, op)
             continue
-        # 8 bits per word: the device reads only the first `width` of them
-        writes = [(slot, kernels.int_to_bits(value, 8), width)
+        writes = [(slot, value & ((1 << width) - 1), width)
                   for slot, (value, width) in op.items()]
         devs[0].write_batch_bcw(trs[0], writes)
         _composed_bcw(devs[1], trs[1], writes)
-        assert np.array_equal(trs[0].cells, trs[1].cells)
-        assert trs[0].offset == trs[1].offset
-        assert (devs[0].counters.as_flat_dict()
-                == devs[1].counters.as_flat_dict())
+        _kernel_bcw(devs[2], trs[2], writes)
+        for dev, tr in zip(devs[1:], trs[1:]):
+            assert np.array_equal(trs[0].cells, tr.cells)
+            assert trs[0].offset == tr.offset
+            assert (devs[0].counters.as_flat_dict()
+                    == dev.counters.as_flat_dict())
+        assert devs[0].counters.trace == devs[2].counters.trace
     if record:
         _, lat = accumulate_cost(devs[0].counters, cost)
         # the trace sums step by step, so only float association differs
@@ -421,13 +441,63 @@ def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
             pytest.approx(lat)
 
 
+def _kernel_pw(dev, tr, slot, value, width):
+    """write_pw as the bit-array pass billed it, with the per-bit loop
+    kernel matching the skyrmions."""
+    start = tr.slot_start(slot)
+    new = kernels.int_to_bits(value, width)
+    inj, rem, repos = kernels._loop_pw_match(tr.cells[start:start + width],
+                                             new)
+    dev.align(tr, 0)
+    dev.counters.record_shift(1, 2 * tr.interport + repos)
+    dev.counters.record("inject", inj)
+    dev.counters.record("remove", rem)
+    tr.cells[start:start + width] = new
+    if dev.geom.shift_policy == "eager":
+        dev.align(tr, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       doubled=st.booleans(), image=st.integers(0, (1 << 8 * _SLOTS) - 1),
+       ops=st.lists(st.one_of(
+           st.tuples(st.integers(0, _SLOTS - 1), st.integers(0, 255),
+                     st.integers(0, 8)),
+           st.integers(-8, 8)), max_size=12))
+def test_write_pw_bills_like_the_loop_kernel(policy, record, doubled, image,
+                                             ops):
+    # a tuple op writes (slot, value, width); an int op realigns the track
+    devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                         record_steps=record, count_new_detect=doubled)
+            for _ in range(2)]
+    trs = [d.new_track() for d in devs]
+    for tr in trs:
+        tr.cells[tr.slot_start(0):tr.slot_start(_SLOTS)] = \
+            kernels.int_to_bits(image, 8 * _SLOTS)
+    for op in ops:
+        if isinstance(op, int):
+            for dev, tr in zip(devs, trs):
+                dev.align(tr, op)
+            continue
+        slot, value, width = op
+        value &= (1 << width) - 1
+        devs[0].write_pw(trs[0], slot, value, width)
+        _kernel_pw(devs[1], trs[1], slot, value, width)
+        assert np.array_equal(trs[0].cells, trs[1].cells)
+        assert trs[0].offset == trs[1].offset
+        assert (devs[0].counters.as_flat_dict()
+                == devs[1].counters.as_flat_dict())
+        assert devs[0].counters.trace == devs[1].counters.trace
+
+
 def _composed_bi_write(dev, group, port, node_offset, row_start, span,
-                       width, bits, mode, parallel):
+                       width, value, mode, parallel):
     """bi_write_word billed through OpCounters.record, one fire per call,
-    with the plain-Python loop kernel applying the cells."""
+    with the per-bit loop kernel applying the cells."""
     col = group.slot_start(port) + node_offset
     det, inj, rem = kernels._loop_bi_write(
-        group.cells, row_start, span, width, col, bits[:width],
+        group.cells, row_start, span, width, col,
+        kernels.int_to_bits(value, width),
         kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
     c = dev.counters
     c.record("detect", int(det) * (2 if dev.count_new_detect else 1),
@@ -466,8 +536,7 @@ def test_bi_word_ops_bill_like_record(record, ops):
             if op[0] == "write":
                 _, port, value, width, mode, parallel = op
                 value &= (1 << width) - 1
-                bits = kernels.int_to_bits(value, width)
-                write(dev, g, port, 2, 0, 8, width, bits, mode, parallel)
+                write(dev, g, port, 2, 0, 8, width, value, mode, parallel)
             else:
                 got.append(read(dev, g, op[1], 2, 0, op[2]))
         assert len(set(got)) <= 1
@@ -617,8 +686,8 @@ def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
     for dev, g, write in zip(devs[1:], groups[1:],
                              (Device.bi_write_word, _composed_bi_write)):
         for port, row_start, span, width, value in words:
-            write(dev, g, port, 2, row_start, span, width,
-                  kernels.int_to_bits(value, width), mode, parallel)
+            write(dev, g, port, 2, row_start, span, width, value, mode,
+                  parallel)
     for dev, g in zip(devs[1:], groups[1:]):
         assert np.array_equal(groups[0].cells, g.cells)
         assert g.offset == -2
@@ -675,11 +744,9 @@ def test_bi_write_read_round_trip():
     dev = small_device(word_bits=8, ports=4)
     g = dev.new_group(16)
     dev.group_align(g, 2)
-    bits = kernels.int_to_bits(0xC3, 8)
-    dev.bi_write_word(g, 1, 2, 0, 8, 8, bits, "naive", parallel=False)
+    dev.bi_write_word(g, 1, 2, 0, 8, 8, 0xC3, "naive", parallel=False)
     assert dev.bi_read_word(g, 1, 2, 0, 8) == 0xC3
-    dev.bi_write_word(g, 1, 2, 0, 8, 8, kernels.int_to_bits(0x3C, 8), "dcw",
-                      parallel=False)
+    dev.bi_write_word(g, 1, 2, 0, 8, 8, 0x3C, "dcw", parallel=False)
     assert dev.bi_read_word(g, 1, 2, 0, 8) == 0x3C
 
 
@@ -698,11 +765,9 @@ def test_bi_naive_write_step_billing():
     dev = small_device(word_bits=8, ports=4)
     g = dev.new_group(16)
     dev.group_align(g, 1)
-    dev.bi_write_word(g, 0, 1, 0, 8, 8, kernels.int_to_bits(0xFF, 8),
-                      "naive", parallel=False)
+    dev.bi_write_word(g, 0, 1, 0, 8, 8, 0xFF, "naive", parallel=False)
     before = dev.counters.snapshot()
-    dev.bi_write_word(g, 0, 1, 0, 8, 8, kernels.int_to_bits(0x0F, 8),
-                      "naive", parallel=False)
+    dev.bi_write_word(g, 0, 1, 0, 8, 8, 0x0F, "naive", parallel=False)
     d = dev.counters.delta(before)
     # dataless clear pulse: 8 removes in one step; patterned injects
     # serialize without the parallel drivers
@@ -714,11 +779,9 @@ def test_bi_compare_write_parallel_phases():
     dev = small_device(word_bits=8, ports=4)
     g = dev.new_group(16)
     dev.group_align(g, 1)
-    dev.bi_write_word(g, 0, 1, 0, 8, 8, kernels.int_to_bits(0x0F, 8),
-                      "dcw", parallel=True)
+    dev.bi_write_word(g, 0, 1, 0, 8, 8, 0x0F, "dcw", parallel=True)
     before = dev.counters.snapshot()
-    dev.bi_write_word(g, 0, 1, 0, 8, 8, kernels.int_to_bits(0xF0, 8),
-                      "dcw", parallel=True)
+    dev.bi_write_word(g, 0, 1, 0, 8, 8, 0xF0, "dcw", parallel=True)
     d = dev.counters.delta(before)
     # compare pass one fire, then one remove-phase and one inject-phase pulse
     assert (d.detect, d.detect_steps) == (8, 1)
@@ -729,7 +792,7 @@ def test_bi_compare_write_parallel_phases():
 def test_accumulate_cost_matches_hand_arithmetic():
     dev = small_device(word_bits=8)
     tr = dev.new_track()
-    dev.write_serial(tr, 0, kernels.int_to_bits(0xFF, 8), 8, "naive")
+    dev.write_serial(tr, 0, 0xFF, 8, "naive")
     c = dev.counters
     energy, latency = accumulate_cost(c, dev.cost)
     assert energy == c.shift * 20.0 + c.inject * 200.0
@@ -742,9 +805,9 @@ def test_skyrmion_conservation_bookkeeping():
     rng = np.random.default_rng(0)
     total = 0
     for slot in (0, 1, 2):
-        bits = rand_bits(rng, 8)
-        dev.write_serial(tr, slot, bits, 8, "naive")
-        total += int(bits.sum())
+        value = int(rng.integers(0, 256))
+        dev.write_serial(tr, slot, value, 8, "naive")
+        total += value.bit_count()
     assert dev.total_skyrmions() == total
 
 
@@ -756,18 +819,12 @@ def _device_state(dev, g):
     lambda dev, g: dev.bi_read_word(g, 0, 0, 10, 12),
     lambda dev, g: dev.bi_read_word(g, 0, 0, -1, 4),
     lambda dev, g: dev.bi_read_word(g, 0, 0, 0, -1),
-    lambda dev, g: dev.bi_write_word(g, 0, 0, 10, 12, 6, np.ones(6, np.uint8),
-                                     "naive", False),
-    lambda dev, g: dev.bi_write_word(g, 0, 0, 8, 10, 8, np.ones(8, np.uint8),
-                                     "dcw", True),
-    lambda dev, g: dev.bi_write_word(g, 0, 0, -1, 8, 8, np.ones(8, np.uint8),
-                                     "dcw", False),
-    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 9, np.ones(9, np.uint8),
-                                     "naive", False),
-    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 8, np.ones(7, np.uint8),
-                                     "dcw", False),
-    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 8, np.ones(8, np.uint8),
-                                     "pw", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 10, 12, 6, 0x3F, "naive", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 8, 10, 8, 0xFF, "dcw", True),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, -1, 8, 8, 0xFF, "dcw", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 9, 0x1FF, "naive", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 8, 0x100, "dcw", False),
+    lambda dev, g: dev.bi_write_word(g, 0, 0, 0, 8, 8, 0xFF, "pw", False),
 ])
 def test_bi_ops_reject_rows_outside_the_group(call):
     dev = small_device(word_bits=8, ports=4)
@@ -781,16 +838,25 @@ def test_bi_ops_reject_rows_outside_the_group(call):
     assert before[1:] == after[1:]
 
 
+# word writes that must raise before any change: a value past its width
+# (the int form of a short bit array), a negative value, an unknown mode,
+# a bad word in a batch behind a good one, a slot written twice, a width
+# past the interport segment, a slot off the track
 @pytest.mark.parametrize("call", [
-    lambda dev, tr: dev.write_serial(tr, 1, kernels.int_to_bits(5, 3), 8,
-                                     "naive"),
-    lambda dev, tr: dev.write_serial(tr, 1, kernels.int_to_bits(5, 3), 8,
-                                     "dcw"),
-    lambda dev, tr: dev.write_serial(tr, 1, np.ones(8, np.uint8), 8, "pw"),
-    lambda dev, tr: dev.write_serial(tr, 1, np.ones(8, np.uint8), 8, "bcw"),
-    lambda dev, tr: dev.write_pw(tr, 1, kernels.int_to_bits(5, 3), 8),
-    lambda dev, tr: dev.write_batch_bcw(tr, [(0, np.ones(8, np.uint8), 8),
-                                             (1, np.ones(3, np.uint8), 8)]),
+    lambda dev, tr: dev.write_serial(tr, 1, 0x1A5, 8, "naive"),
+    lambda dev, tr: dev.write_serial(tr, 1, -1, 8, "dcw"),
+    lambda dev, tr: dev.write_serial(tr, 1, 0xFF, 8, "pw"),
+    lambda dev, tr: dev.write_serial(tr, 1, 0xFF, 8, "bcw"),
+    lambda dev, tr: dev.write_pw(tr, 1, 0x100, 8),
+    lambda dev, tr: dev.write_batch_bcw(tr, [(0, 0xFF, 8), (1, 0x1FF, 8)]),
+    lambda dev, tr: dev.write_batch_bcw(tr, [(0, 0xFF, 8), (1, -3, 8)]),
+    lambda dev, tr: dev.write_batch_bcw(tr, [(2, 0xFF, 8), (0, 1, 8),
+                                             (2, 0x0F, 8)]),
+    lambda dev, tr: dev.write_batch_bcw(tr, [(0, 0xFF, 8), (1, 1, 9)]),
+    lambda dev, tr: dev.write_batch_bcw(tr, [(0, 0xFF, 8), (4, 1, 8)]),
+    lambda dev, tr: dev.write_serial(tr, 1, 0, -1, "dcw"),
+    lambda dev, tr: dev.write_serial(tr, -1, 0, 8, "naive"),
+    lambda dev, tr: dev.write_pw(tr, 1, 0x1FF, 9),
 ])
 @pytest.mark.parametrize("policy", ("lazy", "eager"))
 def test_word_writes_reject_short_bits_and_unknown_modes(call, policy):
@@ -799,7 +865,7 @@ def test_word_writes_reject_short_bits_and_unknown_modes(call, policy):
     tr.cells[:] = 1
     dev.shift(tr, "left", 3)    # off home: a charged align would show
     before = _device_state(dev, tr), list(dev.counters.trace)
-    with pytest.raises(ConfigError):
+    with pytest.raises((ConfigError, PortRangeError)):
         call(dev, tr)
     after = _device_state(dev, tr), list(dev.counters.trace)
     assert np.array_equal(before[0][0], after[0][0])
@@ -807,20 +873,16 @@ def test_word_writes_reject_short_bits_and_unknown_modes(call, policy):
     assert before[1] == after[1]
 
 
-def _bits_with(bad):
-    bits = kernels.int_to_bits(0xA5, 8).copy()
-    bits[3] = bad
-    return bits
-
-
+# a one-bit word holds 0 or 1: each pass must refuse a 2 or a 3 behind a
+# valid word, whatever integer type carries it
 _NON_BINARY_WRITES = {
-    "serial-naive": lambda dev, tr, g, b: dev.write_serial(tr, 1, b, 8,
+    "serial-naive": lambda dev, tr, g, v: dev.write_serial(tr, 1, v, 1,
                                                            "naive"),
-    "serial-dcw": lambda dev, tr, g, b: dev.write_serial(tr, 1, b, 8, "dcw"),
-    "pw": lambda dev, tr, g, b: dev.write_pw(tr, 1, b, 8),
-    "bcw": lambda dev, tr, g, b: dev.write_batch_bcw(
-        tr, [(0, kernels.int_to_bits(3, 8), 8), (1, b, 8)]),
-    "bi": lambda dev, tr, g, b: dev.bi_write_word(g, 1, 3, 8, 8, 8, b, "dcw",
+    "serial-dcw": lambda dev, tr, g, v: dev.write_serial(tr, 1, v, 1, "dcw"),
+    "pw": lambda dev, tr, g, v: dev.write_pw(tr, 1, v, 1),
+    "bcw": lambda dev, tr, g, v: dev.write_batch_bcw(tr, [(0, 1, 1),
+                                                          (1, v, 1)]),
+    "bi": lambda dev, tr, g, v: dev.bi_write_word(g, 1, 3, 8, 8, 1, v, "dcw",
                                                   True),
 }
 
@@ -837,8 +899,9 @@ def test_writes_reject_bits_other_than_0_and_1(name, bad, dtype, policy):
         dev.shift(h, "left", 3)     # off home: a charged align would show
     before = ([(h.cells.copy(), h.offset) for h in (tr, g)],
               dev.counters.as_flat_dict(), list(dev.counters.trace))
-    with pytest.raises(ConfigError, match="0 or 1"):
-        _NON_BINARY_WRITES[name](dev, tr, g, _bits_with(bad).astype(dtype))
+    for value in (bad, dtype(bad)):
+        with pytest.raises(ConfigError, match="does not fit in 1 bits"):
+            _NON_BINARY_WRITES[name](dev, tr, g, value)
     assert all(np.array_equal(c, h.cells) and o == h.offset
                for (c, o), h in zip(before[0], (tr, g)))
     assert dev.counters.as_flat_dict() == before[1]
@@ -846,43 +909,47 @@ def test_writes_reject_bits_other_than_0_and_1(name, bad, dtype, policy):
 
 
 def test_bi_write_takes_any_integer_bit_dtype():
+    # numpy integer scalars write what the equal Python ints write
     rng = np.random.default_rng(4)
-    devs = [small_device(word_bits=8, ports=4) for _ in range(2)]
+    devs = [small_device(word_bits=8, ports=4) for _ in range(3)]
     groups = [d.new_group(16) for d in devs]
     for dev, g in zip(devs, groups):
         dev.group_align(g, 1)
     for trial in range(40):
-        bits = rng.integers(0, 2, size=8, dtype=np.uint8)
+        value = int(rng.integers(0, 256))
         mode = ("naive", "dcw")[trial % 2]
         port = int(rng.integers(0, 4))
-        for dev, g, b in zip(devs, groups, (bits, bits.astype(np.int64))):
-            dev.bi_write_word(g, port, 1, 8, 8, 8, b, mode, trial % 3 == 0)
-        assert np.array_equal(groups[0].cells, groups[1].cells)
-        assert (devs[0].counters.as_flat_dict()
-                == devs[1].counters.as_flat_dict())
+        for dev, g, v in zip(devs, groups,
+                             (value, np.int64(value), np.uint64(value))):
+            dev.bi_write_word(g, port, 1, 8, 8, 8, v, mode, trial % 3 == 0)
+        for dev, g in zip(devs[1:], groups[1:]):
+            assert np.array_equal(groups[0].cells, g.cells)
+            assert (devs[0].counters.as_flat_dict()
+                    == dev.counters.as_flat_dict())
 
 
 def _doubling_cases():
-    bits = [kernels.int_to_bits(v, 8) for v in (0xA5, 0x3C, 0xF0)]
+    values = (0xA5, 0x3C, 0xF0)
 
     def serial(dev):
         tr = dev.new_track()
-        dev.write_serial(tr, 1, bits[0], 8, "naive")
-        dev.write_serial(tr, 1, bits[1], 8, "dcw")
+        dev.write_serial(tr, 1, values[0], 8, "naive")
+        dev.write_serial(tr, 1, values[1], 8, "dcw")
         return tr.cells
 
     def bcw(dev):
         tr = dev.new_track()
-        dev.write_batch_bcw(tr, [(s, b, 8) for s, b in enumerate(bits)])
-        dev.write_batch_bcw(tr, [(s, b, 6) for s, b in enumerate(bits[::-1])])
+        dev.write_batch_bcw(tr, [(s, v, 8) for s, v in enumerate(values)])
+        dev.write_batch_bcw(tr, [(s, v & 0x3F, 6)
+                                 for s, v in enumerate(values[::-1])])
         return tr.cells
 
     def bi(dev):
         g = dev.new_group(16)
         dev.group_align(g, 2)
-        for i, b in enumerate(bits):
-            dev.bi_write_word(g, i, 2, 0, 8, 8, b, "dcw", i % 2 == 0)
-            dev.bi_write_word(g, i, 2, 8, 8, 8, b, "naive", False)
+        for i, v in enumerate(values):
+            dev.bi_write_word(g, i, 2, 0, 8, 8, v, "dcw", i % 2 == 0)
+            dev.bi_write_word(g, i, 2, 8, 8, 8, v, "naive", False)
         return g.cells
 
     return [("write_serial", serial, False), ("bcw", bcw, False),

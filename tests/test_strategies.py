@@ -33,6 +33,11 @@ def xor_oracle(old, new):
     return inj, rem
 
 
+def value_of(bits):
+    """The int a little-endian bit array spells."""
+    return sum(int(b) << i for i, b in enumerate(bits))
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_all_strategies_land_the_new_pattern(width):
     rng = np.random.default_rng(width)
@@ -43,7 +48,7 @@ def test_all_strategies_land_the_new_pattern(width):
             old = rng.integers(0, 2, size=width, dtype=np.uint8)
             new = rng.integers(0, 2, size=width, dtype=np.uint8)
             tr.cells[start:start + width] = old
-            apply_strategy(dev, tr, [(1, new, width)], strategy,
+            apply_strategy(dev, tr, [(1, value_of(new), width)], strategy,
                            parallel=(strategy == "bcw"))
             assert np.array_equal(tr.cells[start:start + width], new), strategy
 
@@ -53,8 +58,7 @@ def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
     # without parallel ports every word is its own pass, pw included; with
     # them the whole batch shares one bcw pass
     rng = np.random.default_rng(17)
-    writes = [(slot, rng.integers(0, 2, size=8, dtype=np.uint8), 8)
-              for slot in (3, 0, 2)]
+    writes = [(slot, int(rng.integers(0, 256)), 8) for slot in (3, 0, 2)]
     routed, direct = fresh_track(8), fresh_track(8)
     image = rng.integers(0, 2, size=len(routed[1].cells), dtype=np.uint8)
     routed[1].cells[:] = image
@@ -65,13 +69,13 @@ def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
     if parallel:
         dev.write_batch_bcw(tr, writes)
     else:
-        for slot, bits, width in writes:
+        for slot, value, width in writes:
             if strategy == "pw":
-                dev.write_pw(tr, slot, bits, width)
+                dev.write_pw(tr, slot, value, width)
             elif strategy == "bcw":
-                dev.write_batch_bcw(tr, [(slot, bits, width)])
+                dev.write_batch_bcw(tr, [(slot, value, width)])
             else:
-                dev.write_serial(tr, slot, bits, width, strategy)
+                dev.write_serial(tr, slot, value, width, strategy)
     assert np.array_equal(routed[1].cells, tr.cells)
     assert routed[0].counters.as_flat_dict() == dev.counters.as_flat_dict()
 
@@ -86,7 +90,8 @@ def test_dcw_counts_equal_xor_oracle(width):
         new = rng.integers(0, 2, size=width, dtype=np.uint8)
         tr.cells[start:start + width] = old
         before = dev.counters.snapshot()
-        apply_strategy(dev, tr, [(0, new, width)], "dcw", parallel=False)
+        apply_strategy(dev, tr, [(0, value_of(new), width)], "dcw",
+                       parallel=False)
         d = dev.counters.delta(before)
         assert (d.inject, d.remove) == xor_oracle(old, new)
         assert d.detect == width
@@ -104,7 +109,7 @@ def test_inject_ordering_pw_dcw_naive(width):
             start = tr.slot_start(0)
             tr.cells[start:start + width] = old
             before = dev.counters.snapshot()
-            apply_strategy(dev, tr, [(0, new, width)], strategy,
+            apply_strategy(dev, tr, [(0, value_of(new), width)], strategy,
                            parallel=False)
             counts[strategy] = dev.counters.delta(before).inject
         assert counts["pw"] <= counts["dcw"] <= counts["naive"]
@@ -121,7 +126,8 @@ def test_dcw_flip_count_is_minimal():
         start = tr.slot_start(0)
         tr.cells[start:start + 8] = old
         before = dev.counters.snapshot()
-        apply_strategy(dev, tr, [(0, new, 8)], "dcw", parallel=False)
+        apply_strategy(dev, tr, [(0, value_of(new), 8)], "dcw",
+                       parallel=False)
         d = dev.counters.delta(before)
         assert d.inject + d.remove == int(np.count_nonzero(old != new))
 
@@ -137,7 +143,7 @@ def test_bcw_batch_counts_match_serial_dcw():
         for slot, old in enumerate(olds):
             s = tr.slot_start(slot)
             tr.cells[s:s + 16] = old
-        writes = [(slot, new, 16) for slot, new in enumerate(news)]
+        writes = [(slot, value_of(new), 16) for slot, new in enumerate(news)]
         apply_strategy(dev, tr, writes, "bcw", parallel=parallel)
         return dev.counters
 

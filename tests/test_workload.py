@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skrmbetree.errors import ConfigError
-from skrmbetree.workload import (MIXES, OP_INSERT, OP_READ, OP_UPDATE,
+from skrmbetree.workload import (MASK64, MIXES, OP_INSERT, OP_READ, OP_UPDATE,
                                  WorkloadSpec, generate, make_key, make_value,
                                  zipf_head_probability)
 
@@ -104,7 +104,7 @@ def test_inserts_extend_the_keyspace_in_order():
     assert not set(inserted) & set(stream.load_keys.tolist())
 
 
-@pytest.mark.parametrize("word_bits", (8, 16, 64))
+@pytest.mark.parametrize("word_bits", (8, 16, 64, 128, 256))
 def test_words_fit_the_configured_width(word_bits):
     stream = generate(spec_for("a", 500, 100), word_bits)
     top = 1 << word_bits
@@ -115,3 +115,22 @@ def test_words_fit_the_configured_width(word_bits):
     assert make_value(7, 3, word_bits) < top
     assert make_key(7, 3, word_bits) == make_key(7, 3, word_bits)
     assert make_key(7, 3, word_bits) != make_key(8, 3, word_bits)
+
+
+@pytest.mark.parametrize("word_bits", (128, 256))
+def test_wide_words_are_dense_above_64_bits(word_bits):
+    # every bit above 64 is set in about half the distinct words (zipfian
+    # ops repeat hot keys); the low 64 bits are the 64-bit draw, so
+    # narrower streams are unchanged
+    stream = generate(spec_for("a", 400, 400), word_bits)
+    for arr in (stream.load_keys, stream.load_values, stream.keys,
+                stream.values[stream.ops != OP_READ]):
+        words = set(arr.tolist())
+        assert len(words) > 100
+        for bit in range(64, word_bits):
+            share = sum(w >> bit & 1 for w in words) / len(words)
+            assert 0.3 < share < 0.7, (bit, share)
+    for i in range(50):
+        assert make_key(42, i, word_bits) & MASK64 == make_key(42, i, 64)
+        assert make_value(42, i, word_bits) & MASK64 == make_value(42, i, 64)
+    assert len(set(stream.load_keys.tolist())) == 400
