@@ -11,9 +11,11 @@ The device-pass section times a 12-slot ``Device.scan_words`` against 12
 ``read_word`` calls, a 12-word ``Device.bi_write_node`` against 12
 ``bi_write_word`` calls, and a 12-word int ``Device.write_batch_bcw`` on
 the word mapping against the bit-array pass it replaced (``int_to_bits``
-rows into the numpy ``kernels.bcw_batch``), after checking that both sides
-return the same words and leave the same cells, offsets and all eight
-counters.
+rows into the numpy ``kernels.bcw_batch`` on a uint8 copy of the cells),
+after checking that both sides return the same words and leave the same
+cells, offsets and all eight counters. It also times a one-word
+``bi_write_node``, the shape of ``DeviceStore.arena_write``, which pays a
+node write's fixed per-call cost for a single word.
 
 Usage: python benchmarks/kernel_bench.py [--calls 2000] [--word-bits 64]
 """
@@ -112,26 +114,44 @@ def _twin_devices(word_bits, ports, policy="lazy"):
     return Device(geom, CostModel()), Device(geom, CostModel())
 
 
+def _n_cells(handle):
+    return (handle.n_ports + 2) * handle.interport
+
+
 def _scan_setup(rng, word_bits, policy="lazy"):
     devs = _twin_devices(word_bits, 2 * NODE_PAIRS, policy)
     trs = [d.new_track() for d in devs]
-    cells = rng.integers(0, 2, size=trs[0].cells.shape, dtype=np.uint8)
+    cells = _rand_value(rng, _n_cells(trs[0]))
     for tr in trs:
-        tr.cells[:] = cells
+        tr.cells = cells
     return devs, trs, [2 * s for s in BUFFER_SLOTS]
 
 
 def _node_setup(rng, word_bits):
     devs = _twin_devices(word_bits, NODE_PAIRS)
     groups = [d.new_group(2 * word_bits) for d in devs]
-    cells = rng.integers(0, 2, size=groups[0].cells.shape, dtype=np.uint8)
+    cells = [_rand_value(rng, 2 * word_bits)
+             for _ in range(_n_cells(groups[0]))]
     for dev, g in zip(devs, groups):
-        g.cells[:] = cells
+        g.cells = list(cells)
         dev.group_align(g, 3)
     return devs, groups
 
 
+def track_image(tr):
+    """A track's cells as the uint8 array the kernels take."""
+    return np.array([tr.cells >> i & 1 for i in range(_n_cells(tr))],
+                    np.uint8)
+
+
+def group_image(g):
+    """A group's cells as the kernels' (rows, columns) uint8 array."""
+    return np.array([[col >> r & 1 for col in g.cells]
+                     for r in range(g.n_tracks)], np.uint8)
+
+
 def _rand_value(rng, width):
+    """A random int of `width` bits (also a random run of cells)."""
     return int.from_bytes(rng.bytes(width // 8 + 1), "little") >> (
         8 - width % 8)
 
@@ -155,11 +175,12 @@ def _bcw_words(rng, word_bits):
             for port, row, _span, width, value in _node_words(rng, word_bits)]
 
 
-def bcw_by_kernel(dev, tr, writes):
+def bcw_by_kernel(dev, tr, cells, writes):
     """The bit-array bcw pass the int pass replaced, billed as it was:
-    ``int_to_bits`` rows in an (n, max width) matrix, the cells applied and
-    the bit positions classified by the numpy kernel. Lazy policy, no
-    step trace and no doubled detects, as the bench devices are built."""
+    ``int_to_bits`` rows in an (n, max width) matrix, the uint8 `cells` of
+    the track applied and the bit positions classified by the numpy
+    kernel. Lazy policy, no step trace and no doubled detects, as the
+    bench devices are built."""
     starts = np.array([tr.slot_start(s) for s, _v, _w in writes], np.int64)
     widths = np.array([w for _s, _v, w in writes], np.int64)
     mat = np.zeros((len(writes), int(widths.max())), np.uint8)
@@ -168,7 +189,7 @@ def bcw_by_kernel(dev, tr, writes):
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
     det, inj, rem, act, inj_steps, rem_steps, both = (
-        int(n) for n in kernels.NUMPY_IMPLS["bcw_batch"](tr.cells, starts,
+        int(n) for n in kernels.NUMPY_IMPLS["bcw_batch"](cells, starts,
                                                           widths, mat))
     if dev.cost.dominant(("inject", "remove")) == "inject":
         inj_steps += both
@@ -199,7 +220,7 @@ def check_device_parity(rng, word_bits):
         devs, groups = _node_setup(rng, word_bits)
         words = _node_words(rng, word_bits)
         mode = ("naive", "dcw")[trial % 2]
-        oracle = groups[0].cells.copy()
+        oracle = group_image(groups[0])
         devs[0].bi_write_node(groups[0], 3, words, mode, trial % 3 == 0)
         for port, row_start, span, width, value in words:
             devs[1].bi_write_word(groups[1], port, 3, row_start, span, width,
@@ -208,17 +229,18 @@ def check_device_parity(rng, word_bits):
                 oracle, row_start, span, width, (port + 1) * word_bits + 3,
                 kernels.int_to_bits(value, width),
                 kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
-        if (not np.array_equal(groups[0].cells, groups[1].cells)
-                or not np.array_equal(groups[0].cells, oracle)
+        if (groups[0].cells != groups[1].cells
+                or not np.array_equal(group_image(groups[0]), oracle)
                 or devs[0].counters != devs[1].counters):
             raise SystemExit("device pass mismatch: bi_write_node")
         devs, trs, _ = _scan_setup(rng, word_bits)
         for dev, tr in zip(devs, trs):
             dev.align(tr, -trial % word_bits)
         writes = _bcw_words(rng, word_bits)
+        cells = track_image(trs[1])
         devs[0].write_batch_bcw(trs[0], writes)
-        bcw_by_kernel(devs[1], trs[1], writes)
-        if (not np.array_equal(trs[0].cells, trs[1].cells)
+        bcw_by_kernel(devs[1], trs[1], cells, writes)
+        if (not np.array_equal(track_image(trs[0]), cells)
                 or trs[0].offset != trs[1].offset
                 or devs[0].counters != devs[1].counters):
             raise SystemExit("device pass mismatch: write_batch_bcw")
@@ -230,7 +252,9 @@ def time_device_passes(rng, args):
     (ndev, _), (group, _) = _node_setup(rng, wb)
     batches = [_node_words(rng, wb) for _ in range(calls)]
     (bdev, kdev), (btr, ktr), _ = _scan_setup(rng, wb)
+    kcells = track_image(ktr)
     bcw_batches = [_bcw_words(rng, wb) for _ in range(calls)]
+    singles = [ws[:1] for ws in batches]
 
     def scan():
         for _ in range(calls):
@@ -257,7 +281,11 @@ def time_device_passes(rng, args):
 
     def bcw_bits():
         for ws in bcw_batches:
-            bcw_by_kernel(kdev, ktr, ws)
+            bcw_by_kernel(kdev, ktr, kcells, ws)
+
+    def one_word():
+        for ws in singles:
+            ndev.bi_write_node(group, 3, ws, "dcw", True)
 
     # the right-hand column is the replaced path: per-word calls for the
     # first two, the bit-array kernel pass for write_batch_bcw
@@ -272,6 +300,10 @@ def time_device_passes(rng, args):
         t_many = min(_timed(many) for _ in range(args.repeat)) / calls * 1e6
         print(f"{name:<24} {t_one:>10.2f} {t_many:>12.2f} "
               f"{t_many / t_one:>7.1f}x")
+    # no replaced path to set beside it: the fixed cost of one node write
+    one_word()
+    t = min(_timed(one_word) for _ in range(args.repeat)) / calls * 1e6
+    print(f"{'bi_write_node (1 word)':<24} {t:>10.2f}")
 
 
 def main():

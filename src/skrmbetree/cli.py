@@ -14,21 +14,20 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 
 from .bench import emit, run_experiment, run_sweep
 from .btree import write_count_series
-from .config import (ExperimentConfig, apply_file_settings, read_config_file)
+from .config import (BOOL_WORDS, ExperimentConfig, apply_file_settings,
+                     read_config_file)
 from .errors import SimError
 
 
 def _onoff(text: str) -> bool:
-    low = text.lower()
-    if low in ("on", "1", "true", "yes"):
-        return True
-    if low in ("off", "0", "false", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    try:
+        return BOOL_WORDS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"expected on or off, got {text!r}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -60,32 +59,16 @@ def build_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         cfg = apply_file_settings(cfg, read_config_file(args.config))
-    exp_kw = {}
-    if args.workload is not None:
-        exp_kw["workload"] = args.workload
-    if args.mapping is not None:
-        exp_kw["mapping"] = ("bit_interleaved" if args.mapping == "bit"
-                             else args.mapping)
-    if args.entries is not None:
-        exp_kw["entries"] = args.entries
-    if args.ops is not None:
-        exp_kw["op_count"] = args.ops
-    if args.word_bytes is not None:
-        exp_kw["word_bytes"] = args.word_bytes
-    if args.seed is not None:
-        exp_kw["seed"] = args.seed
-    tree_kw = {}
-    if args.strategy is not None:
-        tree_kw["strategy"] = args.strategy
-    if args.encoding is not None:
-        tree_kw["encoding"] = args.encoding
-    if args.parallel_ports is not None:
-        tree_kw["parallel_ports"] = args.parallel_ports
-    if tree_kw:
-        cfg = replace(cfg, tree=replace(cfg.tree, **tree_kw))
-    if exp_kw:
-        cfg = replace(cfg, **exp_kw)
-    return cfg
+    # flags override the file, overlaid the same way
+    flags = {"workload": args.workload,
+             "mapping": ("bit_interleaved" if args.mapping == "bit"
+                         else args.mapping),
+             "entries": args.entries, "op_count": args.ops,
+             "word_bytes": args.word_bytes, "seed": args.seed,
+             "strategy": args.strategy, "encoding": args.encoding,
+             "parallel_ports": args.parallel_ports}
+    return apply_file_settings(
+        cfg, {key: value for key, value in flags.items() if value is not None})
 
 
 def _deliver(text: str, out) -> None:

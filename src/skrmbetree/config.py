@@ -7,6 +7,7 @@ Everything here can be set from code, from CLI flags, or from a plain
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -180,31 +181,52 @@ class ExperimentConfig:
         return t.strategy == "naive" and not t.encoding and not t.parallel_ports
 
 
-_BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
+BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
                "0": False, "false": False, "off": False, "no": False}
 
+# settings key -> the annotated type of the field it sets; word_bits and
+# the two derived geometry keys take their Geometry types
+_KEY_TYPES = {f.name: f.type
+              for cls in (Geometry, ExperimentConfig, TreeConfig, CostModel)
+              for f in fields(cls) if f.name not in ("tree", "cost")}
 
-def _coerce(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in _BOOL_WORDS:
-        return _BOOL_WORDS[low]
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
+def _parse(key: str, value):
+    """`value` as the type of the field `key` sets: text from a settings
+    file, or an already typed value from code.
+
+    Bool fields take only True/False and the bool words, int fields only
+    integers (a bool is not one), ``int | None`` fields also None or
+    ``none``, float fields any finite number, str fields only text.
+    """
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    if kind == "int | None" and (value is None
+                                 or str(value).lower() == "none"):
+        return None
+    want = {"bool": bool, "float": float, "str": str}.get(kind, int)
+    got = value
+    if isinstance(value, str) and want is not str:
+        try:
+            got = (BOOL_WORDS.get(value.lower()) if want is bool
+                   else want(value))
+        except ValueError:
+            pass
+    if want is float and type(got) is int:
+        got = float(got)
+    if type(got) is not want or (want is float and not math.isfinite(got)):
+        raise ConfigError(f"{key} = {value!r}: expected {kind}"
+                          + (f" ({'/'.join(BOOL_WORDS)})" if want is bool
+                             else ""))
+    return got
 
 
 def read_config_file(path) -> dict:
     """Parse a plain ``key = value`` file into a {key: value} dict.
 
-    Blank lines and ``#`` comments are skipped. Values are coerced to
-    bool/int/float when they look like one.
+    Blank lines and ``#`` comments are skipped. Each value is parsed as the
+    type of the field its key names; an unknown key or a value of the
+    wrong type raises ConfigError.
     """
     out = {}
     try:
@@ -221,17 +243,22 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        out[key] = _coerce(value)
+        try:
+            out[key] = _parse(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 _COST_KEYS = [f.name for f in fields(CostModel)]
 _TREE_KEYS = [f.name for f in fields(TreeConfig)]
-_EXP_KEYS = ("workload", "mapping", "entries", "op_count", "word_bytes", "seed")
+_EXP_KEYS = ("workload", "mapping", "entries", "op_count", "word_bytes",
+             "seed", "shift_policy")
 
 
 def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConfig:
-    """Overlay a parsed config file onto an ExperimentConfig.
+    """Overlay settings, a parsed config file or the CLI flags, onto an
+    ExperimentConfig. Each value is checked against its field's type.
 
     Geometry keys (word_bits, ...) adjust the experiment-level fields they
     derive from; ports_per_track and interport_bits are derived from the
@@ -240,8 +267,9 @@ def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConf
     """
     cost_kw, tree_kw, exp_kw, derived_kw = {}, {}, {}, {}
     for key, value in settings.items():
+        value = _parse(key, value)
         if key in _COST_KEYS:
-            cost_kw[key] = float(value)
+            cost_kw[key] = value
         elif key in _TREE_KEYS:
             tree_kw[key] = value
         elif key in _EXP_KEYS:
@@ -249,15 +277,12 @@ def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConf
         elif key == "word_bits":
             if value % 8:
                 raise ConfigError("word_bits from file must be a multiple of 8")
-            exp_kw["word_bytes"] = int(value) // 8
-        elif key == "shift_policy":
-            exp_kw["shift_policy"] = value
-        elif key in ("ports_per_track", "interport_bits"):
-            # accepted so a device-level settings file can be shared;
-            # checked once every other key has applied
-            derived_kw[key] = value
+            exp_kw["word_bytes"] = value // 8
         else:
-            raise ConfigError(f"unknown config key {key!r}")
+            # ports_per_track or interport_bits: accepted so a device-level
+            # settings file can be shared; checked once every other key
+            # has applied
+            derived_kw[key] = value
     if cost_kw:
         cfg = replace(cfg, cost=replace(cfg.cost, **cost_kw))
     if tree_kw:

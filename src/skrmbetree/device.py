@@ -1,14 +1,20 @@
 """Racetrack device model: cells, ports, primitives, and charged bulk passes.
 
 A track is a line of bit cells with equally spaced access ports. Shifting
-moves every skyrmion on the track; in code the cell array stays put and a
-signed ``offset`` records the displacement, so cell content is addressed in
+moves every skyrmion on the track; in code the cells stay put and a signed
+``offset`` records the displacement, so cell content is addressed in
 track-local coordinates that never move. The cell under port ``p`` at
 offset ``o`` is index ``(p + 1) * interport - o``; word slot ``w`` owns the
 cell range ``[(w + 1) * interport, (w + 2) * interport)``; bit ``j`` of
 slot ``w`` passes under port ``w`` at offset ``-j``. One interport-sized
 overflow region at each end absorbs a full write pass, so the boundary
 condition is ``|offset| <= interport``.
+
+Cells are Python ints. A track is one int whose bit ``i`` is cell ``i``, so
+the word in slot ``w`` is ``cells >> (w + 1) * interport & mask``. A track
+group is one int per cell column whose bit ``r`` is row ``r``, so a word
+stored down a column is ``column >> row_start & mask``. Every read is a
+shift and a mask, and every write clears its bits and ORs the new value in.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -19,9 +25,6 @@ from __future__ import annotations
 
 from operator import index
 
-import numpy as np
-
-from . import kernels
 from .config import CostModel, Geometry
 from .counters import OpCounters
 from .errors import (AllocationError, BoundaryError, ConfigError,
@@ -32,7 +35,8 @@ LEFT = "left"
 
 
 class Racetrack:
-    """One track: a 1-D cell array plus its current shift offset."""
+    """One track: its cells as one int (bit i is cell i) plus its current
+    shift offset."""
 
     __slots__ = ("track_id", "cells", "offset", "interport", "n_ports")
 
@@ -40,7 +44,7 @@ class Racetrack:
         self.track_id = track_id
         self.n_ports = n_ports
         self.interport = interport
-        self.cells = np.zeros((n_ports + 2) * interport, dtype=np.uint8)
+        self.cells = 0
         self.offset = 0
 
     def slot_start(self, word_slot: int) -> int:
@@ -51,14 +55,16 @@ class Racetrack:
         return (port + 1) * self.interport - self.offset
 
     def popcount(self) -> int:
-        return int(self.cells.sum())
+        return self.cells.bit_count()
 
 
 class TrackGroup:
     """A bundle of tracks shifted in lockstep (bit-interleaved mapping).
 
-    Row r of the 2-D cell array is one track; every row shares the group
-    offset, which is what lets one shift set align a whole node.
+    The cells are a list of ``(n_ports + 2) * interport`` ints, one per
+    cell column, and bit r of a column is the cell of row r: one row is one
+    track. Every row shares the group offset, which is what lets one shift
+    set align a whole node.
     """
 
     __slots__ = ("group_id", "cells", "offset", "interport", "n_ports", "n_tracks")
@@ -68,14 +74,14 @@ class TrackGroup:
         self.n_tracks = n_tracks
         self.n_ports = n_ports
         self.interport = interport
-        self.cells = np.zeros((n_tracks, (n_ports + 2) * interport), dtype=np.uint8)
+        self.cells = [0] * ((n_ports + 2) * interport)
         self.offset = 0
 
     def slot_start(self, port: int) -> int:
         return (port + 1) * self.interport
 
     def popcount(self) -> int:
-        return int(self.cells.sum())
+        return sum(col.bit_count() for col in self.cells)
 
 
 _MODES = ("naive", "dcw")
@@ -156,36 +162,42 @@ class Device:
             width += getattr(h, "n_tracks", 1)
         self.counters.record_shift(width, steps)
 
-    def _check_port(self, handle, port: int) -> None:
-        if not (0 <= port < handle.n_ports):
-            raise PortRangeError(f"port {port} outside 0..{handle.n_ports - 1}")
+    def _single(self, track) -> Racetrack:
+        """The one track `track` names; a track group is refused."""
+        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
+        if not isinstance(tr, Racetrack):
+            raise ConfigError("the primitives and word passes act on single "
+                              "tracks, not on a track group")
+        return tr
+
+    def _cell(self, track, port: int) -> tuple[Racetrack, int]:
+        """The single track and the index of the cell under `port`."""
+        tr = self._single(track)
+        if not (0 <= port < tr.n_ports):
+            raise PortRangeError(f"port {port} outside 0..{tr.n_ports - 1}")
+        return tr, tr.port_cell(port)
 
     def detect(self, track, port: int) -> int:
         """Read the bit under one port. Pure: no cell change."""
-        tr = self._resolve(track)[0]
-        self._check_port(tr, port)
-        bit = int(tr.cells[tr.port_cell(port)])
+        tr, idx = self._cell(track, port)
+        bit = tr.cells >> idx & 1
         self.counters.record("detect", 1)
         return bit
 
     def inject(self, track, port: int) -> None:
         """Write a skyrmion (1) at the cell under the port."""
-        tr = self._resolve(track)[0]
-        self._check_port(tr, port)
-        idx = tr.port_cell(port)
-        if tr.cells[idx]:
+        tr, idx = self._cell(track, port)
+        if tr.cells >> idx & 1:
             raise DoubleInjectError(f"cell under port {port} already holds a skyrmion")
-        tr.cells[idx] = 1
+        tr.cells |= 1 << idx
         self.counters.record("inject", 1)
 
     def remove(self, track, port: int) -> None:
         """Destroy the skyrmion under the port; removing an empty cell is a
         free non-event (no count)."""
-        tr = self._resolve(track)[0]
-        self._check_port(tr, port)
-        idx = tr.port_cell(port)
-        if tr.cells[idx]:
-            tr.cells[idx] = 0
+        tr, idx = self._cell(track, port)
+        if tr.cells >> idx & 1:
+            tr.cells ^= 1 << idx
             self.counters.record("remove", 1)
 
     def align(self, tracks, target_offset: int) -> int:
@@ -212,15 +224,18 @@ class Device:
     # ----------------------------------------------- word-based charged passes
 
     @staticmethod
-    def _swap_words(tr: Racetrack, writes, span: int = 0) -> list[int]:
+    def _swap_words(tr: Racetrack, writes,
+                    span: int = 0) -> list[tuple[int, int]]:
         """Check every (slot, value, width) word, then write each into its
-        slot and return the words the slots held, read as ints from one
-        bytes snapshot of the cells. Nothing changes unless every word is
-        valid. A word replaces its `width` cells, or `span` cells when
-        given (the naive clear takes the whole interport span)."""
+        slot and return (value, old word) per word, the value as a Python
+        int whatever integer type carried it. Nothing changes unless every
+        word is valid. A word replaces its `width` cells, or `span` cells
+        when given (the naive clear takes the whole interport span)."""
         n_ports, ip = tr.n_ports, tr.interport
         seen = set()
+        values = []
         for slot, value, width in writes:
+            value = index(value)
             if not (0 <= slot < n_ports):
                 raise PortRangeError(f"word slot {slot} outside this track")
             if not (0 <= width <= ip):
@@ -231,22 +246,19 @@ class Device:
             if slot in seen:
                 raise ConfigError(f"slot {slot} written twice in one batch")
             seen.add(slot)
-        # bits most significant first; slot starts are >= interport, so
-        # start - 1 never wraps to the array end. Only changed words are
-        # written back, so a width-0 word never is.
-        raw = tr.cells.tobytes()
-        cells = memoryview(tr.cells)
-        olds = []
-        for slot, value, width in writes:
-            n = span or width
+            values.append(value)
+        # only changed words are written back, so a width-0 word never is
+        cells = tr.cells
+        swapped = []
+        for (slot, _value, width), value in zip(writes, values):
             start = (slot + 1) * ip
-            old = int(raw[start + n - 1:start - 1:-1]
-                      .translate(kernels.BIT_DIGITS) or b"0", 2)
+            mask = (1 << (span or width)) - 1
+            old = cells >> start & mask
             if old != value:
-                cells[start:start + n] = format(value, f"0{n}b").encode() \
-                    .translate(kernels.DIGIT_BITS)[::-1]
-            olds.append(old)
-        return olds
+                cells = cells & ~(mask << start) | value << start
+            swapped.append((value, old))
+        tr.cells = cells
+        return swapped
 
     def _bill_pass(self, tr: Racetrack, det: int, det_steps: int, inj: int,
                    inj_steps: int, rem: int, rem_steps: int,
@@ -283,14 +295,15 @@ class Device:
         and new as two ints and flips only the differences, leaving bits
         past `width` alone.
         """
-        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
+        tr = self._single(track)
         if mode not in _MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
         if mode == "naive":
-            old = self._swap_words(tr, ((slot, value, width),), tr.interport)[0]
+            (value, old), = self._swap_words(tr, ((slot, value, width),),
+                                             tr.interport)
             det, inj, rem = 0, value.bit_count(), old.bit_count()
         else:
-            old = self._swap_words(tr, ((slot, value, width),))[0]
+            (value, old), = self._swap_words(tr, ((slot, value, width),))
             det, inj, rem = (width, (value & ~old).bit_count(),
                              (old & ~value).bit_count())
         if self.count_new_detect:
@@ -304,8 +317,8 @@ class Device:
 
         Survivors are matched first-to-first in position order, each match
         charging one shift per cell of displacement."""
-        tr = self._resolve(track)[0]
-        old = self._swap_words(tr, ((slot, value, width),))[0]
+        tr = self._single(track)
+        (value, old), = self._swap_words(tr, ((slot, value, width),))
         olds = [i for i in range(width) if old >> i & 1]
         news = [i for i in range(width) if value >> i & 1]
         reused = min(len(olds), len(news))
@@ -326,10 +339,10 @@ class Device:
         """
         if not writes:
             return
-        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
-        olds = self._swap_words(tr, writes)
+        tr = self._single(track)
+        swapped = self._swap_words(tr, writes)
         det = act = inj = rem = inj_or = rem_or = 0
-        for (_slot, value, width), old in zip(writes, olds):
+        for (_slot, _value, width), (value, old) in zip(writes, swapped):
             det += width
             if width > act:
                 act = width
@@ -371,7 +384,7 @@ class Device:
         detects, then the eager return: exactly what align/shift/record
         and an eager align home would bill one by one, in the same order.
         """
-        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
+        tr = self._single(track)
         n_ports, ip = tr.n_ports, tr.interport
         for slot in slots:
             if not (0 <= slot < n_ports):
@@ -382,11 +395,10 @@ class Device:
         if expect is not None and len(expect) != len(slots):
             raise ConfigError(f"{len(expect)} expected words for "
                               f"{len(slots)} slots")
-        # bits most significant first; slot starts are >= interport, so
-        # start - 1 never wraps to the array end. Width 0 reads 0, free.
-        # Both sweep ends lie in [1 - width, 0]; width <= interport keeps
-        # them inside the overflow region, so no shift can overrun.
-        raw = tr.cells.tobytes()
+        # width 0 reads 0, free. Both sweep ends lie in [1 - width, 0];
+        # width <= interport keeps them inside the overflow region, so no
+        # shift can overrun.
+        cells, mask = tr.cells, (1 << width) - 1
         c = self.counters
         eager = self.geom.shift_policy == "eager"
         lo = 1 - width
@@ -394,9 +406,7 @@ class Device:
         shifts = 0
         words = []
         for slot in slots:
-            start = (slot + 1) * ip
-            word = int(raw[start + width - 1:start - 1:-1]
-                       .translate(kernels.BIT_DIGITS) or b"0", 2)
+            word = cells >> (slot + 1) * ip & mask
             words.append(word)
             if width:
                 if abs(offset) <= abs(offset - lo):
@@ -432,16 +442,6 @@ class Device:
         return self.align(group, -node_offset)
 
     @staticmethod
-    def _columns(group: TrackGroup, node_offset: int, lo: int, hi: int):
-        """Index of the cell columns of ports lo..hi at a node offset: one
-        column, or every interport-th from lo's."""
-        col = (lo + 1) * group.interport + node_offset
-        if lo == hi:
-            return col
-        return slice(col, col + (hi - lo) * group.interport + 1,
-                     group.interport)
-
-    @staticmethod
     def _rows_error(group: TrackGroup, row_start: int, rows: int):
         return ConfigError(f"rows {row_start}..{row_start + rows - 1} "
                            f"outside the group's {group.n_tracks} tracks")
@@ -474,20 +474,12 @@ class Device:
         ip = group.interport
         if group.offset != -node_offset or not (0 <= node_offset < ip):
             raise ConfigError("group not aligned to the requested node offset")
-        if not ports:
-            return []
-        # column-major bytes of the node's columns, rows most significant
-        # first: each port's word is one run of `width` bytes (none when
-        # width is 0, whatever rows the slice then spans)
-        lo = min(ports)
-        raw = group.cells[
-            row_start + width - 1:row_start - 1 if row_start else None:-1,
-            self._columns(group, node_offset, lo, max(ports))].tobytes("F")
+        # port p's word is rows row_start.. of the column at
+        # (p + 1) * interport + node_offset; width 0 reads 0
+        cols, mask = group.cells, (1 << width) - 1
         words = []
         for port in ports:
-            at = (port - lo) * width
-            word = int(raw[at:at + width].translate(kernels.BIT_DIGITS)
-                       or b"0", 2)
+            word = cols[(port + 1) * ip + node_offset] >> row_start & mask
             words.append(word)
             if word == target or (expect is not None
                                   and word != expect[len(words) - 1]):
@@ -504,9 +496,7 @@ class Device:
                       row_start: int, span: int, width: int, value: int,
                       mode: str, parallel: bool) -> None:
         """Write one word across tracks at an aligned column; the one-word
-        node write. The value may be any integer type, numpy scalars
-        included."""
-        value = index(value)
+        node write."""
         self.bi_write_node(group, node_offset,
                            [(port, row_start, span, width, value)], mode,
                            parallel)
@@ -516,11 +506,12 @@ class Device:
         """Write words of one node at an aligned column offset, naive or
         compare-and-flip, each billed as its own pass.
 
-        words: (port, row_start, span, width, value) per word; the value
-        fills rows [row_start, row_start + width), least significant bit
-        first. A naive write clears the whole row span, a compare write
-        leaves rows past `width` alone. Every word is checked before any
-        cell or counter changes.
+        words: (port, row_start, span, width, value) per word; the value,
+        of any integer type, numpy scalars included, fills rows
+        [row_start, row_start + width), least significant bit first. A
+        naive write clears the whole row span, a compare write leaves rows
+        past `width` alone. Every word is checked before any cell or
+        counter changes.
 
         Sensing (the compare pass) and the unconditional clear pulse of a
         naive write carry no per-row data, so they fire all rows in one
@@ -534,7 +525,9 @@ class Device:
             raise ConfigError(f"unknown write mode {mode!r}")
         n_ports, rows = group.n_ports, group.n_tracks
         seen = set()
+        values = []
         for port, row_start, span, width, value in words:
+            value = index(value)
             if not (0 <= port < n_ports):
                 raise PortRangeError(f"port {port} outside 0..{n_ports - 1}")
             if row_start < 0 or span < 0 or row_start + span > rows:
@@ -547,19 +540,11 @@ class Device:
                 raise ConfigError(f"word at port {port} row {row_start} "
                                   f"written twice in one batch")
             seen.add((port, row_start))
+            values.append(value)
         ip = group.interport
         if group.offset != -node_offset or not (0 <= node_offset < ip):
             raise ConfigError("group not aligned to the requested node offset")
-        ports = [w[0] for w in words]
-        lo = min(ports)
-        # the node's columns as one bytearray, one column after another and
-        # most significant row first: a word is the run of `width` bytes
-        # ending `row_start` bytes before its column's end, compared as two
-        # ints and written back with the rest in one go
-        view = group.cells[::-1, self._columns(group, node_offset, lo,
-                                               max(ports))]
-        buf = bytearray(view.tobytes("F"))
-        digits, to_cells = kernels.BIT_DIGITS, kernels.DIGIT_BITS
+        cols = group.cells
         naive = mode == "naive"
         # the naive clear-all pulse fires before inject-all, two pulses,
         # never one. Compare: flips are sequenced as a remove phase then an
@@ -572,18 +557,23 @@ class Device:
         c = self.counters
         trace = c.trace
         det = det_steps = inj = inj_steps = rem = rem_steps = 0
-        for port, row_start, span, width, value in words:
-            end = (port - lo + 1) * rows - row_start
-            new = (format(value, f"0{width}b").encode().translate(to_cells)
-                   if width else b"")
+        # a word is the rows [row_start, row_start + width) of its port's
+        # column; words sharing a column apply in order
+        for (port, row_start, span, width, _value), value in zip(words,
+                                                                 values):
+            at = (port + 1) * ip + node_offset
+            col = cols[at]
             if naive:
-                d, r, i = 0, buf.count(1, end - span, end), value.bit_count()
-                buf[end - span:end] = bytes(span - width) + new
+                clear = ((1 << span) - 1) << row_start
+                d, r, i = 0, (col & clear).bit_count(), value.bit_count()
+                cols[at] = col & ~clear | value << row_start
             else:
-                old = int(buf[end - width:end].translate(digits) or b"0", 2)
+                mask = (1 << width) - 1
+                old = col >> row_start & mask
                 d, r, i = (per_bit * width, (old & ~value).bit_count(),
                            (value & ~old).bit_count())
-                buf[end - width:end] = new
+                if old != value:
+                    cols[at] = col & ~(mask << row_start) | value << row_start
             ds = d > 0
             rs = r if serial_rem else r > 0
             is_ = i if serial_inj else i > 0
@@ -597,8 +587,6 @@ class Device:
                 c.log_steps("detect", d, ds)
                 c.log_steps("remove", r, rs)
                 c.log_steps("inject", i, is_)
-        view[...] = np.frombuffer(buf, dtype=np.uint8).reshape(
-            view.shape[::-1]).T
         c.detect += det
         c.detect_steps += det_steps
         c.remove += rem

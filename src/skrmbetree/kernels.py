@@ -1,12 +1,13 @@
-"""Per-bit loops over cell arrays, with numpy twins; off the simulated path.
+"""Per-bit loops over uint8 cell arrays, with numpy twins; off the
+simulated path: the device keeps its cells as ints and runs no kernel.
 
-The device compares and writes words as Python ints, so no pass calls these
-kernels. They stay as the names the benchmark harness traces and warms up,
-and the ``_loop_*`` loops are the tests' per-bit oracle for the int passes.
+Three users remain: the tests' per-bit oracles (the ``_loop_*`` loops on a
+uint8 image of the cells), the names ``perfbench/tracing.py`` wraps, and
+``perfbench/run.py``, which warms the kernels up and reports ``BACKEND``.
 The loops compile with numba's @njit when ``SKRMBETREE_NUMBA`` allows
 (``auto`` default, ``1`` requires numba, ``0`` forces numpy); both backends
-return identical numbers. Cells and word patterns are uint8 bit arrays,
-index 0 the least significant bit.
+return identical numbers. Index 0 of a bit array is the least significant
+bit.
 """
 
 from __future__ import annotations

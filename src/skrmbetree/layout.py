@@ -20,7 +20,7 @@ different groups so a hot buffer never drags leaf tracks around.
 
 from __future__ import annotations
 
-from . import kernels, strategies
+from . import strategies
 from .errors import CapacityError, ConfigError, StructureError
 
 KIND_INTERNAL = "internal"
@@ -320,31 +320,28 @@ class DeviceStore:
 
     def peek_pair(self, node_id: int, pair_slot: int,
                   payload_width: int) -> tuple[int, int]:
+        wb = self.word_bits
         if self.mapping == "word":
             tr = self.layout.track_of(node_id)
-            ks = tr.slot_start(self.layout.key_slot(pair_slot))
-            ps = tr.slot_start(self.layout.payload_slot(pair_slot))
-            key = kernels.bits_to_int(tr.cells[ks:ks + self.word_bits])
-            payload = kernels.bits_to_int(tr.cells[ps:ps + payload_width])
+            key = tr.cells >> tr.slot_start(self.layout.key_slot(pair_slot))
+            payload = tr.cells >> tr.slot_start(
+                self.layout.payload_slot(pair_slot))
         else:
-            # cells never move in the array; a node's column for port p is
-            # the fixed index slot_start(p) + offset whatever the alignment
+            # cells never move; a node's column for port p is the fixed
+            # index slot_start(p) + offset whatever the alignment
             group, offset = self.layout.locate(node_id)
-            col = group.slot_start(pair_slot) + offset
-            wb = self.word_bits
-            key = kernels.bits_to_int(group.cells[0:wb, col])
-            payload = kernels.bits_to_int(
-                group.cells[wb:wb + payload_width, col])
-        return key, payload
+            col = group.cells[group.slot_start(pair_slot) + offset]
+            key, payload = col, col >> wb
+        return key & ((1 << wb) - 1), payload & ((1 << payload_width) - 1)
 
     def peek_arena(self, index: int, width: int) -> int:
         if self.mapping == "word":
             tr, slot = self.arena_map.locate(index)
-            start = tr.slot_start(slot)
-            return kernels.bits_to_int(tr.cells[start:start + width])
-        group, port, offset = self.arena_map.locate(index)
-        col = group.slot_start(port) + offset
-        return kernels.bits_to_int(group.cells[0:width, col])
+            word = tr.cells >> tr.slot_start(slot)
+        else:
+            group, port, offset = self.arena_map.locate(index)
+            word = group.cells[group.slot_start(port) + offset]
+        return word & ((1 << width) - 1)
 
 
 class NullStore:

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from cellimage import cell_image
 from skrmbetree.bench import emit, run_single
 from skrmbetree.betree import encoding_overhead_bytes
 from skrmbetree.btree import write_count_series
@@ -161,7 +162,8 @@ def test_strategy_count_oracles():
                     dev.write_serial(track, 0, new, width, name)
                 counts[name] = dev.counters.delta(before)
                 start = track.slot_start(0)
-                assert bits_to_int(track.cells[start:start + width]) == new
+                assert bits_to_int(
+                    cell_image(track)[start:start + width]) == new
             rising = new & ~old
             falling = old & ~new
             assert counts["dcw"].inject == bin(rising).count("1")

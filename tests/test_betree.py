@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellimage import cell_image, load_image
 from skrmbetree.betree import (BeTree, ValueArena, encoding_overhead_bytes,
                                index_bits_for, next_pow2)
 from skrmbetree.config import CostModel, Geometry, TreeConfig
@@ -243,7 +244,7 @@ def test_full_arena_refuses_further_upserts():
 
 def _device_image(device):
     handles = list(device.tracks.values()) + list(device.groups.values())
-    return [(h.cells.copy(), h.offset) for h in handles]
+    return [(cell_image(h), h.offset) for h in handles]
 
 
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
@@ -372,10 +373,14 @@ def test_corrupt_buffered_key_fails_the_scan_at_the_same_read(mapping):
         victim = newest[2]
         if mapping == "word":
             tr = tree.store.layout.track_of(root.node_id)
-            tr.cells[tr.slot_start(2 * victim.slot)] ^= 1
+            cells = cell_image(tr)
+            cells[tr.slot_start(2 * victim.slot)] ^= 1
+            load_image(tr, cells)
         else:
             group, offset = tree.store.layout.locate(root.node_id)
-            group.cells[0, group.slot_start(victim.slot) + offset] ^= 1
+            cells = cell_image(group)
+            cells[0, group.slot_start(victim.slot) + offset] ^= 1
+            load_image(group, cells)
         if reference:
             tree._scan_buffer = (
                 lambda node, key, tree=tree: _read_key_by_key(tree, node, key))
@@ -384,7 +389,7 @@ def test_corrupt_buffered_key_fails_the_scan_at_the_same_read(mapping):
         with pytest.raises(StructureError, match="key"):
             tree.query(victim.key)
         runs.append((device.counters.as_flat_dict(), device.counters.trace,
-                     [(h.offset, h.cells.tobytes())
+                     [(h.offset, cell_image(h).tobytes())
                       for h in (*device.tracks.values(),
                                 *device.groups.values())]))
         # three keys read, the third one wrong

@@ -133,3 +133,70 @@ def test_settings_file_geometry_keys_must_agree():
                             {"mapping": "bit_interleaved",
                              "ports_per_track": 32})
 
+
+
+# each settings-file line parses by the type of the field it sets
+@pytest.mark.parametrize("line,key,want", [
+    ("seed = 1", "seed", 1),
+    ("seed = 0", "seed", 0),
+    ("entries = 500", "entries", 500),
+    ("encoding = 1", "encoding", True),
+    ("encoding = Off", "encoding", False),
+    ("latency_shift = 2", "latency_shift", 2.0),
+    ("latency_shift = 0.25", "latency_shift", 0.25),
+    ("arena_capacity = none", "arena_capacity", None),
+    ("max_tracks = 64", "max_tracks", 64),
+    ("workload = 1", "workload", "1"),
+])
+def test_settings_file_parses_by_field_type(tmp_path, line, key, want):
+    path = tmp_path / "run.conf"
+    path.write_text(line + "\n")
+    got = read_config_file(path)[key]
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("line", [
+    "encoding = maybe",
+    "parallel_ports = 2",
+    "latency_shift = yes",
+    "energy_inject = nan",
+    "entries = 1.5",
+    "node_pairs = 16.0",
+    "seed = true",
+    "op_count = -",
+    "word_bits = sixteen",
+])
+def test_settings_file_rejects_values_of_the_wrong_type(tmp_path, line):
+    path = tmp_path / "run.conf"
+    path.write_text("# header\n" + line + "\n")
+    key, _, value = line.partition(" = ")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(path)
+    assert f"run.conf:2: {key} = {value!r}" in str(err.value)
+    # the same value handed over from code fails the same way
+    with pytest.raises(ConfigError, match=key):
+        apply_file_settings(ExperimentConfig(), {key: value})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", True), ("entries", 1.5), ("encoding", 1), ("workload", 5),
+    ("latency_shift", False), ("node_pairs", None),
+])
+def test_typed_settings_must_match_the_field_type(key, value):
+    with pytest.raises(ConfigError, match=key):
+        apply_file_settings(ExperimentConfig(), {key: value})
+
+
+def test_cli_rejects_a_mistyped_settings_file(tmp_path, capsys):
+    from skrmbetree.cli import main
+    conf = tmp_path / "run.conf"
+    conf.write_text("entries = 1.5\n")
+    assert main(["run", "--config", str(conf), "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "entries = '1.5'" in err
+    # seed = 1 is the int 1, not True
+    conf.write_text("seed = 1\nentries = 40\nop_count = 40\n")
+    out = tmp_path / "out.json"
+    assert main(["run", "--config", str(conf), "--format", "json",
+                 "--out", str(out)]) == 0
+    assert '"seed": 1,' in out.read_text()

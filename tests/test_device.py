@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cellimage import cell_image, load_image
 from skrmbetree import kernels
 from skrmbetree.config import CostModel, Geometry
 from skrmbetree.counters import accumulate_cost, latency_from_trace
@@ -56,6 +57,32 @@ def test_port_range_checked():
         dev.inject(tr, -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda dev, g: dev.detect(g, 1),
+    lambda dev, g: dev.inject(g, 1),
+    lambda dev, g: dev.remove(g, 1),
+    lambda dev, g: dev.write_serial(g, 1, 5, 8, "dcw"),
+    lambda dev, g: dev.write_pw(g, 1, 5, 8),
+    lambda dev, g: dev.write_batch_bcw(g, [(1, 5, 8)]),
+    lambda dev, g: dev.read_word(g, 1, 8),
+], ids=["detect", "inject", "remove", "write_serial", "write_pw",
+        "write_batch_bcw", "read_word"])
+def test_single_track_calls_refuse_a_track_group(call):
+    # the primitives and word passes act on one track; a group fails
+    # typed and unchanged
+    dev = small_device(word_bits=8, ports=4, record_steps=True)
+    g = dev.new_group(16)
+    load_image(g, np.random.default_rng(3).integers(
+        0, 2, size=cell_image(g).shape, dtype=np.uint8))
+    dev.shift(g, "left", 3)
+    before = list(g.cells), g.offset, dev.counters.as_flat_dict()
+    trace = list(dev.counters.trace)
+    with pytest.raises(ConfigError, match="single tracks"):
+        call(dev, g)
+    assert before == (g.cells, g.offset, dev.counters.as_flat_dict())
+    assert dev.counters.trace == trace
+
+
 def test_shift_moves_the_port_window_not_the_data():
     dev = small_device()
     tr = dev.new_track()
@@ -63,7 +90,7 @@ def test_shift_moves_the_port_window_not_the_data():
     cell = tr.port_cell(1)
     dev.shift(tr, "right", 3)
     # track-local content stays put; the port now faces another cell
-    assert tr.cells[cell] == 1
+    assert cell_image(tr)[cell] == 1
     assert dev.detect(tr, 1) == 0
     assert tr.port_cell(1) == cell - 3
 
@@ -108,7 +135,20 @@ def test_align_needs_common_offset():
 
 def _cells_value(tr, slot, width):
     start = tr.slot_start(slot)
-    return sum(int(b) << i for i, b in enumerate(tr.cells[start:start + width]))
+    return sum(int(b) << i
+               for i, b in enumerate(cell_image(tr)[start:start + width]))
+
+
+def _load_slots(tr, image, slots):
+    """Fill the cells of word slots 0..slots-1 with the bits of `image`."""
+    cells = cell_image(tr)
+    cells[tr.slot_start(0):tr.slot_start(slots)] = kernels.int_to_bits(
+        image, slots * tr.interport)
+    load_image(tr, cells)
+
+
+def _fill_ones(handle):
+    load_image(handle, np.ones_like(cell_image(handle)))
 
 
 def test_write_serial_content_and_pass_shifts():
@@ -296,10 +336,12 @@ def _composed_serial(dev, tr, slot, value, width, mode):
     per-bit loop kernel applying the cells."""
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
+    cells = cell_image(tr)
     det, inj, rem = kernels._loop_word_write(
-        tr.cells, tr.slot_start(slot), tr.interport, width,
+        cells, tr.slot_start(slot), tr.interport, width,
         kernels.int_to_bits(value, width),
         kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
+    load_image(tr, cells)
     dev.counters.record("detect", det * (2 if dev.count_new_detect else 1))
     dev.counters.record("inject", inj)
     dev.counters.record("remove", rem)
@@ -323,8 +365,7 @@ def test_write_serial_bills_like_the_composed_primitives(policy, record,
             for _ in range(2)]
     trs = [d.new_track() for d in devs]
     for tr in trs:
-        tr.cells[tr.slot_start(0):tr.slot_start(_SLOTS)] = \
-            kernels.int_to_bits(image, 8 * _SLOTS)
+        _load_slots(tr, image, _SLOTS)
     for op in ops:
         if isinstance(op, int):
             for dev, tr in zip(devs, trs):
@@ -334,7 +375,7 @@ def test_write_serial_bills_like_the_composed_primitives(policy, record,
         value &= (1 << width) - 1
         devs[0].write_serial(trs[0], slot, value, width, mode)
         _composed_serial(devs[1], trs[1], slot, value, width, mode)
-        assert np.array_equal(trs[0].cells, trs[1].cells)
+        assert trs[0].cells == trs[1].cells
         assert trs[0].offset == trs[1].offset
         assert (devs[0].counters.as_flat_dict()
                 == devs[1].counters.as_flat_dict())
@@ -348,18 +389,20 @@ def _composed_bcw(dev, tr, writes):
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
     per_slot = 2 if dev.count_new_detect else 1
+    cells = cell_image(tr)
     for i in range(max(width for _slot, _value, width in writes)):
         live = [(slot, value) for slot, value, width in writes if width > i]
         dev.counters.record("detect", per_slot * len(live), parallel=True)
         inj = rem = 0
         for slot, value in live:
             idx = tr.slot_start(slot) + i
-            old, new = int(tr.cells[idx]), value >> i & 1
+            old, new = int(cells[idx]), value >> i & 1
             if old != new:
                 inj += new
                 rem += old
-                tr.cells[idx] = new
+                cells[idx] = new
         dev.counters.record_mixed(dev.cost, inject=inj, remove=rem)
+    load_image(tr, cells)
     if dev.geom.shift_policy == "eager":
         dev.align(tr, 0)
 
@@ -374,8 +417,10 @@ def _kernel_bcw(dev, tr, writes):
         row[:width] = kernels.int_to_bits(value, width)
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
+    cells = cell_image(tr)
     det, inj, rem, act, inj_steps, rem_steps, both = kernels._loop_bcw_batch(
-        tr.cells, starts, widths, mat)
+        cells, starts, widths, mat)
+    load_image(tr, cells)
     if dev.cost.dominant(("inject", "remove")) == "inject":
         inj_steps += both
     else:
@@ -415,9 +460,8 @@ def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
     devs = [Device(geom, cost, record_steps=record, count_new_detect=doubled)
             for _ in range(3)]
     trs = [d.new_track() for d in devs]
-    start, data = trs[0].slot_start(0), 8 * _BCW_PORTS
     for tr in trs:
-        tr.cells[start:start + data] = kernels.int_to_bits(image, data)
+        _load_slots(tr, image, _BCW_PORTS)
     for op in ops:
         if isinstance(op, int):
             for dev, tr in zip(devs, trs):
@@ -429,7 +473,7 @@ def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
         _composed_bcw(devs[1], trs[1], writes)
         _kernel_bcw(devs[2], trs[2], writes)
         for dev, tr in zip(devs[1:], trs[1:]):
-            assert np.array_equal(trs[0].cells, tr.cells)
+            assert trs[0].cells == tr.cells
             assert trs[0].offset == tr.offset
             assert (devs[0].counters.as_flat_dict()
                     == dev.counters.as_flat_dict())
@@ -446,13 +490,14 @@ def _kernel_pw(dev, tr, slot, value, width):
     kernel matching the skyrmions."""
     start = tr.slot_start(slot)
     new = kernels.int_to_bits(value, width)
-    inj, rem, repos = kernels._loop_pw_match(tr.cells[start:start + width],
-                                             new)
+    cells = cell_image(tr)
+    inj, rem, repos = kernels._loop_pw_match(cells[start:start + width], new)
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport + repos)
     dev.counters.record("inject", inj)
     dev.counters.record("remove", rem)
-    tr.cells[start:start + width] = new
+    cells[start:start + width] = new
+    load_image(tr, cells)
     if dev.geom.shift_policy == "eager":
         dev.align(tr, 0)
 
@@ -472,8 +517,7 @@ def test_write_pw_bills_like_the_loop_kernel(policy, record, doubled, image,
             for _ in range(2)]
     trs = [d.new_track() for d in devs]
     for tr in trs:
-        tr.cells[tr.slot_start(0):tr.slot_start(_SLOTS)] = \
-            kernels.int_to_bits(image, 8 * _SLOTS)
+        _load_slots(tr, image, _SLOTS)
     for op in ops:
         if isinstance(op, int):
             for dev, tr in zip(devs, trs):
@@ -483,7 +527,7 @@ def test_write_pw_bills_like_the_loop_kernel(policy, record, doubled, image,
         value &= (1 << width) - 1
         devs[0].write_pw(trs[0], slot, value, width)
         _kernel_pw(devs[1], trs[1], slot, value, width)
-        assert np.array_equal(trs[0].cells, trs[1].cells)
+        assert trs[0].cells == trs[1].cells
         assert trs[0].offset == trs[1].offset
         assert (devs[0].counters.as_flat_dict()
                 == devs[1].counters.as_flat_dict())
@@ -495,10 +539,12 @@ def _composed_bi_write(dev, group, port, node_offset, row_start, span,
     """bi_write_word billed through OpCounters.record, one fire per call,
     with the per-bit loop kernel applying the cells."""
     col = group.slot_start(port) + node_offset
+    cells = cell_image(group)
     det, inj, rem = kernels._loop_bi_write(
-        group.cells, row_start, span, width, col,
+        cells, row_start, span, width, col,
         kernels.int_to_bits(value, width),
         kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
+    load_image(group, cells)
     c = dev.counters
     c.record("detect", int(det) * (2 if dev.count_new_detect else 1),
              parallel=True)
@@ -512,7 +558,7 @@ def _composed_bi_read(dev, group, port, node_offset, row_start, width):
     col = group.slot_start(port) + node_offset
     dev.counters.record("detect", width, parallel=True)
     return sum(int(b) << i for i, b in
-               enumerate(group.cells[row_start:row_start + width, col]))
+               enumerate(cell_image(group)[row_start:row_start + width, col]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -540,7 +586,7 @@ def test_bi_word_ops_bill_like_record(record, ops):
             else:
                 got.append(read(dev, g, op[1], 2, 0, op[2]))
         assert len(set(got)) <= 1
-        assert np.array_equal(groups[0].cells, groups[1].cells)
+        assert groups[0].cells == groups[1].cells
         assert (devs[0].counters.as_flat_dict()
                 == devs[1].counters.as_flat_dict())
         assert devs[0].counters.trace == devs[1].counters.trace
@@ -600,8 +646,7 @@ def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
                          record_steps=record) for _ in range(2)]
     trs = [d.new_track() for d in devs]
     for dev, tr in zip(devs, trs):
-        tr.cells[tr.slot_start(0):tr.slot_start(_SLOTS)] = \
-            kernels.int_to_bits(image, 8 * _SLOTS)
+        _load_slots(tr, image, _SLOTS)
         dev.align(tr, start)
     values = [_cells_value(trs[0], s, width) for s in slots]
     expect, target = _expect_and_target(values, how, pick, noise, target_kind)
@@ -618,7 +663,7 @@ def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
 def _column_value(group, port, node_offset, row_start, width):
     col = group.slot_start(port) + node_offset
     return sum(int(b) << i for i, b in
-               enumerate(group.cells[row_start:row_start + width, col]))
+               enumerate(cell_image(group)[row_start:row_start + width, col]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -633,9 +678,9 @@ def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
                          record_steps=record) for _ in range(2)]
     groups = [d.new_group(12) for d in devs]
     cells = np.random.default_rng(seed).integers(
-        0, 2, size=groups[0].cells.shape, dtype=np.uint8)
+        0, 2, size=cell_image(groups[0]).shape, dtype=np.uint8)
     for dev, g in zip(devs, groups):
-        g.cells[:] = cells
+        load_image(g, cells)
         dev.group_align(g, 2)
     values = [_column_value(groups[0], p, 2, 3, width) for p in slots]
     expect, target = _expect_and_target(values, how, pick, noise, target_kind)
@@ -645,7 +690,7 @@ def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
                             slots, expect, target)
     assert got == want == _scanned(values, expect, target)
     assert groups[0].offset == groups[1].offset == -2
-    assert np.array_equal(groups[0].cells, cells)
+    assert np.array_equal(cell_image(groups[0]), cells)
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
     assert devs[0].counters.trace == devs[1].counters.trace
 
@@ -677,9 +722,9 @@ def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
                          count_new_detect=doubled) for _ in range(3)]
     groups = [d.new_group(16) for d in devs]
     cells = np.random.default_rng(seed).integers(
-        0, 2, size=groups[0].cells.shape, dtype=np.uint8)
+        0, 2, size=cell_image(groups[0]).shape, dtype=np.uint8)
     for dev, g in zip(devs, groups):
-        g.cells[:] = cells
+        load_image(g, cells)
         dev.group_align(g, 2)
     aligned = devs[0].counters.as_flat_dict()
     devs[0].bi_write_node(groups[0], 2, words, mode, parallel)
@@ -689,13 +734,13 @@ def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
             write(dev, g, port, 2, row_start, span, width, value, mode,
                   parallel)
     for dev, g in zip(devs[1:], groups[1:]):
-        assert np.array_equal(groups[0].cells, g.cells)
+        assert groups[0].cells == g.cells
         assert g.offset == -2
         assert (devs[0].counters.as_flat_dict()
                 == dev.counters.as_flat_dict())
         assert devs[0].counters.trace == dev.counters.trace
     if not words:
-        assert np.array_equal(groups[0].cells, cells)
+        assert np.array_equal(cell_image(groups[0]), cells)
         assert devs[0].counters.as_flat_dict() == aligned
 
 
@@ -812,7 +857,7 @@ def test_skyrmion_conservation_bookkeeping():
 
 
 def _device_state(dev, g):
-    return g.cells.copy(), g.offset, dev.counters.as_flat_dict()
+    return cell_image(g), g.offset, dev.counters.as_flat_dict()
 
 
 @pytest.mark.parametrize("call", [
@@ -829,7 +874,7 @@ def _device_state(dev, g):
 def test_bi_ops_reject_rows_outside_the_group(call):
     dev = small_device(word_bits=8, ports=4)
     g = dev.new_group(16)
-    g.cells[:] = 1
+    _fill_ones(g)
     before = _device_state(dev, g)
     with pytest.raises(ConfigError):
         call(dev, g)
@@ -862,7 +907,7 @@ def test_bi_ops_reject_rows_outside_the_group(call):
 def test_word_writes_reject_short_bits_and_unknown_modes(call, policy):
     dev = small_device(word_bits=8, policy=policy, record_steps=True)
     tr = dev.new_track()
-    tr.cells[:] = 1
+    _fill_ones(tr)
     dev.shift(tr, "left", 3)    # off home: a charged align would show
     before = _device_state(dev, tr), list(dev.counters.trace)
     with pytest.raises((ConfigError, PortRangeError)):
@@ -895,37 +940,62 @@ def test_writes_reject_bits_other_than_0_and_1(name, bad, dtype, policy):
     dev = small_device(word_bits=8, policy=policy, record_steps=True)
     tr, g = dev.new_track(), dev.new_group(16)
     for h in (tr, g):
-        h.cells[:] = 1
+        _fill_ones(h)
         dev.shift(h, "left", 3)     # off home: a charged align would show
-    before = ([(h.cells.copy(), h.offset) for h in (tr, g)],
+    before = ([(cell_image(h), h.offset) for h in (tr, g)],
               dev.counters.as_flat_dict(), list(dev.counters.trace))
     for value in (bad, dtype(bad)):
         with pytest.raises(ConfigError, match="does not fit in 1 bits"):
             _NON_BINARY_WRITES[name](dev, tr, g, value)
-    assert all(np.array_equal(c, h.cells) and o == h.offset
+    assert all(np.array_equal(c, cell_image(h)) and o == h.offset
                for (c, o), h in zip(before[0], (tr, g)))
     assert dev.counters.as_flat_dict() == before[1]
     assert dev.counters.trace == before[2]
 
 
+# each write with its value as a Python int or a numpy integer scalar; a
+# 64-bit word in slot 3 lands past bit 255 of the track
+_ANY_INT_WRITES = {
+    "bi_write_word": lambda dev, tr, g, port, v, mode, parallel:
+        dev.bi_write_word(g, port, 1, 8, 8, 8, v, mode, parallel),
+    "write_serial": lambda dev, tr, g, port, v, mode, parallel:
+        dev.write_serial(tr, port, v, 64, mode),
+    "write_pw": lambda dev, tr, g, port, v, mode, parallel:
+        dev.write_pw(tr, port, v, 64),
+    "write_batch_bcw": lambda dev, tr, g, port, v, mode, parallel:
+        dev.write_batch_bcw(tr, [(port, v, 64),
+                                 ((port + 1) % 4, v & 0xFF, 8)]),
+}
+
+
 def test_bi_write_takes_any_integer_bit_dtype():
-    # numpy integer scalars write what the equal Python ints write
-    rng = np.random.default_rng(4)
-    devs = [small_device(word_bits=8, ports=4) for _ in range(3)]
-    groups = [d.new_group(16) for d in devs]
-    for dev, g in zip(devs, groups):
-        dev.group_align(g, 1)
-    for trial in range(40):
-        value = int(rng.integers(0, 256))
-        mode = ("naive", "dcw")[trial % 2]
-        port = int(rng.integers(0, 4))
-        for dev, g, v in zip(devs, groups,
-                             (value, np.int64(value), np.uint64(value))):
-            dev.bi_write_word(g, port, 1, 8, 8, 8, v, mode, trial % 3 == 0)
-        for dev, g in zip(devs[1:], groups[1:]):
-            assert np.array_equal(groups[0].cells, g.cells)
-            assert (devs[0].counters.as_flat_dict()
-                    == dev.counters.as_flat_dict())
+    # numpy integer scalars write what the equal Python ints write, on
+    # the bit-interleaved and on every word-mapping write
+    for name, write in sorted(_ANY_INT_WRITES.items()):
+        rng = np.random.default_rng(4)
+        wide = name != "bi_write_word"
+        devs = [small_device(word_bits=64 if wide else 8, ports=4,
+                             record_steps=True) for _ in range(3)]
+        trs = [d.new_track() for d in devs]
+        groups = [d.new_group(16) for d in devs]
+        for dev, g in zip(devs, groups):
+            dev.group_align(g, 1)
+        for trial in range(40):
+            value = int(rng.integers(0, 2**63 if wide else 256))
+            mode = ("naive", "dcw")[trial % 2]
+            port = int(rng.integers(0, 4))
+            for dev, tr, g, v in zip(devs, trs, groups,
+                                     (value, np.int64(value),
+                                      np.uint64(value))):
+                write(dev, tr, g, port, v, mode, trial % 3 == 0)
+            for dev, tr, g in zip(devs[1:], trs[1:], groups[1:]):
+                assert trs[0].cells == tr.cells, name
+                assert groups[0].cells == g.cells, name
+                assert (devs[0].counters.as_flat_dict()
+                        == dev.counters.as_flat_dict()), name
+                assert devs[0].counters.trace == dev.counters.trace, name
+            assert devs[0].total_skyrmions() == sum(
+                cell_image(h).sum() for h in (trs[0], groups[0])), name
 
 
 def _doubling_cases():
@@ -935,14 +1005,14 @@ def _doubling_cases():
         tr = dev.new_track()
         dev.write_serial(tr, 1, values[0], 8, "naive")
         dev.write_serial(tr, 1, values[1], 8, "dcw")
-        return tr.cells
+        return cell_image(tr)
 
     def bcw(dev):
         tr = dev.new_track()
         dev.write_batch_bcw(tr, [(s, v, 8) for s, v in enumerate(values)])
         dev.write_batch_bcw(tr, [(s, v & 0x3F, 6)
                                  for s, v in enumerate(values[::-1])])
-        return tr.cells
+        return cell_image(tr)
 
     def bi(dev):
         g = dev.new_group(16)
@@ -950,7 +1020,7 @@ def _doubling_cases():
         for i, v in enumerate(values):
             dev.bi_write_word(g, i, 2, 0, 8, 8, v, "dcw", i % 2 == 0)
             dev.bi_write_word(g, i, 2, 8, 8, 8, v, "naive", False)
-        return g.cells
+        return cell_image(g)
 
     return [("write_serial", serial, False), ("bcw", bcw, False),
             ("bcw_traced", bcw, True), ("bi_write_word", bi, False)]

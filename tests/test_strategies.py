@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellimage import cell_image, load_image
 from skrmbetree import kernels
 from skrmbetree.config import CostModel, Geometry
 from skrmbetree.device import Device
@@ -38,6 +39,13 @@ def value_of(bits):
     return sum(int(b) << i for i, b in enumerate(bits))
 
 
+def load_cells(tr, start, bits):
+    """Overwrite the cells from `start` on with `bits`."""
+    cells = cell_image(tr)
+    cells[start:start + len(bits)] = bits
+    load_image(tr, cells)
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_all_strategies_land_the_new_pattern(width):
     rng = np.random.default_rng(width)
@@ -47,10 +55,11 @@ def test_all_strategies_land_the_new_pattern(width):
         for _ in range(TRIALS // 4):
             old = rng.integers(0, 2, size=width, dtype=np.uint8)
             new = rng.integers(0, 2, size=width, dtype=np.uint8)
-            tr.cells[start:start + width] = old
+            load_cells(tr, start, old)
             apply_strategy(dev, tr, [(1, value_of(new), width)], strategy,
                            parallel=(strategy == "bcw"))
-            assert np.array_equal(tr.cells[start:start + width], new), strategy
+            assert np.array_equal(cell_image(tr)[start:start + width],
+                                  new), strategy
 
 
 @pytest.mark.parametrize("strategy", ("naive", "dcw", "pw", "bcw", "ports"))
@@ -60,9 +69,10 @@ def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
     rng = np.random.default_rng(17)
     writes = [(slot, int(rng.integers(0, 256)), 8) for slot in (3, 0, 2)]
     routed, direct = fresh_track(8), fresh_track(8)
-    image = rng.integers(0, 2, size=len(routed[1].cells), dtype=np.uint8)
-    routed[1].cells[:] = image
-    direct[1].cells[:] = image
+    image = rng.integers(0, 2, size=len(cell_image(routed[1])),
+                         dtype=np.uint8)
+    load_image(routed[1], image)
+    load_image(direct[1], image)
     parallel = strategy == "ports"
     apply_strategy(*routed, writes, "bcw" if parallel else strategy, parallel)
     dev, tr = direct
@@ -76,7 +86,7 @@ def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
                 dev.write_batch_bcw(tr, [(slot, value, width)])
             else:
                 dev.write_serial(tr, slot, value, width, strategy)
-    assert np.array_equal(routed[1].cells, tr.cells)
+    assert routed[1].cells == tr.cells
     assert routed[0].counters.as_flat_dict() == dev.counters.as_flat_dict()
 
 
@@ -88,7 +98,7 @@ def test_dcw_counts_equal_xor_oracle(width):
     for _ in range(TRIALS):
         old = rng.integers(0, 2, size=width, dtype=np.uint8)
         new = rng.integers(0, 2, size=width, dtype=np.uint8)
-        tr.cells[start:start + width] = old
+        load_cells(tr, start, old)
         before = dev.counters.snapshot()
         apply_strategy(dev, tr, [(0, value_of(new), width)], "dcw",
                        parallel=False)
@@ -107,7 +117,7 @@ def test_inject_ordering_pw_dcw_naive(width):
         for strategy in ("naive", "dcw", "pw"):
             dev, tr = fresh_track(width)
             start = tr.slot_start(0)
-            tr.cells[start:start + width] = old
+            load_cells(tr, start, old)
             before = dev.counters.snapshot()
             apply_strategy(dev, tr, [(0, value_of(new), width)], strategy,
                            parallel=False)
@@ -124,7 +134,7 @@ def test_dcw_flip_count_is_minimal():
         new = rng.integers(0, 2, size=8, dtype=np.uint8)
         dev, tr = fresh_track(8)
         start = tr.slot_start(0)
-        tr.cells[start:start + 8] = old
+        load_cells(tr, start, old)
         before = dev.counters.snapshot()
         apply_strategy(dev, tr, [(0, value_of(new), 8)], "dcw",
                        parallel=False)
@@ -142,7 +152,7 @@ def test_bcw_batch_counts_match_serial_dcw():
         dev, tr = fresh_track(16, ports=8)
         for slot, old in enumerate(olds):
             s = tr.slot_start(slot)
-            tr.cells[s:s + 16] = old
+            load_cells(tr, s, old)
         writes = [(slot, value_of(new), 16) for slot, new in enumerate(news)]
         apply_strategy(dev, tr, writes, "bcw", parallel=parallel)
         return dev.counters
