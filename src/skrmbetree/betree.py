@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (ArenaFullError, ConfigError, StructureError)
 from .layout import KIND_INTERNAL, KIND_LEAF
@@ -91,7 +91,7 @@ class ValueArena:
         self._free.append(idx)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One buffered upsert: payload is the value itself, or its arena index
     when encoding is on. slot is the pair slot it occupies on the device."""
@@ -100,11 +100,11 @@ class Message:
     seq: int
     slot: int
 
-    def order(self):
-        return (self.key, self.seq)
 
-
+_KEY = attrgetter("key")
+_ORDER = attrgetter("key", "seq")
 _SEQ = attrgetter("seq")
+_FIRST = itemgetter(0)
 
 
 class LeafNode:
@@ -124,20 +124,39 @@ class InternalNode:
         self.parent: int | None = None
         self.pivots: list[tuple[int, int]] = []     # (key, child_id) sorted
         self.buffer: list[Message] = []             # sorted by (key, seq)
-        self._free = set(range(pivot_pairs, node_pairs))
+        # newest-first (slots, keys, messages) of the buffer, built by the
+        # first scan after a change; None until then
+        self.scan_order: tuple[list, list, list] | None = None
+        self.buffer_slots = range(pivot_pairs, node_pairs)
+        # bit s set: buffer slot s is free
+        self._free = (1 << node_pairs) - (1 << pivot_pairs)
+
+    def splice(self, lo: int, hi: int, msgs=()) -> None:
+        """Replace buffer[lo:hi] with msgs. Every change to the buffer's
+        messages goes through here, so the scan order never outlives one."""
+        self.buffer[lo:hi] = msgs
+        self.scan_order = None
 
     def free_slots(self) -> int:
-        return len(self._free)
+        return self._free.bit_count()
 
     def take_slot(self) -> int:
-        slot = min(self._free)
-        self._free.remove(slot)
-        return slot
+        """The lowest free buffer slot."""
+        free = self._free
+        if not free:
+            raise StructureError(f"node {self.node_id} has no free slot")
+        low = free & -free
+        self._free = free ^ low
+        return low.bit_length() - 1
 
     def give_slot(self, slot: int) -> None:
-        if slot in self._free:
+        if slot not in self.buffer_slots:
+            raise StructureError(
+                f"node {self.node_id} has no buffer slot {slot}")
+        bit = 1 << slot
+        if self._free & bit:
             raise StructureError(f"slot {slot} freed twice")
-        self._free.add(slot)
+        self._free |= bit
 
 
 class BeTree:
@@ -187,10 +206,6 @@ class BeTree:
         if not (0 <= value < (1 << self.word_bits)):
             raise ConfigError(f"{what} does not fit in {self.word_bits} bits")
 
-    def _kill_message(self, node: InternalNode, msg: Message) -> None:
-        node.buffer.remove(msg)
-        self._release(node, msg)
-
     def _release(self, node: InternalNode, msg: Message) -> None:
         # shadowed upsert dies in place: no device traffic, the slot and
         # arena index just return to their pools
@@ -219,8 +234,8 @@ class BeTree:
                 break
             self._flush(root)
         slot = root.take_slot()
-        msg = Message(key, payload, self.seq, slot)
-        bisect.insort(root.buffer, msg, key=Message.order)
+        at = bisect.bisect(root.buffer, (key, self.seq), key=_ORDER)
+        root.splice(at, at, (Message(key, payload, self.seq, slot),))
         self.store.write_pairs(root.node_id,
                                [(slot, key, payload, self.payload_width)])
         self.kv_writes += 1
@@ -230,39 +245,47 @@ class BeTree:
     def _flush(self, node: InternalNode) -> None:
         """Move the largest same-child batch of buffered messages one level
         down (or into the leaf), possibly recursing to make room."""
+        if not node.buffer:
+            # a node is flushed for lack of free slots, which a sound slot
+            # pool never reports for an empty buffer; looping would hang
+            raise StructureError(
+                f"node {node.node_id} has no free slot and nothing to flush")
+        width = self.payload_width
         while node.buffer:
             # the buffer is key-sorted and pivot 0 anchors the node's key
             # range, so child i's messages are the run between the first
-            # keys at or above pivots i and i + 1
-            keys = [m.key for m in node.buffer]
-            bounds = [0]
-            bounds += [bisect.bisect_left(keys, k) for k, _c in node.pivots[1:]]
-            bounds.append(len(keys))
-            ci = max(range(len(node.pivots)),
-                     key=lambda i: (bounds[i + 1] - bounds[i], -i))
-            lo = bounds[ci]
-            batch = self._dedupe_batch(node, lo, bounds[ci + 1])
-            child = self.nodes[node.pivots[ci][1]]
+            # keys at or above pivots i and i + 1; the first largest run wins
+            buf = node.buffer
+            pivots = node.pivots
+            ci = lo = hi = start = 0
+            for i in range(1, len(pivots)):
+                end = bisect.bisect_left(buf, pivots[i][0], start, key=_KEY)
+                if end - start > hi - lo:
+                    ci, lo, hi = i - 1, start, end
+                start = end
+            if len(buf) - start > hi - lo:
+                ci, lo, hi = len(pivots) - 1, start, len(buf)
+            batch = self._dedupe_batch(node, lo, hi)
+            child = self.nodes[pivots[ci][1]]
             if child.kind == KIND_INTERNAL:
                 self._shadow_kill_in_child(child, batch)
                 if child.free_slots() < len(batch):
                     self._flush(child)
                     # splits may have rerouted everything; start over
                     continue
-                del node.buffer[lo:lo + len(batch)]
+            node.splice(lo, lo + len(batch))
+            if child.kind == KIND_INTERNAL:
                 writes = []
                 for m in batch:
                     node.give_slot(m.slot)
                     m.slot = child.take_slot()
-                    writes.append((m.slot, m.key, m.payload,
-                                   self.payload_width))
+                    writes.append((m.slot, m.key, m.payload, width))
                 # two sorted runs: the merge sort is linear
-                child.buffer += batch
-                child.buffer.sort(key=Message.order)
+                child.splice(0, len(child.buffer),
+                             sorted(child.buffer + batch, key=_ORDER))
                 self.store.write_pairs(child.node_id, writes)
                 self.kv_writes += len(writes)
             else:
-                del node.buffer[lo:lo + len(batch)]
                 arrivals = []
                 for m in batch:
                     node.give_slot(m.slot)
@@ -280,20 +303,40 @@ class BeTree:
     def _dedupe_batch(self, node: InternalNode, lo: int, hi: int):
         # buffer[lo:hi] is (key, seq)-sorted; only the newest of each key
         # survives, and the survivors stay in place as buffer[lo:lo + n]
+        run = node.buffer[lo:hi]
         survivors = []
-        for m in node.buffer[lo:hi]:
+        for m in run:
             if survivors and survivors[-1].key == m.key:
                 self._release(node, survivors.pop())
             survivors.append(m)
-        node.buffer[lo:hi] = survivors
+        if len(survivors) < len(run):
+            node.splice(lo, hi, survivors)
         return survivors
 
     def _shadow_kill_in_child(self, child: InternalNode, batch) -> None:
-        keys = {m.key: m.seq for m in batch}
-        for old in [m for m in child.buffer if m.key in keys]:
-            if old.seq >= keys[old.key]:
-                raise StructureError("message order inverted between levels")
-            self._kill_message(child, old)
+        # both runs are key-sorted and the batch holds one message per key,
+        # so one walk in step finds every child message the batch overtakes
+        buf = child.buffer
+        if not buf:
+            return
+        dead = []
+        i, n = 0, len(buf)
+        for m in batch:
+            key = m.key
+            while i < n and buf[i].key < key:
+                i += 1
+            while i < n and buf[i].key == key:
+                if buf[i].seq >= m.seq:
+                    raise StructureError(
+                        "message order inverted between levels")
+                dead.append(buf[i])
+                i += 1
+            if i == n:
+                break
+        if dead:
+            child.splice(0, n, [m for m in buf if m not in dead])
+            for old in dead:
+                self._release(child, old)
 
     # ------------------------------------------------------------ leaf merge
 
@@ -368,8 +411,7 @@ class BeTree:
     def _add_pivot(self, node: InternalNode, sep: int, new_child) -> None:
         new_child.parent = node.node_id
         old_pivots = list(node.pivots)
-        bisect.insort(node.pivots, (sep, new_child.node_id),
-                      key=lambda p: p[0])
+        bisect.insort(node.pivots, (sep, new_child.node_id), key=_FIRST)
         if len(node.pivots) <= self.cfg.pivot_pairs:
             self._write_pivot_diffs(node, old_pivots)
             return
@@ -392,14 +434,14 @@ class BeTree:
         writes = [(i, k, cid, self.word_bits)
                   for i, (k, cid) in enumerate(sibling.pivots)]
         # keys at or above sep2 are a suffix of the key-sorted buffer
-        cut = bisect.bisect_left(node.buffer, sep2, key=lambda m: m.key)
+        cut = bisect.bisect_left(node.buffer, sep2, key=_KEY)
         moved = node.buffer[cut:]
-        del node.buffer[cut:]
+        node.splice(cut, len(node.buffer))
         for m in moved:
             node.give_slot(m.slot)
             m.slot = sibling.take_slot()
             writes.append((m.slot, m.key, m.payload, self.payload_width))
-        sibling.buffer = moved
+        sibling.splice(0, 0, moved)
         self.store.write_pairs(sibling.node_id, writes)
         self.kv_writes += len(moved)
         self._write_pivot_diffs(node, old_pivots)
@@ -438,12 +480,15 @@ class BeTree:
         # newest first, so the first hit is the live version. The store
         # reads the keys as one pass that stops at the hit and checks every
         # key it reads against the tree's, so the tree's own keys decide.
-        newest = sorted(node.buffer, key=_SEQ, reverse=True)
-        self.store.scan_keys(node.node_id, [m.slot for m in newest],
-                             [m.key for m in newest], key)
-        for m in newest:
-            if m.key == key:
-                return m
+        order = node.scan_order
+        if order is None:
+            newest = sorted(node.buffer, key=_SEQ, reverse=True)
+            order = node.scan_order = ([m.slot for m in newest],
+                                       [m.key for m in newest], newest)
+        slots, keys, newest = order
+        self.store.scan_keys(node.node_id, slots, keys, key)
+        if key in keys:
+            return newest[keys.index(key)]
         return None
 
     def _probe_pivots(self, node: InternalNode, key: int) -> int:
@@ -551,14 +596,21 @@ class BeTree:
             raise StructureError(f"node {nid} pivots out of range")
         if len(node.buffer) > self.cfg.buffer_pairs:
             raise StructureError(f"node {nid} buffer overflow")
-        order = [m.order() for m in node.buffer]
+        order = [_ORDER(m) for m in node.buffer]
         if order != sorted(order):
             raise StructureError(f"node {nid} buffer unsorted")
         slots = [m.slot for m in node.buffer]
         span = range(self.cfg.pivot_pairs, self.cfg.node_pairs)
         if len(set(slots)) != len(slots) or any(s not in span for s in slots):
             raise StructureError(f"node {nid} buffer slots corrupt")
-        if set(slots) | node._free != set(span):
+        used = sum(1 << s for s in slots)
+        span_mask = (1 << span.stop) - (1 << span.start)
+        free = node._free
+        if free < 0 or free & ~span_mask:
+            raise StructureError(f"node {nid} frees a slot outside its buffer")
+        if used & free:
+            raise StructureError(f"node {nid} slot both used and free")
+        if used | free != span_mask:
             raise StructureError(f"node {nid} slot bookkeeping leaks")
         for m in node.buffer:
             if not (lo <= m.key < hi):

@@ -15,12 +15,15 @@ through, so the ratio grows with tree height.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 
 from .betree import BeTree
 from .config import TreeConfig
 from .errors import ConfigError, StructureError
 from .layout import NullStore
 from .workload import make_key, make_value
+
+_FIRST = itemgetter(0)
 
 
 class BTreeNode:
@@ -42,33 +45,34 @@ class BTree:
     # ---------------------------------------------------------------- insert
 
     def insert(self, key: int, value: int) -> None:
-        split = self._insert(self.root, key, value)
-        if split is not None:
-            median, right = split
-            root = BTreeNode()
-            root.pairs = [median]
-            root.children = [self.root, right]
-            self.root = root
-
-    def _insert(self, node: BTreeNode, key: int, value: int):
-        i = bisect.bisect_left(node.pairs, key, key=lambda p: p[0])
-        if i < len(node.pairs) and node.pairs[i][0] == key:
-            node.pairs[i] = (key, value)
-            self.kv_writes += 1
-            return None
-        if node.children is None:
-            node.pairs.insert(i, (key, value))
-            self.kv_writes += 1
-        else:
-            split = self._insert(node.children[i], key, value)
-            if split is None:
-                return None
-            median, right = split
+        node = self.root
+        path = []       # (ancestor, index of the child taken), root first
+        while True:
+            pairs = node.pairs
+            i = bisect.bisect_left(pairs, key, key=_FIRST)
+            if i < len(pairs) and pairs[i][0] == key:
+                pairs[i] = (key, value)
+                self.kv_writes += 1
+                return
+            if node.children is None:
+                break
+            path.append((node, i))
+            node = node.children[i]
+        pairs.insert(i, (key, value))
+        self.kv_writes += 1
+        # an overfull node splits and hands its median to the parent,
+        # which may overflow in turn; past the root the tree grows
+        while len(node.pairs) > self.capacity:
+            median, right = self._split(node)
+            if not path:
+                root = BTreeNode()
+                root.pairs = [median]
+                root.children = [node, right]
+                self.root = root
+                return
+            node, i = path.pop()
             node.pairs.insert(i, median)
             node.children.insert(i + 1, right)
-        if len(node.pairs) <= self.capacity:
-            return None
-        return self._split(node)
 
     def _split(self, node: BTreeNode):
         mid = len(node.pairs) // 2
@@ -88,7 +92,7 @@ class BTree:
     def get(self, key: int):
         node = self.root
         while True:
-            i = bisect.bisect_left(node.pairs, key, key=lambda p: p[0])
+            i = bisect.bisect_left(node.pairs, key, key=_FIRST)
             if i < len(node.pairs) and node.pairs[i][0] == key:
                 return node.pairs[i][1]
             if node.children is None:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellimage import cell_image, load_image
-from skrmbetree.betree import (BeTree, ValueArena, encoding_overhead_bytes,
-                               index_bits_for, next_pow2)
+from skrmbetree.betree import (BeTree, InternalNode, ValueArena,
+                               encoding_overhead_bytes, index_bits_for,
+                               next_pow2)
 from skrmbetree.config import CostModel, Geometry, TreeConfig
 from skrmbetree.device import Device
 from skrmbetree.errors import ArenaFullError, ConfigError, StructureError
@@ -109,6 +110,39 @@ def test_arena_sized_from_planned_upserts():
     assert make_null_tree(encoding=False).arena is None
     with pytest.raises(ConfigError):
         make_null_tree(encoding=True, arena_capacity=1 << 17, word_bits=16)
+
+
+# --------------------------------------------------------------- slot pool
+
+def test_slot_pool_misuse_fails_typed_and_changes_nothing():
+    node = InternalNode(7, pivot_pairs=2, node_pairs=4)
+    assert [node.take_slot(), node.take_slot()] == [2, 3]
+    with pytest.raises(StructureError, match="node 7 has no free slot"):
+        node.take_slot()
+    assert node._free == 0
+    node.give_slot(3)
+    for bad in (0, 1, 4, 99, -1):
+        with pytest.raises(StructureError, match=f"no buffer slot {bad}"):
+            node.give_slot(bad)
+        assert node._free == 1 << 3
+    with pytest.raises(StructureError, match="freed twice"):
+        node.give_slot(3)
+    assert node._free == 1 << 3
+    assert node.take_slot() == 3
+
+
+def test_full_pool_over_an_empty_buffer_fails_typed():
+    # a pool that reports no free slot while nothing is buffered would send
+    # the flush loop of upsert round forever
+    tree = make_null_tree()
+    for i in range(40):
+        tree.upsert(i, i)
+    tree.flush_all()
+    root = tree.nodes[tree.root_id]
+    assert root.kind != KIND_LEAF and not root.buffer
+    root._free = 0
+    with pytest.raises(StructureError, match="nothing to flush"):
+        tree.upsert(99, 1)
 
 
 # ------------------------------------------------------- oracle equivalence
@@ -412,6 +446,24 @@ def test_audit_cross_checks_the_device_image():
         tree.audit()
 
 
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda free, used: free | 1, "frees a slot outside its buffer"),
+    (lambda free, used: free | 1 << 8, "frees a slot outside its buffer"),
+    (lambda free, used: free | 1 << used, "slot both used and free"),
+    (lambda free, used: free & (free - 1), "slot bookkeeping leaks"),
+])
+def test_audit_checks_the_free_slot_mask(corrupt, message):
+    tree = make_null_tree(node_pairs=6, element_pairs=2)
+    for key in (10, 20, 30, 40):
+        tree.upsert(key, key)
+    root = tree.nodes[tree.root_id]
+    assert root.kind != KIND_LEAF and root.buffer and root._free
+    tree.audit()
+    root._free = corrupt(root._free, root.buffer[0].slot)
+    with pytest.raises(StructureError, match=f"node {root.node_id} {message}"):
+        tree.audit()
+
+
 def test_audit_flags_unsorted_leaf():
     tree = make_null_tree()
     for i in range(40):
@@ -469,6 +521,16 @@ def test_out_of_range_words_are_rejected():
         tree.query(-1)
 
 
+def _byte_tree(store, cfg, planned):
+    """A tree of 8-bit words on NullStore or on a device of either mapping."""
+    if store == "null":
+        return BeTree(NullStore(), cfg, 8, planned_upserts=planned)
+    ports = cfg.node_pairs * (2 if store == "word" else 1)
+    geom = Geometry(word_bits=8, interport_bits=8, ports_per_track=ports)
+    return BeTree(DeviceStore(Device(geom, CostModel()), store, cfg, 8),
+                  cfg, 8, planned_upserts=planned)
+
+
 @settings(max_examples=300, deadline=None)
 @given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
        buffer_pairs=st.integers(1, 3), element_pairs=st.integers(1, 3),
@@ -485,13 +547,7 @@ def test_degenerate_shapes_match_the_oracle(store, buffer_pairs, element_pairs,
                      buffer_pairs=buffer_pairs, element_pairs=element_pairs,
                      strategy=strategy.split("+")[0], parallel_ports=parallel,
                      encoding=encoding)
-    if store == "null":
-        tree = BeTree(NullStore(), cfg, 8, planned_upserts=len(ops))
-    else:
-        ports = cfg.node_pairs * (2 if store == "word" else 1)
-        geom = Geometry(word_bits=8, interport_bits=8, ports_per_track=ports)
-        tree = BeTree(DeviceStore(Device(geom, CostModel()), store, cfg, 8),
-                      cfg, 8, planned_upserts=len(ops))
+    tree = _byte_tree(store, cfg, len(ops))
     oracle = {}
     for upsert, key, value in ops:
         if upsert:
@@ -506,6 +562,49 @@ def test_degenerate_shapes_match_the_oracle(store, buffer_pairs, element_pairs,
         assert tree.query(key) == oracle.get(key)
     if encoding:
         assert tree.arena.occupancy == 0
+
+
+def _assert_bookkeeping(tree):
+    """Each internal node's scan order is unset or its buffer newest first,
+    and its free mask is exactly the buffer slots no message holds."""
+    span = range(tree.cfg.pivot_pairs, tree.cfg.node_pairs)
+    for node in tree.nodes.values():
+        if node.kind == KIND_LEAF:
+            continue
+        if node.scan_order is not None:
+            newest = sorted(node.buffer, key=lambda m: m.seq, reverse=True)
+            slots, keys, msgs = node.scan_order
+            assert slots == [m.slot for m in newest]
+            assert keys == [m.key for m in newest]
+            assert [id(m) for m in msgs] == [id(m) for m in newest]
+        used = {m.slot for m in node.buffer}
+        assert node._free == sum(1 << s for s in span if s not in used)
+
+
+@settings(max_examples=300, deadline=None)
+@given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
+       buffer_pairs=st.integers(1, 3), element_pairs=st.integers(1, 3),
+       encoding=st.booleans(),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 255),
+                              st.integers(0, 255)),
+                    min_size=20, max_size=120))
+def test_scan_order_and_slot_masks_follow_every_buffer_change(
+        store, buffer_pairs, element_pairs, encoding, ops):
+    # queries between upserts leave scan orders cached all over the tree,
+    # so a buffer change that keeps a stale one shows after that op; the
+    # wide key range grows the internal levels whose splits move messages
+    cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
+                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     encoding=encoding)
+    tree = _byte_tree(store, cfg, len(ops))
+    for upsert, key, value in ops:
+        if upsert:
+            tree.upsert(key, value)
+        else:
+            tree.query(key)
+        _assert_bookkeeping(tree)
+    tree.flush_all()
+    _assert_bookkeeping(tree)
 
 
 class _ShadowDevice(Device):
