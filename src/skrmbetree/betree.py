@@ -132,10 +132,21 @@ class InternalNode:
         self._free = (1 << node_pairs) - (1 << pivot_pairs)
 
     def splice(self, lo: int, hi: int, msgs=()) -> None:
-        """Replace buffer[lo:hi] with msgs. Every change to the buffer's
-        messages goes through here, so the scan order never outlives one."""
+        """Replace buffer[lo:hi] with msgs. Every other change to the
+        buffer's messages goes through here, so the scan order never
+        outlives one; only `add_newest` extends it in place."""
         self.buffer[lo:hi] = msgs
         self.scan_order = None
+
+    def add_newest(self, at: int, msg: Message) -> None:
+        """Insert `msg`, newer than every buffered message, at buffer[at];
+        a built scan order keeps it as its newest entry."""
+        self.buffer.insert(at, msg)
+        if self.scan_order is not None:
+            slots, keys, newest = self.scan_order
+            slots.insert(0, msg.slot)
+            keys.insert(0, msg.key)
+            newest.insert(0, msg)
 
     def free_slots(self) -> int:
         return self._free.bit_count()
@@ -235,7 +246,7 @@ class BeTree:
             self._flush(root)
         slot = root.take_slot()
         at = bisect.bisect(root.buffer, (key, self.seq), key=_ORDER)
-        root.splice(at, at, (Message(key, payload, self.seq, slot),))
+        root.add_newest(at, Message(key, payload, self.seq, slot))
         self.store.write_pairs(root.node_id,
                                [(slot, key, payload, self.payload_width)])
         self.kv_writes += 1
@@ -270,9 +281,19 @@ class BeTree:
             if child.kind == KIND_INTERNAL:
                 self._shadow_kill_in_child(child, batch)
                 if child.free_slots() < len(batch):
+                    # the choice stands while the runs that made it do. A
+                    # dedupe drop shrank this run, and a split of this node
+                    # shows in its pivots or its buffer (the slack rule can
+                    # keep the pivots); after either, pick again
+                    before, size = list(pivots), len(node.buffer)
                     self._flush(child)
-                    # splits may have rerouted everything; start over
-                    continue
+                    if len(batch) < hi - lo:
+                        continue
+                    while (node.pivots == before and len(node.buffer) == size
+                           and child.free_slots() < len(batch)):
+                        self._flush(child)
+                    if node.pivots != before or len(node.buffer) != size:
+                        continue
             node.splice(lo, lo + len(batch))
             if child.kind == KIND_INTERNAL:
                 writes = []
@@ -334,7 +355,9 @@ class BeTree:
             if i == n:
                 break
         if dead:
-            child.splice(0, n, [m for m in buf if m not in dead])
+            # by identity: Message equality compares every field
+            gone = set(map(id, dead))
+            child.splice(0, n, [m for m in buf if id(m) not in gone])
             for old in dead:
                 self._release(child, old)
 
@@ -460,65 +483,74 @@ class BeTree:
     # ----------------------------------------------------------------- query
 
     def query(self, key: int):
+        """The live value of `key`, or None. Every node on the path is one
+        key pass: the tree knows its own keys, so it lists each key read
+        its search makes and hands them to the store as one `scan_keys`,
+        then reads one payload. The store checks every key it reads
+        against the tree's, so the tree's keys decide the search."""
         self._check_word(key, "key")
+        store = self.store
+        device = store.has_device
         node = self.nodes[self.root_id]
         while node.kind == KIND_INTERNAL:
-            hit = self._scan_buffer(node, key)
-            if hit is not None:
-                payload = self.store.read_payload(node.node_id, hit.slot,
-                                                  self.payload_width,
-                                                  expect=hit.payload)
+            nid = node.node_id
+            order = node.scan_order
+            if order is None:
+                newest = sorted(node.buffer, key=_SEQ, reverse=True)
+                order = node.scan_order = ([m.slot for m in newest],
+                                           [m.key for m in newest], newest)
+            slots, keys, newest = order
+            # newest first, so the first hit is the live version
+            if key in keys:
+                i = keys.index(key)
+                hit = newest[i]
+                if device:
+                    store.scan_keys(nid, slots[:i + 1], keys[:i + 1])
+                payload = store.read_payload(nid, hit.slot, self.payload_width,
+                                             expect=hit.payload)
                 if self.arena is not None:
-                    return self.store.arena_read(
-                        payload, self.word_bits,
-                        expect=self.arena.values[payload])
+                    return store.arena_read(payload, self.word_bits,
+                                            expect=self.arena.values[payload])
                 return payload
-            node = self.nodes[self._probe_pivots(node, key)]
-        return self._search_leaf(node, key)
-
-    def _scan_buffer(self, node: InternalNode, key: int):
-        # newest first, so the first hit is the live version. The store
-        # reads the keys as one pass that stops at the hit and checks every
-        # key it reads against the tree's, so the tree's own keys decide.
-        order = node.scan_order
-        if order is None:
-            newest = sorted(node.buffer, key=_SEQ, reverse=True)
-            order = node.scan_order = ([m.slot for m in newest],
-                                       [m.key for m in newest], newest)
-        slots, keys, newest = order
-        self.store.scan_keys(node.node_id, slots, keys, key)
-        if key in keys:
-            return newest[keys.index(key)]
-        return None
-
-    def _probe_pivots(self, node: InternalNode, key: int) -> int:
-        lo, hi = 0, len(node.pivots)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            got = self.store.read_key(node.node_id, mid,
-                                      expect=node.pivots[mid][0])
-            if got <= key:
-                lo = mid
-            else:
-                hi = mid
-        return self.store.read_payload(node.node_id, lo, self.word_bits,
-                                       expect=node.pivots[lo][1])
-
-    def _search_leaf(self, leaf: LeafNode, key: int):
-        lo, hi = 0, len(leaf.elements)
+            # a miss reads the whole buffer, then the pivot probes
+            pivots = node.pivots
+            lo, hi = 0, len(pivots)
+            probes, probe_keys = [], []
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                pivot = pivots[mid][0]
+                probes.append(mid)
+                probe_keys.append(pivot)
+                if pivot <= key:
+                    lo = mid
+                else:
+                    hi = mid
+            if device:
+                store.scan_keys(nid, slots + probes, keys + probe_keys)
+            node = self.nodes[store.read_payload(nid, lo, self.word_bits,
+                                                 expect=pivots[lo][1])]
+        elements = node.elements
+        lo, hi = 0, len(elements)
+        probes, probe_keys = [], []
+        hit = None
         while lo < hi:
             mid = (lo + hi) // 2
-            got = self.store.read_key(leaf.node_id, mid,
-                                      expect=leaf.elements[mid][0])
-            if got == key:
-                return self.store.read_payload(leaf.node_id, mid,
-                                               self.word_bits,
-                                               expect=leaf.elements[mid][1])
-            if got < key:
+            k = elements[mid][0]
+            probes.append(mid)
+            probe_keys.append(k)
+            if k == key:
+                hit = mid
+                break
+            if k < key:
                 lo = mid + 1
             else:
                 hi = mid
-        return None
+        if device:
+            store.scan_keys(node.node_id, probes, probe_keys)
+        if hit is None:
+            return None
+        return store.read_payload(node.node_id, hit, self.word_bits,
+                                  expect=elements[hit][1])
 
     # ------------------------------------------------------------- housekeeping
 

@@ -87,6 +87,15 @@ class TrackGroup:
 _MODES = ("naive", "dcw")
 
 
+def _cut_after_miss(words: list, expect) -> None:
+    """Drop the words after the first that differs from its entry in
+    `expect`: a scan stops at a read the caller did not expect."""
+    for i, (word, want) in enumerate(zip(words, expect)):
+        if word != want:
+            del words[i + 1:]
+            return
+
+
 class Device:
     """Owns the track pool, the counters, and every charging rule."""
 
@@ -368,13 +377,12 @@ class Device:
         one-slot scan."""
         return self.scan_words(track, (slot,), width)[0]
 
-    def scan_words(self, track, slots, width: int, expect=None,
-                   target=None) -> list[int]:
+    def scan_words(self, track, slots, width: int, expect=None) -> list[int]:
         """Read the words in `slots` one after another and return them.
 
-        Stops after the first word that equals `target` or differs from
-        its entry in `expect` (None: no such stop), so a buffer scan pays
-        for the reads up to its hit and no further.
+        Stops after the first word that differs from its entry in `expect`
+        (None: no such stop), so a read the caller did not expect is the
+        last one paid for.
 
         Each read sweeps from whichever end of the bit range is closer to
         the current offset, so back-to-back reads ping-pong instead of
@@ -384,52 +392,51 @@ class Device:
         detects, then the eager return: exactly what align/shift/record
         and an eager align home would bill one by one, in the same order.
         """
-        tr = self._single(track)
+        tr = track if isinstance(track, Racetrack) else self._single(track)
         n_ports, ip = tr.n_ports, tr.interport
-        for slot in slots:
-            if not (0 <= slot < n_ports):
-                raise PortRangeError(f"word slot {slot} outside this track")
+        if slots and not (0 <= min(slots) and max(slots) < n_ports):
+            bad = next(s for s in slots if not 0 <= s < n_ports)
+            raise PortRangeError(f"word slot {bad} outside this track")
         if not (0 <= width <= ip):
             raise ConfigError(f"width {width} outside one interport segment "
                               f"(0..{ip})")
         if expect is not None and len(expect) != len(slots):
             raise ConfigError(f"{len(expect)} expected words for "
                               f"{len(slots)} slots")
+        cells, mask = tr.cells, (1 << width) - 1
+        words = [cells >> (slot + 1) * ip & mask for slot in slots]
+        if expect is not None and words != expect:
+            _cut_after_miss(words, expect)
+        n = len(words)
         # width 0 reads 0, free. Both sweep ends lie in [1 - width, 0];
         # width <= interport keeps them inside the overflow region, so no
         # shift can overrun.
-        cells, mask = tr.cells, (1 << width) - 1
+        if not (n and width):
+            return words
+        # the first read sweeps from the end nearer the current offset;
+        # every later one starts where the last left off (lazy) or at home
+        # (eager), so it sweeps width - 1 and, eager, returns width - 1
+        offset, lo = tr.offset, 1 - width
+        near, far = (0, lo) if abs(offset) <= abs(offset - lo) else (lo, 0)
+        sweep = abs(near - offset) + width - 1
+        if self.geom.shift_policy == "eager":
+            home, back, tr.offset = -far, width - 1, 0
+        else:
+            # the lazy end alternates between the two sweep ends
+            home, back, tr.offset = 0, 0, far if n % 2 else near
+        shifts = sweep + home + (n - 1) * (width - 1 + back)
+        detects = width * n
         c = self.counters
-        eager = self.geom.shift_policy == "eager"
-        lo = 1 - width
-        offset = tr.offset
-        shifts = 0
-        words = []
-        for slot in slots:
-            word = cells >> (slot + 1) * ip & mask
-            words.append(word)
-            if width:
-                if abs(offset) <= abs(offset - lo):
-                    near, far = 0, lo
-                else:
-                    near, far = lo, 0
-                sweep = abs(near - offset) + width - 1
-                home = -far if eager else 0
-                offset = 0 if eager else far
-                shifts += sweep + home
-                if c.trace is not None:
-                    c.log_steps("shift", sweep, sweep)
-                    c.log_steps("detect", width, width)
-                    c.log_steps("shift", home, home)
-            if word == target or (expect is not None
-                                  and word != expect[len(words) - 1]):
-                break
-        tr.offset = offset
-        detects = width * len(words)
         c.shift += shifts
         c.shift_steps += shifts
         c.detect += detects
         c.detect_steps += detects
+        if c.trace is not None:
+            for _ in range(n):
+                c.log_steps("shift", sweep, sweep)
+                c.log_steps("detect", width, width)
+                c.log_steps("shift", home, home)
+                sweep, home = width - 1, back
         return words
 
     # -------------------------------------------- bit-interleaved charged ops
@@ -454,8 +461,8 @@ class Device:
                                   width)[0]
 
     def bi_scan_words(self, group: TrackGroup, ports, node_offset: int,
-                      row_start: int, width: int, expect=None,
-                      target=None) -> list[int]:
+                      row_start: int, width: int,
+                      expect=None) -> list[int]:
         """Read the node's words under `ports` one after another and return
         them, stopping as :meth:`scan_words` does.
 
@@ -463,9 +470,9 @@ class Device:
         single simultaneous fire regardless of how writes are driven.
         """
         n_ports = group.n_ports
-        for port in ports:
-            if not (0 <= port < n_ports):
-                raise PortRangeError(f"port {port} outside 0..{n_ports - 1}")
+        if ports and not (0 <= min(ports) and max(ports) < n_ports):
+            bad = next(p for p in ports if not 0 <= p < n_ports)
+            raise PortRangeError(f"port {bad} outside 0..{n_ports - 1}")
         if row_start < 0 or width < 0 or row_start + width > group.n_tracks:
             raise self._rows_error(group, row_start, width)
         if expect is not None and len(expect) != len(ports):
@@ -477,13 +484,10 @@ class Device:
         # port p's word is rows row_start.. of the column at
         # (p + 1) * interport + node_offset; width 0 reads 0
         cols, mask = group.cells, (1 << width) - 1
-        words = []
-        for port in ports:
-            word = cols[(port + 1) * ip + node_offset] >> row_start & mask
-            words.append(word)
-            if word == target or (expect is not None
-                                  and word != expect[len(words) - 1]):
-                break
+        words = [cols[(port + 1) * ip + node_offset] >> row_start & mask
+                 for port in ports]
+        if expect is not None and words != expect:
+            _cut_after_miss(words, expect)
         if width:
             c = self.counters
             c.detect += width * len(words)

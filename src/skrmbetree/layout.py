@@ -215,24 +215,22 @@ class DeviceStore:
         return self._checked(got, expect, "node {} slot {} key", node_id,
                              pair_slot)
 
-    def scan_keys(self, node_id: int, pair_slots, expect, target) -> list[int]:
-        """Read the keys of `pair_slots` in order as one charged pass,
-        stopping after the first that equals `target`. Each key read must
-        equal its entry in `expect`; the first that does not raises. Returns
-        the keys read."""
+    def scan_keys(self, node_id: int, pair_slots, expect) -> list[int]:
+        """Read the keys of `pair_slots` in order as one charged pass. Each
+        key read must equal its entry in `expect`; the pass stops at the
+        first that does not, and that one raises. Returns the keys read."""
         if not pair_slots:
             return []
         device, wb = self.device, self.word_bits
         if self.mapping == "word":
             # the key of pair slot s is word slot 2s (WordBasedLayout.key_slot)
             got = device.scan_words(self.layout.track_of(node_id),
-                                    [2 * s for s in pair_slots], wb, expect,
-                                    target)
+                                    [2 * s for s in pair_slots], wb, expect)
         else:
             group, offset = self.layout.locate(node_id)
             device.group_align(group, offset)
             got = device.bi_scan_words(group, pair_slots, offset, 0, wb,
-                                       expect, target)
+                                       expect)
         last = len(got) - 1
         self._checked(got[last], expect[last], "node {} slot {} key",
                       node_id, pair_slots[last])
@@ -359,9 +357,9 @@ class NullStore:
     def read_key(self, node_id, pair_slot, expect=None):
         return expect
 
-    def scan_keys(self, node_id, pair_slots, expect, target):
-        """No device words: the tree compares its own keys."""
-        return None
+    def scan_keys(self, node_id, pair_slots, expect):
+        """No device words: the tree's own keys are the keys read."""
+        return expect
 
     def read_payload(self, node_id, pair_slot, width, expect=None):
         return expect

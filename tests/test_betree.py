@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellimage import cell_image, load_image
+from refquery import reference_query
 from skrmbetree.betree import (BeTree, InternalNode, ValueArena,
                                encoding_overhead_bytes, index_bits_for,
                                next_pow2)
@@ -382,13 +383,10 @@ def test_query_sees_buffered_then_flushed_value():
     assert tree.query(250) == 4321
 
 
-def _read_key_by_key(tree, node, key):
-    """The buffer scan as one read_key per message, newest first: the
-    reference for what a scan charges."""
-    for m in sorted(node.buffer, key=lambda m: -m.seq):
-        if tree.store.read_key(node.node_id, m.slot, expect=m.key) == key:
-            return m
-    return None
+def _device_image(device):
+    """Every track's and group's offset and cells."""
+    return [(h.offset, h.cells if isinstance(h.cells, int) else list(h.cells))
+            for h in (*device.tracks.values(), *device.groups.values())]
 
 
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
@@ -415,20 +413,71 @@ def test_corrupt_buffered_key_fails_the_scan_at_the_same_read(mapping):
             cells = cell_image(group)
             cells[0, group.slot_start(victim.slot) + offset] ^= 1
             load_image(group, cells)
-        if reference:
-            tree._scan_buffer = (
-                lambda node, key, tree=tree: _read_key_by_key(tree, node, key))
+        query = reference_query if reference else BeTree.query
         device.counters.trace = []
         before = device.counters.snapshot()
         with pytest.raises(StructureError, match="key"):
-            tree.query(victim.key)
+            query(tree, victim.key)
         runs.append((device.counters.as_flat_dict(), device.counters.trace,
-                     [(h.offset, cell_image(h).tobytes())
-                      for h in (*device.tracks.values(),
-                                *device.groups.values())]))
+                     _device_image(device)))
         # three keys read, the third one wrong
         assert device.counters.delta(before).detect == 3 * 16
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
+       policy=st.sampled_from(["lazy", "eager"]),
+       buffer_pairs=st.integers(1, 3), element_pairs=st.integers(1, 3),
+       encoding=st.booleans(),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 15),
+                              st.integers(0, 255)), max_size=60))
+def test_one_pass_query_matches_the_per_read_reference(
+        store, policy, buffer_pairs, element_pairs, encoding, ops):
+    # twin trees take the same upserts; each query runs as one key pass per
+    # node on one twin and as one read_key per key read on the other. Keys
+    # 0..15 in two-pivot nodes with tiny buffers and leaves give hits and
+    # misses in buffers, on pivot keys and in leaves, and empty buffers
+    cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
+                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     encoding=encoding)
+    trees, devices = [], []
+    for _ in range(2):
+        if store == "null":
+            tree = BeTree(NullStore(), cfg, 8, planned_upserts=len(ops))
+        else:
+            ports = cfg.node_pairs * (2 if store == "word" else 1)
+            device = Device(Geometry(word_bits=8, interport_bits=8,
+                                     ports_per_track=ports,
+                                     shift_policy=policy),
+                            CostModel(), record_steps=True)
+            devices.append(device)
+            tree = BeTree(DeviceStore(device, store, cfg, 8), cfg, 8,
+                          planned_upserts=len(ops))
+        trees.append(tree)
+    one_pass, per_read = trees
+    oracle = {}
+
+    def query_both(key):
+        got = one_pass.query(key)
+        assert got == reference_query(per_read, key) == oracle.get(key)
+        if devices:
+            assert (devices[0].counters.as_flat_dict()
+                    == devices[1].counters.as_flat_dict())
+            assert devices[0].counters.trace == devices[1].counters.trace
+            assert _device_image(devices[0]) == _device_image(devices[1])
+
+    for upsert, key, value in ops:
+        if upsert:
+            for tree in trees:
+                tree.upsert(key, value)
+            oracle[key] = value
+        else:
+            query_both(key)
+    for tree in trees:
+        tree.flush_all()
+    for key in range(16):
+        query_both(key)
 
 
 # ------------------------------------------------------------------ audits

@@ -592,56 +592,69 @@ def test_bi_word_ops_bill_like_record(record, ops):
         assert devs[0].counters.trace == devs[1].counters.trace
 
 
-def _stops(word, i, expect, target):
-    """The scan's stop rule: a hit, or a word the tree did not expect."""
-    return word == target or (expect is not None and word != expect[i])
+def _stops(word, i, expect):
+    """The scan's stop rule: a word the caller did not expect."""
+    return expect is not None and word != expect[i]
 
 
-def _scanned(words, expect, target):
+def _scanned(words, expect):
     """The prefix of `words` a scan reads."""
     for i, word in enumerate(words):
-        if _stops(word, i, expect, target):
+        if _stops(word, i, expect):
             return words[:i + 1]
     return words
 
 
-def _read_one_by_one(read, slots, expect, target):
+def _read_one_by_one(read, slots, expect):
     words = []
     for i, slot in enumerate(slots):
         words.append(read(slot))
-        if _stops(words[-1], i, expect, target):
+        if _stops(words[-1], i, expect):
             break
     return words
 
 
 # slots (repeats allowed), how the expected words are given (none, the
-# cell contents, or with one corrupted), a pick and a noise value, and
-# whether the target is absent, one of the words, or arbitrary
+# cell contents, or with one corrupted), and a pick and a noise value
 _SCAN_CASE = st.tuples(
     st.lists(st.integers(0, 3), max_size=8),
     st.sampled_from(["none", "cells", "corrupt"]),
-    st.integers(0, 7), st.integers(0, 255),
-    st.sampled_from(["absent", "hit", "random"]))
+    st.integers(0, 7), st.integers(0, 255))
 
 
-def _expect_and_target(values, how, pick, noise, target_kind):
+def _expect(values, how, pick, noise):
     expect = None if how == "none" else list(values)
     if how == "corrupt" and expect:
         expect[pick % len(expect)] ^= noise or 1
-    if target_kind == "hit" and values:
-        return expect, values[pick % len(values)]
-    return expect, noise if target_kind == "random" else None
+    return expect
+
+
+_LONG_SCAN = ([0, 1, 2, 3, 0, 1, 2], "cells", 0, 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
        image=st.integers(0, (1 << 8 * _SLOTS) - 1), start=st.integers(-8, 8),
        width=st.integers(0, 8), composed=st.booleans(), case=_SCAN_CASE)
+# widths 0 and 1, whose sweeps are empty and one cell long, and starts
+# right of home and left of the far sweep end, each under both policies
+@example(policy="lazy", record=True, image=0x5A3C, start=3, width=0,
+         composed=True, case=_LONG_SCAN)
+@example(policy="eager", record=True, image=0x5A3C, start=-5, width=1,
+         composed=True, case=_LONG_SCAN)
+@example(policy="lazy", record=True, image=0x5A3C, start=6, width=1,
+         composed=True, case=_LONG_SCAN)
+@example(policy="lazy", record=True, image=0xF0E1D2C3, start=-8, width=3,
+         composed=True, case=_LONG_SCAN)
+@example(policy="eager", record=True, image=0xF0E1D2C3, start=8, width=5,
+         composed=True, case=_LONG_SCAN)
+@example(policy="eager", record=True, image=0xF0E1D2C3, start=-7, width=4,
+         composed=True, case=([3, 2, 1], "corrupt", 1, 9))
 def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
                                                 width, composed, case):
     # the reference reads one slot at a time through read_word (the
     # one-slot scan) or through the primitives (align/shift/record)
-    slots, how, pick, noise, target_kind = case
+    slots, how, pick, noise = case
     devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
                          record_steps=record) for _ in range(2)]
     trs = [d.new_track() for d in devs]
@@ -649,12 +662,12 @@ def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
         _load_slots(tr, image, _SLOTS)
         dev.align(tr, start)
     values = [_cells_value(trs[0], s, width) for s in slots]
-    expect, target = _expect_and_target(values, how, pick, noise, target_kind)
-    got = devs[0].scan_words(trs[0], slots, width, expect, target)
+    expect = _expect(values, how, pick, noise)
+    got = devs[0].scan_words(trs[0], slots, width, expect)
     read = _composed_read if composed else Device.read_word
     want = _read_one_by_one(lambda s: read(devs[1], trs[1], s, width), slots,
-                            expect, target)
-    assert got == want == _scanned(values, expect, target)
+                            expect)
+    assert got == want == _scanned(values, expect)
     assert trs[0].offset == trs[1].offset
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
     assert devs[0].counters.trace == devs[1].counters.trace
@@ -673,7 +686,7 @@ def _column_value(group, port, node_offset, row_start, width):
 def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
                                                    composed, seed, case):
     # rows 3..3+width of a 12-track group at node offset 2
-    slots, how, pick, noise, target_kind = case
+    slots, how, pick, noise = case
     devs = [small_device(word_bits=8, ports=4, policy=policy,
                          record_steps=record) for _ in range(2)]
     groups = [d.new_group(12) for d in devs]
@@ -683,12 +696,12 @@ def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
         load_image(g, cells)
         dev.group_align(g, 2)
     values = [_column_value(groups[0], p, 2, 3, width) for p in slots]
-    expect, target = _expect_and_target(values, how, pick, noise, target_kind)
-    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width, expect, target)
+    expect = _expect(values, how, pick, noise)
+    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width, expect)
     read = _composed_bi_read if composed else Device.bi_read_word
     want = _read_one_by_one(lambda p: read(devs[1], groups[1], p, 2, 3, width),
-                            slots, expect, target)
-    assert got == want == _scanned(values, expect, target)
+                            slots, expect)
+    assert got == want == _scanned(values, expect)
     assert groups[0].offset == groups[1].offset == -2
     assert np.array_equal(cell_image(groups[0]), cells)
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()

@@ -162,7 +162,7 @@ def test_node_read_detects_per_mapping():
 
 
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
-def test_scan_keys_stops_at_the_hit_and_bills_like_read_key(mapping):
+def test_scan_keys_stops_at_a_wrong_key_and_bills_like_read_key(mapping):
     stores = [make_store(mapping) for _ in range(2)]
     for store in stores:
         store.add_node(0, KIND_INTERNAL)
@@ -173,12 +173,19 @@ def test_scan_keys_stops_at_the_hit_and_bills_like_read_key(mapping):
     scan, ref = stores
     before = scan.device.counters.as_flat_dict()
     # an empty scan reads nothing and moves nothing, not even an align
-    assert scan.scan_keys(0, [], [], 102) == []
+    assert scan.scan_keys(0, [], []) == []
     assert scan.device.counters.as_flat_dict() == before
-    assert scan.scan_keys(0, slots, keys, 102) == [103, 101, 102]
-    assert [ref.read_key(0, s, expect=100 + s) for s in slots[:3]] == \
-        [103, 101, 102]
+    assert scan.scan_keys(0, slots, keys) == [103, 101, 102, 100]
+    assert [ref.read_key(0, s, expect=100 + s) for s in slots] == \
+        [103, 101, 102, 100]
     assert (scan.device.counters.as_flat_dict()
             == ref.device.counters.as_flat_dict())
+    # the second key read is not the one expected: the pass pays for two
+    # reads, as read_key would up to its raise, and the store raises
     with pytest.raises(StructureError, match="slot 1 key"):
-        scan.scan_keys(0, slots, [103, 999, 102, 100], None)
+        scan.scan_keys(0, slots, [103, 999, 102, 100])
+    with pytest.raises(StructureError, match="slot 1 key"):
+        for s, want in zip(slots, [103, 999, 102, 100]):
+            ref.read_key(0, s, expect=want)
+    assert (scan.device.counters.as_flat_dict()
+            == ref.device.counters.as_flat_dict())
