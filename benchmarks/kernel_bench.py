@@ -8,7 +8,9 @@ cross-checks that both backends return the same numbers on a fresh copy
 of every input, since a fast wrong kernel would be worse than useless.
 
 The device-pass section times a 12-slot ``Device.scan_words`` against 12
-``read_word`` calls, a 12-word ``Device.bi_write_node`` against 12
+``read_word`` calls, a node visit (the 12-slot scan with the payload read
+as its final word) against the scan followed by one ``read_word``, a
+12-word ``Device.bi_write_node`` against 12
 ``bi_write_word`` calls, and a 12-word int ``Device.write_batch_bcw`` on
 the word mapping against the bit-array pass it replaced (``int_to_bits``
 rows into the numpy ``kernels.bcw_batch`` on a uint8 copy of the cells),
@@ -119,11 +121,13 @@ def _n_cells(handle):
 
 
 def _scan_setup(rng, word_bits, policy="lazy"):
+    """Twin tracks with the same random cells, one int per interport
+    segment (the interport is word_bits), and the buffer's key slots."""
     devs = _twin_devices(word_bits, 2 * NODE_PAIRS, policy)
     trs = [d.new_track() for d in devs]
-    cells = _rand_value(rng, _n_cells(trs[0]))
+    segments = [_rand_value(rng, word_bits) for _ in trs[0].cells]
     for tr in trs:
-        tr.cells = cells
+        tr.cells = list(segments)
     return devs, trs, [2 * s for s in BUFFER_SLOTS]
 
 
@@ -139,9 +143,10 @@ def _node_setup(rng, word_bits):
 
 
 def track_image(tr):
-    """A track's cells as the uint8 array the kernels take."""
-    return np.array([tr.cells >> i & 1 for i in range(_n_cells(tr))],
-                    np.uint8)
+    """A track's cells as the uint8 array the kernels take: segment k
+    holds cells k * interport and up."""
+    return np.array([seg >> j & 1 for seg in tr.cells
+                     for j in range(tr.interport)], np.uint8)
 
 
 def group_image(g):
@@ -217,6 +222,14 @@ def check_device_parity(rng, word_bits):
         if (got != want or trs[0].offset != trs[1].offset
                 or devs[0].counters != devs[1].counters):
             raise SystemExit("device pass mismatch: scan_words")
+        # the visit's payload: the last buffer slot's payload word, narrower
+        then = (slots[-1] + 1, 1 + trial % word_bits)
+        got = devs[0].scan_words(trs[0], slots, word_bits, None, then)
+        want = devs[1].scan_words(trs[1], slots, word_bits)
+        want.append(devs[1].read_word(trs[1], *then))
+        if (got != want or trs[0].offset != trs[1].offset
+                or devs[0].counters != devs[1].counters):
+            raise SystemExit("device pass mismatch: scan_words final read")
         devs, groups = _node_setup(rng, word_bits)
         words = _node_words(rng, word_bits)
         mode = ("naive", "dcw")[trial % 2]
@@ -265,6 +278,17 @@ def time_device_passes(rng, args):
             for s in slots:
                 dev.read_word(tr, s, wb)
 
+    then = (slots[-1] + 1, wb)
+
+    def visit():
+        for _ in range(calls):
+            dev.scan_words(tr, slots, wb, None, then)
+
+    def scan_then_read():
+        for _ in range(calls):
+            dev.scan_words(tr, slots, wb)
+            dev.read_word(tr, *then)
+
     def node():
         for ws in batches:
             ndev.bi_write_node(group, 3, ws, "dcw", True)
@@ -288,10 +312,12 @@ def time_device_passes(rng, args):
             ndev.bi_write_node(group, 3, ws, "dcw", True)
 
     # the right-hand column is the replaced path: per-word calls for the
-    # first two, the bit-array kernel pass for write_batch_bcw
+    # scan and the node write, the scan and a separate payload read for
+    # the visit, the bit-array kernel pass for write_batch_bcw
     print(f"\n{'device pass (12 words)':<24} {'pass us':>10} "
           f"{'before us':>12} {'speedup':>8}")
     for name, one, many in (("scan_words", scan, reads),
+                            ("node visit (12 + 1)", visit, scan_then_read),
                             ("bi_write_node", node, per_word),
                             ("write_batch_bcw", bcw_ints, bcw_bits)):
         one()

@@ -365,41 +365,51 @@ class BeTree:
 
     def _leaf_merge(self, leaf: LeafNode, arrivals) -> None:
         """Fold arrived (key, value) pairs into a leaf, splitting as needed.
-        Arrivals carry at most one entry per key (dedupe happened upstream).
+        Arrivals are key-sorted with at most one entry per key (dedupe
+        happened upstream); an arrival replaces the leaf's pair for its key.
         """
         old = leaf.elements
-        old_keys = {k for k, _v in old}
-        arrival_keys = {k for k, _v in arrivals}
-        merged = dict(old)
-        merged.update(arrivals)
-        new_list = sorted(merged.items())
+        # one merge walk of the two key-sorted runs; `arrived` holds each
+        # arrival's index in the merged list, so every other pair is an old
+        # one that stayed
+        merged, arrived = [], []
+        i, n = 0, len(old)
+        for pair in arrivals:
+            j = bisect.bisect_left(old, pair[0], i, n, key=_FIRST)
+            merged += old[i:j]
+            if j < n and old[j][0] == pair[0]:
+                j += 1
+            arrived.append(len(merged))
+            merged.append(pair)
+            i = j
+        merged += old[i:]
         self.kv_writes += len(arrivals)
         cap = self.cfg.element_pairs
-        if len(new_list) <= cap:
-            self._write_leaf_diffs(leaf, new_list)
+        if len(merged) <= cap:
+            self._write_leaf_diffs(leaf, merged)
             return
-        n_chunks = -(-len(new_list) // cap)
-        base, extra = divmod(len(new_list), n_chunks)
-        chunks = []
-        at = 0
-        for i in range(n_chunks):
-            size = base + (1 if i < extra else 0)
-            chunks.append(new_list[at:at + size])
-            at += size
-        self._write_leaf_diffs(leaf, chunks[0])
+        n_chunks = -(-len(merged) // cap)
+        base, extra = divmod(len(merged), n_chunks)
+        bounds = [0]
+        for c in range(n_chunks):
+            bounds.append(bounds[-1] + base + (c < extra))
+        self._write_leaf_diffs(leaf, merged[:bounds[1]])
         # each chunk's pivot goes beside its left neighbour's: an earlier
         # pivot may have split the parent, leaving the old leaf in a node
         # whose key range ends below this chunk
         left = leaf
-        for chunk in chunks[1:]:
+        done = bisect.bisect_left(arrived, bounds[1])
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            chunk = merged[lo:hi]
             sibling = self._new_node(KIND_LEAF, left.parent)
             sibling.elements = chunk
             self.store.write_pairs(
                 sibling.node_id,
                 [(i, k, v, self.word_bits) for i, (k, v) in enumerate(chunk)])
-            moved = sum(1 for k, _v in chunk
-                        if k in old_keys and k not in arrival_keys)
-            self.kv_writes += moved
+            # the old pairs that stayed are moved into the sibling
+            upto = bisect.bisect_left(arrived, hi, done)
+            self.kv_writes += (hi - lo) - (upto - done)
+            done = upto
             self._on_split(left, chunk[0][0], sibling)
             left = sibling
 
@@ -483,11 +493,14 @@ class BeTree:
     # ----------------------------------------------------------------- query
 
     def query(self, key: int):
-        """The live value of `key`, or None. Every node on the path is one
-        key pass: the tree knows its own keys, so it lists each key read
-        its search makes and hands them to the store as one `scan_keys`,
-        then reads one payload. The store checks every key it reads
-        against the tree's, so the tree's keys decide the search."""
+        """The live value of `key`, or None. Every internal node on the
+        path is one pass: the tree knows its own keys, so it lists each key
+        read its search makes and hands them, with the payload read the
+        search ends on, to the store as one `scan_keys`. The store checks
+        every word it reads against the tree's, so the tree's keys decide
+        the search. At the leaf the value read is a `read_payload` of its
+        own: the value a query returns is what the store's value read
+        returns."""
         self._check_word(key, "key")
         store = self.store
         device = store.has_device
@@ -504,10 +517,11 @@ class BeTree:
             if key in keys:
                 i = keys.index(key)
                 hit = newest[i]
+                payload = hit.payload
                 if device:
-                    store.scan_keys(nid, slots[:i + 1], keys[:i + 1])
-                payload = store.read_payload(nid, hit.slot, self.payload_width,
-                                             expect=hit.payload)
+                    payload = store.scan_keys(
+                        nid, slots[:i + 1], keys[:i + 1],
+                        (hit.slot, self.payload_width, payload))[-1]
                 if self.arena is not None:
                     return store.arena_read(payload, self.word_bits,
                                             expect=self.arena.values[payload])
@@ -525,10 +539,11 @@ class BeTree:
                     lo = mid
                 else:
                     hi = mid
+            child = pivots[lo][1]
             if device:
-                store.scan_keys(nid, slots + probes, keys + probe_keys)
-            node = self.nodes[store.read_payload(nid, lo, self.word_bits,
-                                                 expect=pivots[lo][1])]
+                child = store.scan_keys(nid, slots + probes, keys + probe_keys,
+                                        (lo, self.word_bits, child))[-1]
+            node = self.nodes[child]
         elements = node.elements
         lo, hi = 0, len(elements)
         probes, probe_keys = [], []
@@ -558,15 +573,16 @@ class BeTree:
         """Push every buffered message down to its leaf. Afterwards the
         arena is empty and queries never stop early."""
         while True:
-            pending = [nid for nid, n in sorted(self.nodes.items())
+            # ids are handed out in order and nodes never go away, so the
+            # dict is already in id order
+            pending = [nid for nid, n in self.nodes.items()
                        if n.kind == KIND_INTERNAL and n.buffer]
             if not pending:
                 return
             for nid in pending:
-                node = self.nodes.get(nid)
-                if node is not None and node.kind == KIND_INTERNAL:
-                    while node.buffer:
-                        self._flush(node)
+                node = self.nodes[nid]
+                while node.buffer:
+                    self._flush(node)
 
     def stats(self) -> dict:
         leaves = sum(1 for n in self.nodes.values() if n.kind == KIND_LEAF)

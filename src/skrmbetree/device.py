@@ -10,11 +10,17 @@ slot ``w`` passes under port ``w`` at offset ``-j``. One interport-sized
 overflow region at each end absorbs a full write pass, so the boundary
 condition is ``|offset| <= interport``.
 
-Cells are Python ints. A track is one int whose bit ``i`` is cell ``i``, so
-the word in slot ``w`` is ``cells >> (w + 1) * interport & mask``. A track
-group is one int per cell column whose bit ``r`` is row ``r``, so a word
-stored down a column is ``column >> row_start & mask``. Every read is a
-shift and a mask, and every write clears its bits and ORs the new value in.
+Cells are Python ints. A track is a list of ``n_ports + 2`` ints, one per
+interport segment: bit ``j`` of segment ``k`` is cell ``k * interport + j``,
+so the word in slot ``w`` is ``cells[w + 1] & mask`` and a write is
+``segment & ~mask | value``, each on an int no wider than one interport.
+A track group is one int per cell column whose bit ``r`` is row ``r``, so a
+word stored down a column is ``column >> row_start & mask``.
+
+A node visit of a query is one charged pass: ``scan_words`` and
+``bi_scan_words`` read a node's keys and then, as a final word of its own
+width, the payload the search chose, billed exactly as the same reads made
+one at a time.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -35,8 +41,10 @@ LEFT = "left"
 
 
 class Racetrack:
-    """One track: its cells as one int (bit i is cell i) plus its current
-    shift offset."""
+    """One track: its cells as one int per interport segment (bit j of
+    segment k is cell k * interport + j) plus its current shift offset.
+    Word slot w is segment w + 1; segments 0 and n_ports + 1 are the
+    overflow regions."""
 
     __slots__ = ("track_id", "cells", "offset", "interport", "n_ports")
 
@@ -44,7 +52,7 @@ class Racetrack:
         self.track_id = track_id
         self.n_ports = n_ports
         self.interport = interport
-        self.cells = 0
+        self.cells = [0] * (n_ports + 2)
         self.offset = 0
 
     def slot_start(self, word_slot: int) -> int:
@@ -55,7 +63,7 @@ class Racetrack:
         return (port + 1) * self.interport - self.offset
 
     def popcount(self) -> int:
-        return self.cells.bit_count()
+        return sum(seg.bit_count() for seg in self.cells)
 
 
 class TrackGroup:
@@ -102,6 +110,10 @@ class Device:
     def __init__(self, geometry: Geometry, cost: CostModel | None = None,
                  record_steps: bool = False, count_new_detect: bool = False):
         self.geom = geometry
+        # every track and group this device makes has ports_per_track
+        # ports; the scans check their slots against this set
+        self._ports = frozenset(range(geometry.ports_per_track))
+        self._eager = geometry.shift_policy == "eager"
         self.cost = cost if cost is not None else CostModel()
         self.counters = OpCounters(trace=[] if record_steps else None)
         self.count_new_detect = count_new_detect
@@ -179,34 +191,35 @@ class Device:
                               "tracks, not on a track group")
         return tr
 
-    def _cell(self, track, port: int) -> tuple[Racetrack, int]:
-        """The single track and the index of the cell under `port`."""
+    def _cell(self, track, port: int) -> tuple[list, int, int]:
+        """The single track's segments, and the segment and bit mask of the
+        cell under `port`."""
         tr = self._single(track)
         if not (0 <= port < tr.n_ports):
             raise PortRangeError(f"port {port} outside 0..{tr.n_ports - 1}")
-        return tr, tr.port_cell(port)
+        seg, bit = divmod(tr.port_cell(port), tr.interport)
+        return tr.cells, seg, 1 << bit
 
     def detect(self, track, port: int) -> int:
         """Read the bit under one port. Pure: no cell change."""
-        tr, idx = self._cell(track, port)
-        bit = tr.cells >> idx & 1
+        cells, seg, bit = self._cell(track, port)
         self.counters.record("detect", 1)
-        return bit
+        return 1 if cells[seg] & bit else 0
 
     def inject(self, track, port: int) -> None:
         """Write a skyrmion (1) at the cell under the port."""
-        tr, idx = self._cell(track, port)
-        if tr.cells >> idx & 1:
+        cells, seg, bit = self._cell(track, port)
+        if cells[seg] & bit:
             raise DoubleInjectError(f"cell under port {port} already holds a skyrmion")
-        tr.cells |= 1 << idx
+        cells[seg] |= bit
         self.counters.record("inject", 1)
 
     def remove(self, track, port: int) -> None:
         """Destroy the skyrmion under the port; removing an empty cell is a
         free non-event (no count)."""
-        tr, idx = self._cell(track, port)
-        if tr.cells >> idx & 1:
-            tr.cells ^= 1 << idx
+        cells, seg, bit = self._cell(track, port)
+        if cells[seg] & bit:
+            cells[seg] ^= bit
             self.counters.record("remove", 1)
 
     def align(self, tracks, target_offset: int) -> int:
@@ -260,13 +273,12 @@ class Device:
         cells = tr.cells
         swapped = []
         for (slot, _value, width), value in zip(writes, values):
-            start = (slot + 1) * ip
+            seg = cells[slot + 1]
             mask = (1 << (span or width)) - 1
-            old = cells >> start & mask
+            old = seg & mask
             if old != value:
-                cells = cells & ~(mask << start) | value << start
+                cells[slot + 1] = seg & ~mask | value
             swapped.append((value, old))
-        tr.cells = cells
         return swapped
 
     def _bill_pass(self, tr: Racetrack, det: int, det_steps: int, inj: int,
@@ -377,12 +389,16 @@ class Device:
         one-slot scan."""
         return self.scan_words(track, (slot,), width)[0]
 
-    def scan_words(self, track, slots, width: int, expect=None) -> list[int]:
-        """Read the words in `slots` one after another and return them.
+    def scan_words(self, track, slots, width: int, expect=None,
+                   then=None) -> list[int]:
+        """Read the words in `slots` one after another, then the word
+        `then` names, and return them.
 
         Stops after the first word that differs from its entry in `expect`
         (None: no such stop), so a read the caller did not expect is the
-        last one paid for.
+        last one paid for. `then` is one more read at its own width,
+        ``(slot, width)``, made only when no word stopped the scan: a node
+        visit's payload read after its key reads.
 
         Each read sweeps from whichever end of the bit range is closer to
         the current offset, so back-to-back reads ping-pong instead of
@@ -391,11 +407,12 @@ class Device:
         the near end, width - 1 sweep shifts to the far end, width serial
         detects, then the eager return: exactly what align/shift/record
         and an eager align home would bill one by one, in the same order.
+        Every slot and width is checked before any read is charged.
         """
         tr = track if isinstance(track, Racetrack) else self._single(track)
         n_ports, ip = tr.n_ports, tr.interport
-        if slots and not (0 <= min(slots) and max(slots) < n_ports):
-            bad = next(s for s in slots if not 0 <= s < n_ports)
+        if not self._ports.issuperset(slots):
+            bad = next(s for s in slots if s not in self._ports)
             raise PortRangeError(f"word slot {bad} outside this track")
         if not (0 <= width <= ip):
             raise ConfigError(f"width {width} outside one interport segment "
@@ -403,23 +420,46 @@ class Device:
         if expect is not None and len(expect) != len(slots):
             raise ConfigError(f"{len(expect)} expected words for "
                               f"{len(slots)} slots")
+        if then is not None:
+            then_slot, then_width = then
+            if not 0 <= then_slot < n_ports:
+                raise PortRangeError(f"word slot {then_slot} outside this "
+                                     f"track")
+            if not 0 <= then_width <= ip:
+                raise ConfigError(f"width {then_width} outside one interport "
+                                  f"segment (0..{ip})")
         cells, mask = tr.cells, (1 << width) - 1
-        words = [cells >> (slot + 1) * ip & mask for slot in slots]
+        words = [cells[slot + 1] & mask for slot in slots]
         if expect is not None and words != expect:
             _cut_after_miss(words, expect)
+            then = None
         n = len(words)
+        if then is None:
+            self._bill_reads(tr, n, width)
+            return words
+        words.append(cells[then_slot + 1] & (1 << then_width) - 1)
+        if then_width == width:
+            self._bill_reads(tr, n + 1, width)
+        else:
+            self._bill_reads(tr, n, width)
+            self._bill_reads(tr, 1, then_width)
+        return words
+
+    def _bill_reads(self, tr: Racetrack, n: int, width: int) -> None:
+        """Charge `n` reads of `width` bits in a row from the track's
+        current offset, and leave the offset where they end."""
         # width 0 reads 0, free. Both sweep ends lie in [1 - width, 0];
         # width <= interport keeps them inside the overflow region, so no
         # shift can overrun.
         if not (n and width):
-            return words
+            return
         # the first read sweeps from the end nearer the current offset;
         # every later one starts where the last left off (lazy) or at home
         # (eager), so it sweeps width - 1 and, eager, returns width - 1
         offset, lo = tr.offset, 1 - width
         near, far = (0, lo) if abs(offset) <= abs(offset - lo) else (lo, 0)
         sweep = abs(near - offset) + width - 1
-        if self.geom.shift_policy == "eager":
+        if self._eager:
             home, back, tr.offset = -far, width - 1, 0
         else:
             # the lazy end alternates between the two sweep ends
@@ -437,7 +477,6 @@ class Device:
                 c.log_steps("detect", width, width)
                 c.log_steps("shift", home, home)
                 sweep, home = width - 1, back
-        return words
 
     # -------------------------------------------- bit-interleaved charged ops
 
@@ -446,7 +485,13 @@ class Device:
         shift set."""
         if not (0 <= node_offset < group.interport):
             raise ConfigError("node offset outside the interport region")
-        return self.align(group, -node_offset)
+        # billed as align -> shift would: the target offset lies inside the
+        # overflow region, so no shift past it is possible
+        steps = abs(node_offset + group.offset)
+        if steps:
+            group.offset = -node_offset
+            self.counters.record_shift(group.n_tracks, steps)
+        return steps
 
     @staticmethod
     def _rows_error(group: TrackGroup, row_start: int, rows: int):
@@ -461,23 +506,32 @@ class Device:
                                   width)[0]
 
     def bi_scan_words(self, group: TrackGroup, ports, node_offset: int,
-                      row_start: int, width: int,
-                      expect=None) -> list[int]:
-        """Read the node's words under `ports` one after another and return
-        them, stopping as :meth:`scan_words` does.
+                      row_start: int, width: int, expect=None,
+                      then=None) -> list[int]:
+        """Read the node's words under `ports` one after another, then the
+        word `then` names, and return them, stopping as :meth:`scan_words`
+        does. `then` is ``(port, row_start, width)``: a node visit's
+        payload read, on its own rows.
 
         Every row head sits over the same column, so sensing a word is a
         single simultaneous fire regardless of how writes are driven.
         """
-        n_ports = group.n_ports
-        if ports and not (0 <= min(ports) and max(ports) < n_ports):
-            bad = next(p for p in ports if not 0 <= p < n_ports)
+        n_ports, rows = group.n_ports, group.n_tracks
+        if not self._ports.issuperset(ports):
+            bad = next(p for p in ports if p not in self._ports)
             raise PortRangeError(f"port {bad} outside 0..{n_ports - 1}")
-        if row_start < 0 or width < 0 or row_start + width > group.n_tracks:
+        if row_start < 0 or width < 0 or row_start + width > rows:
             raise self._rows_error(group, row_start, width)
         if expect is not None and len(expect) != len(ports):
             raise ConfigError(f"{len(expect)} expected words for "
                               f"{len(ports)} ports")
+        if then is not None:
+            then_port, then_row, then_width = then
+            if not 0 <= then_port < n_ports:
+                raise PortRangeError(f"port {then_port} outside "
+                                     f"0..{n_ports - 1}")
+            if then_row < 0 or then_width < 0 or then_row + then_width > rows:
+                raise self._rows_error(group, then_row, then_width)
         ip = group.interport
         if group.offset != -node_offset or not (0 <= node_offset < ip):
             raise ConfigError("group not aligned to the requested node offset")
@@ -488,12 +542,22 @@ class Device:
                  for port in ports]
         if expect is not None and words != expect:
             _cut_after_miss(words, expect)
-        if width:
-            c = self.counters
-            c.detect += width * len(words)
-            c.detect_steps += len(words)
+            then = None
+        c = self.counters
+        n = len(words)
+        if width and n:
+            c.detect += width * n
+            c.detect_steps += n
             if c.trace is not None:
-                c.trace.extend([("detect", width)] * len(words))
+                c.trace.extend([("detect", width)] * n)
+        if then is not None:
+            words.append(cols[(then_port + 1) * ip + node_offset] >> then_row
+                         & (1 << then_width) - 1)
+            if then_width:
+                c.detect += then_width
+                c.detect_steps += 1
+                if c.trace is not None:
+                    c.trace.append(("detect", then_width))
         return words
 
     def bi_write_word(self, group: TrackGroup, port: int, node_offset: int,

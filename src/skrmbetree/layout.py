@@ -215,25 +215,37 @@ class DeviceStore:
         return self._checked(got, expect, "node {} slot {} key", node_id,
                              pair_slot)
 
-    def scan_keys(self, node_id: int, pair_slots, expect) -> list[int]:
-        """Read the keys of `pair_slots` in order as one charged pass. Each
-        key read must equal its entry in `expect`; the pass stops at the
-        first that does not, and that one raises. Returns the keys read."""
-        if not pair_slots:
+    def scan_keys(self, node_id: int, pair_slots, expect,
+                  payload=None) -> list[int]:
+        """Read the keys of `pair_slots` in order, then the payload
+        `payload` names, as one charged pass: a node visit. Each key read
+        must equal its entry in `expect`; the pass stops at the first that
+        does not, and that one raises with no payload read. `payload` is
+        ``(pair_slot, width, expected)``, and the payload read must equal
+        its expected value too. Returns the words read, the payload last."""
+        if not pair_slots and payload is None:
             return []
         device, wb = self.device, self.word_bits
         if self.mapping == "word":
-            # the key of pair slot s is word slot 2s (WordBasedLayout.key_slot)
-            got = device.scan_words(self.layout.track_of(node_id),
-                                    [2 * s for s in pair_slots], wb, expect)
+            # pair slot s is word slots 2s (key) and 2s + 1 (payload), as
+            # WordBasedLayout.key_slot and payload_slot place them
+            got = device.scan_words(
+                self.layout.track_of(node_id), [2 * s for s in pair_slots],
+                wb, expect,
+                None if payload is None else (2 * payload[0] + 1, payload[1]))
         else:
             group, offset = self.layout.locate(node_id)
             device.group_align(group, offset)
-            got = device.bi_scan_words(group, pair_slots, offset, 0, wb,
-                                       expect)
+            got = device.bi_scan_words(
+                group, pair_slots, offset, 0, wb, expect,
+                None if payload is None else (payload[0], wb, payload[1]))
         last = len(got) - 1
-        self._checked(got[last], expect[last], "node {} slot {} key",
-                      node_id, pair_slots[last])
+        if last < len(pair_slots):
+            self._checked(got[last], expect[last], "node {} slot {} key",
+                          node_id, pair_slots[last])
+        else:
+            self._checked(got[last], payload[2], "node {} slot {} payload",
+                          node_id, payload[0])
         return got
 
     def read_payload(self, node_id: int, pair_slot: int, width: int,
@@ -320,10 +332,10 @@ class DeviceStore:
                   payload_width: int) -> tuple[int, int]:
         wb = self.word_bits
         if self.mapping == "word":
-            tr = self.layout.track_of(node_id)
-            key = tr.cells >> tr.slot_start(self.layout.key_slot(pair_slot))
-            payload = tr.cells >> tr.slot_start(
-                self.layout.payload_slot(pair_slot))
+            # word slot w is the track's segment w + 1
+            cells = self.layout.track_of(node_id).cells
+            key = cells[self.layout.key_slot(pair_slot) + 1]
+            payload = cells[self.layout.payload_slot(pair_slot) + 1]
         else:
             # cells never move; a node's column for port p is the fixed
             # index slot_start(p) + offset whatever the alignment
@@ -335,7 +347,7 @@ class DeviceStore:
     def peek_arena(self, index: int, width: int) -> int:
         if self.mapping == "word":
             tr, slot = self.arena_map.locate(index)
-            word = tr.cells >> tr.slot_start(slot)
+            word = tr.cells[slot + 1]
         else:
             group, port, offset = self.arena_map.locate(index)
             word = group.cells[group.slot_start(port) + offset]
@@ -355,10 +367,6 @@ class NullStore:
         pass
 
     def read_key(self, node_id, pair_slot, expect=None):
-        return expect
-
-    def scan_keys(self, node_id, pair_slots, expect):
-        """No device words: the tree's own keys are the keys read."""
         return expect
 
     def read_payload(self, node_id, pair_slot, width, expect=None):

@@ -1,7 +1,8 @@
 """The cells of a track or group as a uint8 bit array, and back.
 
-The device stores a track as one int (bit i is cell i) and a group as one
-int per column (bit r is row r). Tests that index single cells, or run the
+The device stores a track as one int per interport segment (bit j of
+segment k is cell k * interport + j) and a group as one int per column
+(bit r is row r). Tests that index single cells, or run the
 per-bit ``kernels._loop_*`` oracles, work on this image instead: cell i of a
 track, and ``[row, column]`` of a group.
 """
@@ -29,7 +30,8 @@ def cell_image(handle) -> np.ndarray:
     """A uint8 copy of the cells: shape (cells,) for a track, (rows,
     columns) for a group."""
     if isinstance(handle, Racetrack):
-        return _unpack(handle.cells, (handle.n_ports + 2) * handle.interport)
+        return np.concatenate([_unpack(seg, handle.interport)
+                               for seg in handle.cells])
     return np.stack([_unpack(col, handle.n_tracks) for col in handle.cells],
                     axis=1)
 
@@ -40,6 +42,8 @@ def load_image(handle, image) -> None:
     if image.shape != cell_image(handle).shape:
         raise ValueError(f"image shape {image.shape} does not fit the cells")
     if isinstance(handle, Racetrack):
-        handle.cells = _pack(image)
+        ip = handle.interport
+        handle.cells = [_pack(image[k:k + ip])
+                        for k in range(0, len(image), ip)]
     else:
         handle.cells = [_pack(image[:, c]) for c in range(image.shape[1])]

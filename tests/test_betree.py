@@ -277,11 +277,6 @@ def test_full_arena_refuses_further_upserts():
         tree.upsert(102, 3)
 
 
-def _device_image(device):
-    handles = list(device.tracks.values()) + list(device.groups.values())
-    return [(cell_image(h), h.offset) for h in handles]
-
-
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
 @pytest.mark.parametrize("policy", ("lazy", "eager"))
 @pytest.mark.parametrize("strategy", ("naive", "bcw+ports"))
@@ -385,7 +380,7 @@ def test_query_sees_buffered_then_flushed_value():
 
 def _device_image(device):
     """Every track's and group's offset and cells."""
-    return [(h.offset, h.cells if isinstance(h.cells, int) else list(h.cells))
+    return [(h.offset, list(h.cells))
             for h in (*device.tracks.values(), *device.groups.values())]
 
 
@@ -722,3 +717,99 @@ def test_skyrmions_are_conserved_against_a_shadow_image(config, encoding,
     tree.flush_all()
     assert device.total_skyrmions() == sum(
         v.bit_count() for v in device.shadow.values())
+
+
+# -------------------------------------------------------------- leaf merge
+
+def _dict_leaf_merge(tree, leaf, arrivals):
+    """The leaf merge as a dict update and a full re-sort, with set lookups
+    for the moved pairs: the reference for the merge walk."""
+    old = leaf.elements
+    old_keys = {k for k, _v in old}
+    arrival_keys = {k for k, _v in arrivals}
+    merged = dict(old)
+    merged.update(arrivals)
+    new_list = sorted(merged.items())
+    tree.kv_writes += len(arrivals)
+    cap = tree.cfg.element_pairs
+    if len(new_list) <= cap:
+        tree._write_leaf_diffs(leaf, new_list)
+        return
+    n_chunks = -(-len(new_list) // cap)
+    base, extra = divmod(len(new_list), n_chunks)
+    chunks, at = [], 0
+    for i in range(n_chunks):
+        size = base + (1 if i < extra else 0)
+        chunks.append(new_list[at:at + size])
+        at += size
+    tree._write_leaf_diffs(leaf, chunks[0])
+    left = leaf
+    for chunk in chunks[1:]:
+        sibling = tree._new_node(KIND_LEAF, left.parent)
+        sibling.elements = chunk
+        tree.store.write_pairs(
+            sibling.node_id,
+            [(i, k, v, tree.word_bits) for i, (k, v) in enumerate(chunk)])
+        tree.kv_writes += sum(1 for k, _v in chunk
+                              if k in old_keys and k not in arrival_keys)
+        tree._on_split(left, chunk[0][0], sibling)
+        left = sibling
+
+
+def _tree_state(tree):
+    nodes = {}
+    for nid, node in tree.nodes.items():
+        body = (node.elements if node.kind == KIND_LEAF
+                else (node.pivots, [(m.key, m.payload, m.slot)
+                                    for m in node.buffer]))
+        nodes[nid] = (node.kind, node.parent, body)
+    return nodes, tree.root_id, tree.height, tree.kv_writes
+
+
+_PAIRS = st.dictionaries(st.integers(0, 63), st.integers(0, 255),
+                         max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
+       strategy=st.sampled_from(["naive", "dcw"]),
+       element_pairs=st.integers(1, 6), first=_PAIRS, second=_PAIRS)
+def test_leaf_merge_walk_matches_the_dict_merge(store, strategy,
+                                                element_pairs, first, second):
+    # a root leaf takes a batch that fits, then one of any size: below,
+    # at and above element_pairs, so it splits into up to 21 chunks and
+    # grows the tree. Both trees must agree on every node, the height, the
+    # kv_writes, and on a device on every counter and cell
+    cfg = TreeConfig(node_pairs=6, pivot_pairs=2, buffer_pairs=4,
+                     element_pairs=element_pairs, strategy=strategy)
+    trees, devices = [], []
+    for _ in range(2):
+        if store == "null":
+            tree = BeTree(NullStore(), cfg, 8)
+        else:
+            ports = cfg.node_pairs * (2 if store == "word" else 1)
+            device = Device(Geometry(word_bits=8, interport_bits=8,
+                                     ports_per_track=ports),
+                            CostModel(), record_steps=True)
+            devices.append(device)
+            tree = BeTree(DeviceStore(device, store, cfg, 8), cfg, 8)
+        trees.append(tree)
+    walk, ref = trees
+    ref._leaf_merge = lambda leaf, arrivals: _dict_leaf_merge(ref, leaf,
+                                                              arrivals)
+    leaf = {id(t): t.nodes[t.root_id] for t in trees}
+    for batch in (sorted(first.items())[:element_pairs],
+                  sorted(second.items())):
+        for tree in trees:
+            tree._leaf_merge(leaf[id(tree)], list(batch))
+        assert _tree_state(walk) == _tree_state(ref)
+        if devices:
+            assert (devices[0].counters.as_flat_dict()
+                    == devices[1].counters.as_flat_dict())
+            assert devices[0].counters.trace == devices[1].counters.trace
+            assert _device_image(devices[0]) == _device_image(devices[1])
+    walk.audit()
+    want = dict(sorted(first.items())[:element_pairs])
+    want.update(second)
+    assert {k: v for n in walk.nodes.values() if n.kind == KIND_LEAF
+            for k, v in n.elements} == want

@@ -708,6 +708,163 @@ def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
     assert devs[0].counters.trace == devs[1].counters.trace
 
 
+def _scan_then_read(scan, read, then, expect):
+    """A scan, then the final read one call later when nothing stopped the
+    scan: what one fused pass must match."""
+    words = scan()
+    if not any(_stops(w, i, expect) for i, w in enumerate(words)):
+        words.append(read(*then))
+    return words
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       image=st.integers(0, (1 << 8 * _SLOTS) - 1), start=st.integers(-8, 8),
+       width=st.integers(0, 8), then_slot=st.integers(0, _SLOTS - 1),
+       then_width=st.integers(0, 8), case=_SCAN_CASE)
+# a payload read after a wrong key is never made; an empty key list reads
+# only the payload; equal and unequal widths under both policies
+@example(policy="lazy", record=True, image=0xF0E1D2C3, start=-7, width=4,
+         then_slot=1, then_width=8, case=([3, 2, 1], "corrupt", 1, 9))
+@example(policy="eager", record=True, image=0xF0E1D2C3, start=5, width=8,
+         then_slot=0, then_width=3, case=([], "cells", 0, 0))
+@example(policy="lazy", record=True, image=0x5A3C, start=6, width=8,
+         then_slot=2, then_width=8, case=_LONG_SCAN)
+@example(policy="eager", record=True, image=0x5A3C, start=-8, width=1,
+         then_slot=3, then_width=0, case=_LONG_SCAN)
+def test_scan_words_final_read_bills_like_a_read_word_after_the_scan(
+        policy, record, image, start, width, then_slot, then_width, case):
+    slots, how, pick, noise = case
+    devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                         record_steps=record) for _ in range(2)]
+    trs = [d.new_track() for d in devs]
+    for dev, tr in zip(devs, trs):
+        _load_slots(tr, image, _SLOTS)
+        dev.align(tr, start)
+    values = [_cells_value(trs[0], s, width) for s in slots]
+    expect = _expect(values, how, pick, noise)
+    got = devs[0].scan_words(trs[0], slots, width, expect,
+                             (then_slot, then_width))
+    want = _scan_then_read(
+        lambda: devs[1].scan_words(trs[1], slots, width, expect),
+        lambda s, w: devs[1].read_word(trs[1], s, w),
+        (then_slot, then_width), expect)
+    assert got == want
+    scanned = _scanned(values, expect)
+    assert got[:len(scanned)] == scanned
+    if len(got) > len(scanned):
+        assert got[-1] == _cells_value(trs[0], then_slot, then_width)
+    assert trs[0].offset == trs[1].offset
+    assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
+    assert devs[0].counters.trace == devs[1].counters.trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(record=st.booleans(), width=st.integers(0, 8),
+       then_port=st.integers(0, 3), then_row=st.integers(0, 4),
+       then_width=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
+       case=_SCAN_CASE)
+def test_bi_scan_words_final_read_bills_like_a_bi_read_word_after_the_scan(
+        record, width, then_port, then_row, then_width, seed, case):
+    # keys on rows 3..3+width, the payload on its own rows, of a 12-track
+    # group at node offset 2
+    slots, how, pick, noise = case
+    devs = [small_device(word_bits=8, ports=4, record_steps=record)
+            for _ in range(2)]
+    groups = [d.new_group(12) for d in devs]
+    cells = np.random.default_rng(seed).integers(
+        0, 2, size=cell_image(groups[0]).shape, dtype=np.uint8)
+    for dev, g in zip(devs, groups):
+        load_image(g, cells)
+        dev.group_align(g, 2)
+    values = [_column_value(groups[0], p, 2, 3, width) for p in slots]
+    expect = _expect(values, how, pick, noise)
+    then = (then_port, then_row, then_width)
+    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width, expect, then)
+    want = _scan_then_read(
+        lambda: devs[1].bi_scan_words(groups[1], slots, 2, 3, width, expect),
+        lambda p, r, w: devs[1].bi_read_word(groups[1], p, 2, r, w),
+        then, expect)
+    assert got == want
+    scanned = _scanned(values, expect)
+    assert got[:len(scanned)] == scanned
+    if len(got) > len(scanned):
+        assert got[-1] == _column_value(groups[0], then_port, 2, then_row,
+                                        then_width)
+    assert groups[0].offset == groups[1].offset == -2
+    assert np.array_equal(cell_image(groups[0]), cells)
+    assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
+    assert devs[0].counters.trace == devs[1].counters.trace
+
+
+@pytest.mark.parametrize("then,error", [
+    ((4, 8), PortRangeError), ((-1, 8), PortRangeError),
+    ((0, 9), ConfigError), ((0, -1), ConfigError),
+])
+@pytest.mark.parametrize("policy", ("lazy", "eager"))
+def test_scan_words_checks_the_final_read_before_any_charge(then, error,
+                                                            policy):
+    dev = small_device(word_bits=8, ports=4, policy=policy,
+                       record_steps=True)
+    tr = dev.new_track()
+    _fill_ones(tr)
+    dev.shift(tr, "left", 3)
+    before = cell_image(tr), tr.offset, dev.counters.as_flat_dict()
+    trace = list(dev.counters.trace)
+    with pytest.raises(error):
+        dev.scan_words(tr, [0, 1, 2], 8, [255, 255, 255], then)
+    after = cell_image(tr), tr.offset, dev.counters.as_flat_dict()
+    assert np.array_equal(before[0], after[0])
+    assert before[1:] == after[1:]
+    assert dev.counters.trace == trace
+
+
+@pytest.mark.parametrize("then,error", [
+    ((4, 8, 8), PortRangeError), ((-1, 8, 8), PortRangeError),
+    ((0, 10, 8), ConfigError), ((0, -1, 4), ConfigError),
+    ((0, 0, -1), ConfigError),
+])
+def test_bi_scan_words_checks_the_final_read_before_any_charge(then, error):
+    dev = small_device(word_bits=8, ports=4, record_steps=True)
+    g = dev.new_group(16)
+    _fill_ones(g)
+    dev.group_align(g, 0)
+    before = _device_state(dev, g), list(dev.counters.trace)
+    with pytest.raises(error):
+        dev.bi_scan_words(g, [0, 1], 0, 0, 8, [255, 255], then)
+    after = _device_state(dev, g), list(dev.counters.trace)
+    assert np.array_equal(before[0][0], after[0][0])
+    assert before[0][1:] == after[0][1:]
+    assert before[1] == after[1]
+
+
+@pytest.mark.parametrize("offset", (-8, -7, -1, 0, 1, 7, 8))
+@pytest.mark.parametrize("port", (0, 3))
+def test_primitives_at_segment_edges_address_the_cell_image(offset, port):
+    # offsets up to +-interport put the cell under ports 0 and n - 1 on
+    # either side of a segment boundary, down to the first cell of the
+    # left overflow region and the first of the right one
+    dev = small_device(word_bits=8, ports=4)
+    tr = dev.new_track()
+    image = np.random.default_rng(port * 17 + offset + 8).integers(
+        0, 2, size=cell_image(tr).shape, dtype=np.uint8)
+    load_image(tr, image)
+    dev.align(tr, offset)
+    idx = (port + 1) * tr.interport - offset
+    assert tr.port_cell(port) == idx
+    for _ in range(2):
+        assert dev.detect(tr, port) == image[idx]
+        if image[idx]:
+            with pytest.raises(DoubleInjectError):
+                dev.inject(tr, port)
+            dev.remove(tr, port)
+        else:
+            dev.inject(tr, port)
+        image[idx] ^= 1
+        assert np.array_equal(cell_image(tr), image)
+        assert tr.popcount() == int(image.sum())
+
+
 _NODE_WORDS = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from([0, 8]), st.integers(0, 8),
               st.integers(0, 255)),

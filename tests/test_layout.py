@@ -189,3 +189,44 @@ def test_scan_keys_stops_at_a_wrong_key_and_bills_like_read_key(mapping):
             ref.read_key(0, s, expect=want)
     assert (scan.device.counters.as_flat_dict()
             == ref.device.counters.as_flat_dict())
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+def test_scan_keys_payload_read_bills_like_read_payload_after_the_keys(
+        mapping):
+    # pair slot s holds key 100 + s and a 5-bit payload s + 3
+    stores = [make_store(mapping) for _ in range(2)]
+    for store in stores:
+        store.add_node(0, KIND_INTERNAL)
+        store.write_pairs(0, [(s, 100 + s, s + 3, 5) for s in range(4)])
+    scan, ref = stores
+    slots = [3, 1, 2]
+    keys = [100 + s for s in slots]
+    visits = [(slots, keys, (0, 5, 3)),     # keys, then a narrower payload
+              ([], [], (2, 5, 5)),          # an empty key list: payload only
+              (slots[:1], keys[:1], (3, 5, 6))]
+    for pair_slots, want_keys, payload in visits:
+        got = scan.scan_keys(0, pair_slots, want_keys, payload)
+        assert got == want_keys + [payload[2]]
+        for s, k in zip(pair_slots, want_keys):
+            ref.read_key(0, s, expect=k)
+        ref.read_payload(0, payload[0], payload[1], expect=payload[2])
+        assert (scan.device.counters.as_flat_dict()
+                == ref.device.counters.as_flat_dict())
+    # a wrong key stops the pass before the payload read, which is never
+    # paid for; a wrong payload raises after its read
+    with pytest.raises(StructureError, match="slot 1 key"):
+        scan.scan_keys(0, slots, [103, 999, 102], (0, 5, 3))
+    with pytest.raises(StructureError, match="slot 1 key"):
+        for s, want in zip(slots, [103, 999, 102]):
+            ref.read_key(0, s, expect=want)
+    assert (scan.device.counters.as_flat_dict()
+            == ref.device.counters.as_flat_dict())
+    with pytest.raises(StructureError, match="slot 0 payload"):
+        scan.scan_keys(0, slots, keys, (0, 5, 4))
+    for s, k in zip(slots, keys):
+        ref.read_key(0, s, expect=k)
+    with pytest.raises(StructureError, match="slot 0 payload"):
+        ref.read_payload(0, 0, 5, expect=4)
+    assert (scan.device.counters.as_flat_dict()
+            == ref.device.counters.as_flat_dict())
