@@ -33,8 +33,8 @@ from operator import index
 
 from .config import CostModel, Geometry
 from .counters import OpCounters
-from .errors import (AllocationError, BoundaryError, ConfigError,
-                     DoubleInjectError, PortRangeError)
+from .errors import (BoundaryError, ConfigError, DoubleInjectError,
+                     PortRangeError)
 
 RIGHT = "right"
 LEFT = "left"
@@ -138,58 +138,38 @@ class Device:
         self._next_group += 1
         return g
 
-    def track(self, track_id: int) -> Racetrack:
-        try:
-            return self.tracks[track_id]
-        except KeyError:
-            raise AllocationError(f"unknown track {track_id}") from None
-
     def total_skyrmions(self) -> int:
         return (sum(t.popcount() for t in self.tracks.values())
                 + sum(g.popcount() for g in self.groups.values()))
 
     # ------------------------------------------------------------ primitives
 
-    def _resolve(self, tracks):
-        if isinstance(tracks, (Racetrack, TrackGroup)):
-            return [tracks]
-        if isinstance(tracks, int):
-            return [self.track(tracks)]
-        return [t if isinstance(t, (Racetrack, TrackGroup)) else self.track(t)
-                for t in tracks]
-
-    def shift(self, tracks, direction: str, steps: int) -> None:
-        """Shift a set of tracks together. Energy per track per step;
-        latency one step per step (simultaneous movement). steps = 0 is a
-        no-op."""
+    def shift(self, handle, direction: str, steps: int) -> None:
+        """Shift one track, or a track group in lockstep. Energy per track
+        per step; latency one step per step (simultaneous movement).
+        steps = 0 is a no-op."""
         if steps < 0:
             raise ConfigError("steps must be >= 0")
         if direction not in (LEFT, RIGHT):
             raise ConfigError("direction must be 'left' or 'right'")
         if steps == 0:
             return
-        handles = ((tracks,) if isinstance(tracks, (Racetrack, TrackGroup))
-                   else self._resolve(tracks))
         delta = steps if direction == RIGHT else -steps
         limit = self.geom.interport_bits
-        for h in handles:
-            if abs(h.offset + delta) > limit:
-                raise BoundaryError(
-                    f"shift {direction} {steps} would move offset to "
-                    f"{h.offset + delta}, past the overflow region ({limit})")
-        width = 0
-        for h in handles:
-            h.offset += delta
-            width += getattr(h, "n_tracks", 1)
-        self.counters.record_shift(width, steps)
+        if abs(handle.offset + delta) > limit:
+            raise BoundaryError(
+                f"shift {direction} {steps} would move offset to "
+                f"{handle.offset + delta}, past the overflow region ({limit})")
+        handle.offset += delta
+        self.counters.record_shift(getattr(handle, "n_tracks", 1), steps)
 
-    def _single(self, track) -> Racetrack:
-        """The one track `track` names; a track group is refused."""
-        tr = track if isinstance(track, Racetrack) else self._resolve(track)[0]
-        if not isinstance(tr, Racetrack):
+    @staticmethod
+    def _single(track) -> Racetrack:
+        """`track` itself; a track group is refused."""
+        if not isinstance(track, Racetrack):
             raise ConfigError("the primitives and word passes act on single "
                               "tracks, not on a track group")
-        return tr
+        return track
 
     def _cell(self, track, port: int) -> tuple[list, int, int]:
         """The single track's segments, and the segment and bit mask of the
@@ -222,25 +202,14 @@ class Device:
             cells[seg] ^= bit
             self.counters.record("remove", 1)
 
-    def align(self, tracks, target_offset: int) -> int:
-        """Minimal shifts to reach `target_offset` on every given track.
-
-        All tracks must sit at one common offset already (they are a shift
-        set). Returns the steps issued; 0 when already aligned.
+    def align(self, handle, target_offset: int) -> int:
+        """Minimal shifts to bring one track or track group to
+        `target_offset`. Returns the steps issued; 0 when already aligned.
         """
-        if isinstance(tracks, (Racetrack, TrackGroup)):
-            handles = tracks
-            current = tracks.offset
-        else:
-            handles = self._resolve(tracks)
-            offsets = {h.offset for h in handles}
-            if len(offsets) != 1:
-                raise ConfigError("align needs tracks at a common offset")
-            current = offsets.pop()
-        delta = target_offset - current
+        delta = target_offset - handle.offset
         if delta == 0:
             return 0
-        self.shift(handles, RIGHT if delta > 0 else LEFT, abs(delta))
+        self.shift(handle, RIGHT if delta > 0 else LEFT, abs(delta))
         return abs(delta)
 
     # ----------------------------------------------- word-based charged passes
@@ -358,9 +327,9 @@ class Device:
         that wide, and its flip fire is inject-only, remove-only or mixed
         by which of the ORed masks hold the bit.
         """
+        tr = self._single(track)
         if not writes:
             return
-        tr = self._single(track)
         swapped = self._swap_words(tr, writes)
         det = act = inj = rem = inj_or = rem_or = 0
         for (_slot, _value, width), (value, old) in zip(writes, swapped):
@@ -587,10 +556,13 @@ class Device:
         need the parallel write drivers: one step with them, one step per
         landed instance without.
         """
-        if not words:
-            return
         if mode not in _MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
+        ip = group.interport
+        if group.offset != -node_offset or not (0 <= node_offset < ip):
+            raise ConfigError("group not aligned to the requested node offset")
+        if not words:
+            return
         n_ports, rows = group.n_ports, group.n_tracks
         seen = set()
         values = []
@@ -609,9 +581,6 @@ class Device:
                                   f"written twice in one batch")
             seen.add((port, row_start))
             values.append(value)
-        ip = group.interport
-        if group.offset != -node_offset or not (0 <= node_offset < ip):
-            raise ConfigError("group not aligned to the requested node offset")
         cols = group.cells
         naive = mode == "naive"
         # the naive clear-all pulse fires before inject-all, two pulses,

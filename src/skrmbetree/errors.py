@@ -29,9 +29,5 @@ class ArenaFullError(SimError):
     """No free slot left in the value arena."""
 
 
-class AllocationError(SimError):
-    """Unknown node, track, or slot in an allocation table."""
-
-
 class StructureError(SimError):
     """Tree structural corruption detected by an audit."""

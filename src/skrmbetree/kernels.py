@@ -1,24 +1,21 @@
-"""Per-bit loops over uint8 cell arrays, with numpy twins; off the
-simulated path: the device keeps its cells as ints and runs no kernel.
+"""Per-bit reference loops over uint8 cell arrays, off the simulated path:
+the device keeps its cells as ints and runs no kernel.
 
-Three users remain: the tests' per-bit oracles (the ``_loop_*`` loops on a
-uint8 image of the cells), the names ``perfbench/tracing.py`` wraps, and
-``perfbench/run.py``, which warms the kernels up and reports ``BACKEND``.
-The loops compile with numba's @njit when ``SKRMBETREE_NUMBA`` allows
-(``auto`` default, ``1`` requires numba, ``0`` forces numpy); both backends
-return identical numbers. Index 0 of a bit array is the least significant
-bit.
+The tests run these loops on a uint8 image of the cells as the per-bit
+oracles of the device's int passes. ``perfbench/`` wraps these names and
+reads ``BACKEND``. Index 0 of a bit array is the least significant bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-# write modes shared with device.py
+# write modes of word_write and bi_write
 MODE_NAIVE = 0
 MODE_DCW = 1
+
+# read only by perfbench/run.py, which records it and warms no kernel for it
+BACKEND = "python"
 
 
 # bit cell bytes <-> ASCII binary digits; a bit array converts to an int by
@@ -46,10 +43,7 @@ def bits_to_int(bits: np.ndarray) -> int:
     return int(bits[::-1].tobytes().translate(BIT_DIGITS), 2)
 
 
-# ---------------------------------------------------------------- loop backend
-
-
-def _loop_xor_counts(old, new):
+def xor_counts(old, new):
     """(injects, removes) to turn pattern `old` into `new`."""
     inj = 0
     rem = 0
@@ -63,7 +57,7 @@ def _loop_xor_counts(old, new):
     return inj, rem
 
 
-def _loop_word_write(cells, start, span, width, new_bits, mode):
+def word_write(cells, start, span, width, new_bits, mode):
     """Apply one word write in place; returns (detects, injects, removes).
 
     naive mode clears the whole `span` (stale bits die too) and injects the
@@ -96,7 +90,7 @@ def _loop_word_write(cells, start, span, width, new_bits, mode):
     return detects, injects, removes
 
 
-def _loop_bcw_batch(cells, starts, widths, new_mat):
+def bcw_batch(cells, starts, widths, new_mat):
     """One batched compare-write pass over same-track word slots.
 
     Visits every bit position once; at each position all slots still live
@@ -147,7 +141,7 @@ def _loop_bcw_batch(cells, starts, widths, new_mat):
     return detects, injects, removes, active_bits, bits_inj_only, bits_rem_only, bits_both
 
 
-def _loop_pw_match(old, new):
+def pw_match(old, new):
     """Skyrmion-reuse accounting: (injects, removes, reposition_shifts).
 
     Surviving skyrmions are matched first-to-first in position order; each
@@ -180,9 +174,9 @@ def _loop_pw_match(old, new):
     return n_new - reused, n_old - reused, shifts
 
 
-def _loop_bi_write(cells2d, row_start, span, width, col, new_bits, mode):
+def bi_write(cells2d, row_start, span, width, col, new_bits, mode):
     """Column write for the bit-interleaved mapping; same contract as
-    _loop_word_write but one bit per track row at a fixed column."""
+    word_write but one bit per track row at a fixed column."""
     detects = 0
     injects = 0
     removes = 0
@@ -207,126 +201,3 @@ def _loop_bi_write(cells2d, row_start, span, width, col, new_bits, mode):
                     removes += 1
                 cells2d[row_start + r, col] = n
     return detects, injects, removes
-
-
-# --------------------------------------------------------------- numpy backend
-
-
-def _np_xor_counts(old, new):
-    inj = int(np.count_nonzero((old == 0) & (new == 1)))
-    rem = int(np.count_nonzero((old == 1) & (new == 0)))
-    return inj, rem
-
-
-def _np_word_write(cells, start, span, width, new_bits, mode):
-    if mode == MODE_NAIVE:
-        region = cells[start:start + span]
-        removes = int(np.count_nonzero(region))
-        region[:] = 0
-        live = new_bits[:width]
-        injects = int(np.count_nonzero(live))
-        cells[start:start + width] = live
-        return 0, injects, removes
-    live = new_bits[:width]
-    old = cells[start:start + width]
-    injects = int(np.count_nonzero((old == 0) & (live == 1)))
-    removes = int(np.count_nonzero((old == 1) & (live == 0)))
-    cells[start:start + width] = live
-    return width, injects, removes
-
-
-def _np_bcw_batch(cells, starts, widths, new_mat):
-    n_slots = len(starts)
-    max_width = int(widths.max()) if n_slots else 0
-    if max_width == 0:
-        return 0, 0, 0, 0, 0, 0, 0
-    idx = starts[:, None] + np.arange(max_width)[None, :]
-    live = np.arange(max_width)[None, :] < widths[:, None]
-    old = cells[idx]
-    new = new_mat[:, :max_width]
-    inj_cells = live & (old == 0) & (new == 1)
-    rem_cells = live & (old == 1) & (new == 0)
-    flat = idx[live]
-    cells[flat] = new[live]
-    inj_per_bit = inj_cells.sum(axis=0)
-    rem_per_bit = rem_cells.sum(axis=0)
-    has_inj = inj_per_bit > 0
-    has_rem = rem_per_bit > 0
-    return (int(np.count_nonzero(live)),
-            int(inj_per_bit.sum()),
-            int(rem_per_bit.sum()),
-            int(np.count_nonzero(live.any(axis=0))),
-            int(np.count_nonzero(has_inj & ~has_rem)),
-            int(np.count_nonzero(has_rem & ~has_inj)),
-            int(np.count_nonzero(has_inj & has_rem)))
-
-
-def _np_pw_match(old, new):
-    old_pos = np.flatnonzero(old)
-    new_pos = np.flatnonzero(new)
-    reused = min(len(old_pos), len(new_pos))
-    shifts = int(np.abs(old_pos[:reused] - new_pos[:reused]).sum())
-    return len(new_pos) - reused, len(old_pos) - reused, shifts
-
-
-def _np_bi_write(cells2d, row_start, span, width, col, new_bits, mode):
-    # new_bits must be contiguous 0/1 uint8: the compare reads the column
-    # and the word as two ints, far cheaper than elementwise numpy ops on
-    # a strided column of a few dozen cells
-    if mode == MODE_NAIVE:
-        region = cells2d[row_start:row_start + span, col]
-        removes = region.tobytes().count(1)
-        region[:] = 0
-        live = new_bits[:width]
-        cells2d[row_start:row_start + width, col] = live
-        return 0, live.tobytes().count(1), removes
-    if width == 0:
-        return 0, 0, 0
-    live = new_bits[:width]
-    old = cells2d[row_start:row_start + width, col]
-    o = int(old.tobytes().translate(BIT_DIGITS), 2)
-    n = int(live.tobytes().translate(BIT_DIGITS), 2)
-    old[:] = live
-    return width, (n & ~o).bit_count(), (o & ~n).bit_count()
-
-
-# ------------------------------------------------------------ backend selection
-
-LOOP_IMPLS = {
-    "xor_counts": _loop_xor_counts,
-    "word_write": _loop_word_write,
-    "bcw_batch": _loop_bcw_batch,
-    "pw_match": _loop_pw_match,
-    "bi_write": _loop_bi_write,
-}
-
-NUMPY_IMPLS = {
-    "xor_counts": _np_xor_counts,
-    "word_write": _np_word_write,
-    "bcw_batch": _np_bcw_batch,
-    "pw_match": _np_pw_match,
-    "bi_write": _np_bi_write,
-}
-
-
-def _pick_backend():
-    flag = os.environ.get("SKRMBETREE_NUMBA", "auto").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return "numpy", NUMPY_IMPLS
-    try:
-        from numba import njit
-    except ImportError:
-        if flag in ("1", "on", "true", "yes"):
-            raise
-        return "numpy", NUMPY_IMPLS
-    compiled = {name: njit(cache=True)(fn) for name, fn in LOOP_IMPLS.items()}
-    return "numba", compiled
-
-
-BACKEND, _IMPLS = _pick_backend()
-
-xor_counts = _IMPLS["xor_counts"]
-word_write = _IMPLS["word_write"]
-bcw_batch = _IMPLS["bcw_batch"]
-pw_match = _IMPLS["pw_match"]
-bi_write = _IMPLS["bi_write"]

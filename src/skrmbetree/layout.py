@@ -114,18 +114,18 @@ class _WordArenaMap:
     def __init__(self, device, max_tracks=None):
         self.device = device
         self.max_tracks = max_tracks
-        self.track_ids: list[int] = []
+        self.tracks: list = []   # Racetrack handles, in index order
         self.slots_per_track = device.geom.ports_per_track
 
     def locate(self, index: int):
         t, slot = divmod(index, self.slots_per_track)
-        while t >= len(self.track_ids):
+        while t >= len(self.tracks):
             _check_track_budget(self.device, self.max_tracks)
-            self.track_ids.append(self.device.new_track().track_id)
-        return self.device.track(self.track_ids[t]), slot
+            self.tracks.append(self.device.new_track())
+        return self.tracks[t], slot
 
     def to_json(self) -> dict:
-        return {"tracks": list(self.track_ids),
+        return {"tracks": [t.track_id for t in self.tracks],
                 "slots_per_track": self.slots_per_track}
 
 
@@ -176,6 +176,10 @@ class DeviceStore:
             self.layout = WordBasedLayout(device, tree_cfg.max_tracks)
             self.arena_map = _WordArenaMap(device, tree_cfg.max_tracks)
         elif mapping == "bit_interleaved":
+            if self.strategy == "pw":
+                raise ConfigError("pw is a single-word word-based strategy; "
+                                  "it cannot drive the bit_interleaved "
+                                  "mapping")
             self.layout = BitInterleavedLayout(device, word_bits,
                                                tree_cfg.max_tracks)
             self.arena_map = _BiArenaMap(device, word_bits, tree_cfg.max_tracks)

@@ -2,9 +2,9 @@
 
 The device stores a track as one int per interport segment (bit j of
 segment k is cell k * interport + j) and a group as one int per column
-(bit r is row r). Tests that index single cells, or run the
-per-bit ``kernels._loop_*`` oracles, work on this image instead: cell i of a
-track, and ``[row, column]`` of a group.
+(bit r is row r). Tests that index single cells, or run the per-bit
+loops of ``skrmbetree.kernels`` as oracles, work on this image instead:
+cell i of a track, and ``[row, column]`` of a group.
 """
 
 import numpy as np

@@ -1,9 +1,13 @@
 """Benchmark harness: comparison sets, emission formats, CLI."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import skrmbetree
 from skrmbetree.bench import (MetricsReport, emit, parse_csv, run_experiment,
                               run_single, run_sweep, with_reductions)
 from skrmbetree.betree import BeTree
@@ -234,3 +238,25 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     rc = main(["run", "--mapping", "bit", "--strategy", "pw"])
     assert rc == 2
+
+
+def test_a_simulation_loads_no_kernel():
+    # the device computes on int cells; the per-bit loops in kernels.py are
+    # the tests' oracles, so a run on either mapping must not import them
+    src = pathlib.Path(skrmbetree.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import skrmbetree\n"
+        "from skrmbetree.bench import run_single\n"
+        "from skrmbetree.config import ExperimentConfig, TreeConfig\n"
+        "full = TreeConfig(strategy='bcw', encoding=True, parallel_ports=True)\n"
+        "for mapping in ('word', 'bit_interleaved'):\n"
+        "    run_single(ExperimentConfig(mapping=mapping, entries=60,\n"
+        "                                op_count=60, word_bytes=2, tree=full),\n"
+        "               check_oracle=True)\n"
+        "print('skrmbetree.kernels' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

@@ -64,12 +64,13 @@ def test_port_range_checked():
     lambda dev, g: dev.write_serial(g, 1, 5, 8, "dcw"),
     lambda dev, g: dev.write_pw(g, 1, 5, 8),
     lambda dev, g: dev.write_batch_bcw(g, [(1, 5, 8)]),
+    lambda dev, g: dev.write_batch_bcw(g, []),
     lambda dev, g: dev.read_word(g, 1, 8),
 ], ids=["detect", "inject", "remove", "write_serial", "write_pw",
-        "write_batch_bcw", "read_word"])
+        "write_batch_bcw", "write_batch_bcw_empty", "read_word"])
 def test_single_track_calls_refuse_a_track_group(call):
     # the primitives and word passes act on one track; a group fails
-    # typed and unchanged
+    # typed and unchanged, even with nothing to write
     dev = small_device(word_bits=8, ports=4, record_steps=True)
     g = dev.new_group(16)
     load_image(g, np.random.default_rng(3).integers(
@@ -106,31 +107,22 @@ def test_shift_boundary_overflow_region():
         dev.shift(tr, "left", 1)
 
 
-def test_lockstep_shift_billing():
-    dev = small_device()
-    a, b, c = dev.new_track(), dev.new_track(), dev.new_track()
-    dev.shift([a, b, c], "left", 5)
-    # energy per track and step, latency once per step
-    assert dev.counters.shift == 15
-    assert dev.counters.shift_steps == 5
-
-
 def test_group_shift_counts_every_track():
+    # energy per track and step, latency once per step
     dev = small_device()
     g = dev.new_group(16)
     dev.shift(g, "right", 2)
     assert dev.counters.shift == 32
     assert dev.counters.shift_steps == 2
-
-
-def test_align_needs_common_offset():
-    dev = small_device()
-    a, b = dev.new_track(), dev.new_track()
-    dev.shift(a, "right", 1)
-    with pytest.raises(ConfigError):
-        dev.align([a, b], 0)
-    assert dev.align(a, 0) == 1
-    assert dev.align([a, b], 0) == 0
+    assert dev.align(g, 0) == 2
+    assert dev.align(g, 0) == 0
+    assert dev.counters.shift == 64
+    assert dev.counters.shift_steps == 4
+    tr = dev.new_track()
+    dev.shift(tr, "right", 1)
+    assert dev.align(tr, 0) == 1
+    assert dev.align(tr, 0) == 0
+    assert tr.offset == 0
 
 
 def _cells_value(tr, slot, width):
@@ -337,7 +329,7 @@ def _composed_serial(dev, tr, slot, value, width, mode):
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
     cells = cell_image(tr)
-    det, inj, rem = kernels._loop_word_write(
+    det, inj, rem = kernels.word_write(
         cells, tr.slot_start(slot), tr.interport, width,
         kernels.int_to_bits(value, width),
         kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
@@ -418,7 +410,7 @@ def _kernel_bcw(dev, tr, writes):
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport)
     cells = cell_image(tr)
-    det, inj, rem, act, inj_steps, rem_steps, both = kernels._loop_bcw_batch(
+    det, inj, rem, act, inj_steps, rem_steps, both = kernels.bcw_batch(
         cells, starts, widths, mat)
     load_image(tr, cells)
     if dev.cost.dominant(("inject", "remove")) == "inject":
@@ -491,7 +483,7 @@ def _kernel_pw(dev, tr, slot, value, width):
     start = tr.slot_start(slot)
     new = kernels.int_to_bits(value, width)
     cells = cell_image(tr)
-    inj, rem, repos = kernels._loop_pw_match(cells[start:start + width], new)
+    inj, rem, repos = kernels.pw_match(cells[start:start + width], new)
     dev.align(tr, 0)
     dev.counters.record_shift(1, 2 * tr.interport + repos)
     dev.counters.record("inject", inj)
@@ -509,7 +501,7 @@ def _kernel_pw(dev, tr, slot, value, width):
            st.tuples(st.integers(0, _SLOTS - 1), st.integers(0, 255),
                      st.integers(0, 8)),
            st.integers(-8, 8)), max_size=12))
-def test_write_pw_bills_like_the_loop_kernel(policy, record, doubled, image,
+def test_write_pw_bills_like_the_per_bit_kernel(policy, record, doubled, image,
                                              ops):
     # a tuple op writes (slot, value, width); an int op realigns the track
     devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
@@ -540,7 +532,7 @@ def _composed_bi_write(dev, group, port, node_offset, row_start, span,
     with the per-bit loop kernel applying the cells."""
     col = group.slot_start(port) + node_offset
     cells = cell_image(group)
-    det, inj, rem = kernels._loop_bi_write(
+    det, inj, rem = kernels.bi_write(
         cells, row_start, span, width, col,
         kernels.int_to_bits(value, width),
         kernels.MODE_NAIVE if mode == "naive" else kernels.MODE_DCW)
@@ -925,18 +917,22 @@ def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
     ([(1, 0, 8, 8, 5), (2, 10, 8, 8, 5)], 2, ConfigError),
     ([(1, 0, 8, 8, 5), (2, -1, 8, 8, 5)], 2, ConfigError),
     ([(1, 0, 8, 9, 5)], 2, ConfigError),
+    ([], 3, ConfigError),
 ])
-@pytest.mark.parametrize("mode", ("naive", "dcw"))
+@pytest.mark.parametrize("mode", ("naive", "dcw", "bogus"))
 def test_bi_write_node_rejects_bad_batches_before_any_change(words, offset,
                                                              error, mode):
     # bad port, duplicate word, value >= 2^width or negative, misaligned
     # group, rows outside the group, width past the span; the valid words
-    # in front of the bad one must not land
+    # in front of the bad one must not land. An empty batch is checked
+    # too, and an unknown mode fails before anything else.
     dev = small_device(word_bits=8, ports=4, record_steps=True)
     g = dev.new_group(16)
     dev.group_align(g, 2)
     before = _device_state(dev, g), list(dev.counters.trace)
-    with pytest.raises(error):
+    raises = (pytest.raises(ConfigError, match="unknown write mode")
+              if mode == "bogus" else pytest.raises(error))
+    with raises:
         dev.bi_write_node(g, offset, words, mode, True)
     after = _device_state(dev, g), list(dev.counters.trace)
     assert np.array_equal(before[0][0], after[0][0])

@@ -6,7 +6,7 @@ import pytest
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
                                TreeConfig)
 from skrmbetree.device import Device
-from skrmbetree.errors import CapacityError, StructureError
+from skrmbetree.errors import CapacityError, ConfigError, StructureError
 from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore
 
 
@@ -87,6 +87,14 @@ def test_group_align_moves_every_track_equally():
     assert moved == 5
     assert d.shift == group.n_tracks * 5
     assert d.shift_steps == 5
+
+
+def test_store_refuses_pw_on_the_bit_interleaved_mapping():
+    # pw moves skyrmions along one track; a column write cannot, and the
+    # store must refuse it rather than bill it as dcw
+    make_store("word", strategy="pw", parallel=False)
+    with pytest.raises(ConfigError, match="pw"):
+        make_store("bit_interleaved", strategy="pw", parallel=False)
 
 
 def test_track_budget_enforced_word():

@@ -170,49 +170,6 @@ def test_empty_batch_is_free():
     assert dev.counters.as_flat_dict() == Device(dev.geom).counters.as_flat_dict()
 
 
-@pytest.mark.parametrize("name", sorted(kernels.LOOP_IMPLS))
-def test_kernel_backends_agree(name):
-    rng = np.random.default_rng(21)
-    loop = kernels.LOOP_IMPLS[name]
-    vec = kernels.NUMPY_IMPLS[name]
-    for trial in range(300):
-        width = int(rng.choice((4, 8, 16, 64)))
-        old = rng.integers(0, 2, size=width, dtype=np.uint8)
-        new = rng.integers(0, 2, size=width, dtype=np.uint8)
-        if name in ("xor_counts", "pw_match"):
-            assert loop(old, new) == vec(old, new)
-        elif name == "word_write":
-            mode = trial % 2
-            a = rng.integers(0, 2, size=width * 3, dtype=np.uint8)
-            b = a.copy()
-            ra = loop(a, width, width * 2, width, new, mode)
-            rb = vec(b, width, width * 2, width, new, mode)
-            assert ra == rb and np.array_equal(a, b)
-        elif name == "bi_write":
-            # naive clears stale rows past `width` up to `span`; the word
-            # may start past row 0 of the group and may be empty
-            mode = trial % 2
-            row_start = int(rng.integers(0, 4))
-            live = 0 if trial % 7 == 0 else int(rng.integers(0, width + 1))
-            span = live + int(rng.integers(0, 3))
-            a = rng.integers(0, 2, size=(row_start + span, 32), dtype=np.uint8)
-            b = a.copy()
-            col = int(rng.integers(0, 32))
-            ra = loop(a, row_start, span, live, col, new, mode)
-            rb = vec(b, row_start, span, live, col, new, mode)
-            assert ra == rb and np.array_equal(a, b)
-        else:   # bcw_batch
-            n = int(rng.integers(1, 6))
-            starts = (rng.choice(16, size=n, replace=False) * 64).astype(np.int64)
-            widths = rng.integers(1, width + 1, size=n).astype(np.int64)
-            mat = rng.integers(0, 2, size=(n, int(widths.max())), dtype=np.uint8)
-            a = rng.integers(0, 2, size=1200, dtype=np.uint8)
-            b = a.copy()
-            ra = loop(a, starts, widths, mat)
-            rb = vec(b, starts, widths, mat)
-            assert ra == rb and np.array_equal(a, b)
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), width=st.integers(0, 256))
 def test_bit_conversions_match_packbits(data, width):
