@@ -180,8 +180,8 @@ def run_sweep(cfg: ExperimentConfig, entries_grid=(10**3, 10**4, 10**5, 10**6),
     return reports
 
 
-def emit(reports, fmt: str, path=None) -> str:
-    """Serialize reports; returns the text, optionally writing it to path."""
+def emit(reports, fmt: str) -> str:
+    """Serialize reports as CSV or JSON text."""
     if not reports:
         raise ConfigError("nothing to emit")
     if fmt == "csv":
@@ -197,9 +197,6 @@ def emit(reports, fmt: str, path=None) -> str:
         text += "\n"
     else:
         raise ConfigError(f"format must be csv or json, not {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
     return text
 
 

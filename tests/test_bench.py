@@ -99,11 +99,14 @@ def test_emission_is_deterministic():
     assert emit(first, "json") == emit(second, "json")
 
 
-def test_emit_writes_files_and_validates(tmp_path):
+def test_emit_validates_and_the_cli_writes_its_text(tmp_path):
     reports = run_experiment(tiny_cfg())
+    # emit only returns the text; the CLI's --out is the one file writer
     out = tmp_path / "rows.csv"
-    text = emit(reports, "csv", out)
-    assert out.read_text() == text
+    assert main(["run", "--workload", "a", "--entries", "60", "--ops", "60",
+                 "--word-bytes", "2", "--strategy", "dcw", "--encoding",
+                 "off", "--parallel-ports", "off", "--out", str(out)]) == 0
+    assert out.read_text() == emit(reports, "csv")
     with pytest.raises(ConfigError):
         emit([], "csv")
     with pytest.raises(ConfigError):

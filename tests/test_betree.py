@@ -399,12 +399,12 @@ def test_corrupt_buffered_key_fails_the_scan_at_the_same_read(mapping):
         assert len(newest) == 4
         victim = newest[2]
         if mapping == "word":
-            tr = tree.store.layout.track_of(root.node_id)
+            tr = tree.store.homes[root.node_id]
             cells = cell_image(tr)
             cells[tr.slot_start(2 * victim.slot)] ^= 1
             load_image(tr, cells)
         else:
-            group, offset = tree.store.layout.locate(root.node_id)
+            group, offset = tree.store.homes[root.node_id]
             cells = cell_image(group)
             cells[0, group.slot_start(victim.slot) + offset] ^= 1
             load_image(group, cells)

@@ -55,30 +55,104 @@ def test_allocation_injectivity(mapping):
     store = make_store(mapping)
     for node_id in range(200):
         store.add_node(node_id, (KIND_INTERNAL, KIND_LEAF)[node_id % 2])
-    alloc = store.allocation_json()["nodes"]
-    assert len(alloc) == 200
+    assert sorted(store.homes) == list(range(200))
     if mapping == "word":
-        homes = {entry["track"] for entry in alloc.values()}
+        homes = {track.track_id for track in store.homes.values()}
     else:
-        homes = {(entry["group"], entry["offset"]) for entry in alloc.values()}
+        homes = {(group.group_id, offset)
+                 for group, offset in store.homes.values()}
     assert len(homes) == 200
 
 
 def test_bit_interleaved_pools_never_mix_kinds():
     store = make_store("bit_interleaved")
-    for node_id in range(60):
-        store.add_node(node_id, (KIND_INTERNAL, KIND_LEAF)[node_id % 2])
-    alloc = store.allocation_json()["nodes"]
+    kinds = {node_id: (KIND_INTERNAL, KIND_LEAF)[node_id % 2]
+             for node_id in range(60)}
+    for node_id, kind in kinds.items():
+        store.add_node(node_id, kind)
     by_group = {}
-    for entry in alloc.values():
-        by_group.setdefault(entry["group"], set()).add(entry["kind"])
-    assert all(len(kinds) == 1 for kinds in by_group.values())
+    for node_id, (group, _offset) in store.homes.items():
+        by_group.setdefault(group.group_id, set()).add(kinds[node_id])
+    assert all(len(group_kinds) == 1 for group_kinds in by_group.values())
+
+
+def test_word_placement_pins_every_home():
+    # one new track per node in id order, then arena tracks added as a
+    # slot on them is first used: slot i is word slot i % ports of arena
+    # track i // ports
+    store = make_store("word")
+    dev, wb, ports = store.device, store.word_bits, 8
+    for node_id in range(5):
+        store.add_node(node_id, (KIND_INTERNAL, KIND_LEAF)[node_id % 2])
+    node_tracks = list(dev.tracks.values())
+    assert [store.homes[n] for n in range(5)] == node_tracks
+    store.arena_write(3, 0x33, wb)
+    assert len(store.arena) == 1
+    store.arena_write(2 * ports + 5, 0x55, wb)
+    assert len(store.arena) == 3
+    assert list(dev.tracks.values()) == node_tracks + store.arena
+    for index, value in ((3, 0x33), (2 * ports + 5, 0x55)):
+        track = store.arena[index // ports]
+        assert track.cells[index % ports + 1] == value
+        assert store.peek_arena(index, wb) == value
+    assert not dev.groups
+
+
+def test_bit_interleaved_placement_pins_every_home():
+    # each kind fills the interport columns of its own 2 * word_bits-row
+    # group in order; arena slot i sits in word_bits-row group
+    # i // (ports * interport) at (port, offset) = divmod(i % (ports *
+    # interport), interport)
+    store = make_store("bit_interleaved")
+    dev, wb = store.device, store.word_bits
+    ports, interport = 8, wb
+    for node_id in range(40):
+        store.add_node(node_id, (KIND_INTERNAL, KIND_LEAF)[node_id % 2])
+    node_groups = list(dev.groups.values())
+    assert len(node_groups) == 4
+    assert all(g.n_tracks == 2 * wb for g in node_groups)
+    for node_id in range(40):
+        rank = node_id // 2   # place among the nodes of its kind
+        group = node_groups[node_id % 2 + 2 * (rank // interport)]
+        assert store.homes[node_id] == (group, rank % interport)
+    per_group = ports * interport
+    indices = (0, 5, per_group - 1, per_group, per_group + 37)
+    for index in indices:
+        store.arena_write(index, index + 1, wb)
+    assert len(store.arena) == 2
+    assert list(dev.groups.values()) == node_groups + store.arena
+    assert all(g.n_tracks == wb for g in store.arena)
+    for index in indices:
+        group = store.arena[index // per_group]
+        port, offset = divmod(index % per_group, interport)
+        assert group.cells[group.slot_start(port) + offset] == index + 1
+        assert store.peek_arena(index, wb) == index + 1
+    assert not dev.tracks
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+def test_placement_errors_are_typed_and_place_nothing(mapping):
+    store = make_store(mapping)
+    store.add_node(0, KIND_LEAF)
+    dev = store.device
+    tracks = dict(dev.tracks)
+    groups = dict(dev.groups)
+    homes = dict(store.homes)
+    # the other kind has no group yet: a late duplicate check would make one
+    for kind in (KIND_LEAF, KIND_INTERNAL):
+        with pytest.raises(ConfigError, match="already placed"):
+            store.add_node(0, kind)
+    with pytest.raises(ConfigError, match="unknown mapping"):
+        DeviceStore(dev, "bogus", store.cfg, store.word_bits)
+    assert dev.tracks == tracks
+    assert dev.groups == groups
+    assert store.homes == homes
 
 
 def test_group_align_moves_every_track_equally():
     store = make_store("bit_interleaved")
     store.add_node(0, KIND_INTERNAL)
-    group, offset = store.layout.locate(0)
+    group, offset = store.homes[0]
     dev = store.device
     steps = dev.align(group, 0) or 0
     before = dev.counters.snapshot()
