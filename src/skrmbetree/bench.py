@@ -86,17 +86,26 @@ class MetricsReport:
         return rec
 
 
+def _spec(cfg: ExperimentConfig) -> WorkloadSpec:
+    return WorkloadSpec.from_table(cfg.workload, cfg.ops, cfg.entries,
+                                   cfg.seed)
+
+
 def run_single(cfg: ExperimentConfig, check_oracle: bool = False,
-               audit: bool = False) -> MetricsReport:
-    """Replay one workload against one configuration and report counters."""
+               audit: bool = False, stream=None) -> MetricsReport:
+    """Replay one workload against one configuration and report counters.
+
+    `stream` is the workload's stream for cfg when the caller already has
+    it (a comparison set generates one for all its rows); None generates
+    it here."""
     device = Device(cfg.geometry(), cfg.cost,
                     count_new_detect=cfg.tree.count_new_detect)
     store = DeviceStore(device, cfg.mapping, cfg.tree, cfg.word_bits)
-    spec = WorkloadSpec.from_table(cfg.workload, cfg.ops, cfg.entries,
-                                   cfg.seed)
+    spec = _spec(cfg)
     planned = spec.load_count + spec.op_count
     tree = BeTree(store, cfg.tree, cfg.word_bits, planned_upserts=planned)
-    stream = generate(spec, cfg.word_bits)
+    if stream is None:
+        stream = generate(spec, cfg.word_bits)
 
     oracle: dict[int, int] = {}
     for key, value in stream.iter_load():
@@ -159,12 +168,14 @@ def with_reductions(baseline: MetricsReport,
 
 def run_experiment(cfg: ExperimentConfig, check_oracle: bool = False,
                    audit: bool = False) -> list[MetricsReport]:
-    """Baseline-first comparison set for one configuration."""
-    base_cfg = cfg.baseline()
-    reports = [run_single(base_cfg, check_oracle, audit)]
+    """Baseline-first comparison set for one configuration. The baseline
+    differs from cfg only in its tree settings, so both replay one stream,
+    generated once."""
+    stream = generate(_spec(cfg), cfg.word_bits)
+    reports = [run_single(cfg.baseline(), check_oracle, audit, stream)]
     if not cfg.is_baseline():
-        reports.append(with_reductions(reports[0],
-                                       run_single(cfg, check_oracle, audit)))
+        reports.append(with_reductions(
+            reports[0], run_single(cfg, check_oracle, audit, stream)))
     return reports
 
 

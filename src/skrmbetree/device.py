@@ -12,15 +12,17 @@ condition is ``|offset| <= interport``.
 
 Cells are Python ints. A track is a list of ``n_ports + 2`` ints, one per
 interport segment: bit ``j`` of segment ``k`` is cell ``k * interport + j``,
-so the word in slot ``w`` is ``cells[w + 1] & mask`` and a write is
-``segment & ~mask | value``, each on an int no wider than one interport.
+so the word in slot ``w`` is ``old = cells[w + 1] & mask`` and a write is
+``segment ^ old | value``, each on an int no wider than one interport.
 A track group is one int per cell column whose bit ``r`` is row ``r``, so a
 word stored down a column is ``column >> row_start & mask``.
 
 A node visit of a query is one charged pass: ``scan_words`` and
 ``bi_scan_words`` read a node's keys and then, as a final word of its own
 width, the payload the search chose, billed exactly as the same reads made
-one at a time.
+one at a time. A node write is one call too: ``write_words`` writes a
+node's words one after another, billed as the same words written one at a
+time.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -93,6 +95,7 @@ class TrackGroup:
 
 
 _MODES = ("naive", "dcw")
+_WORD_MODES = _MODES + ("bcw",)
 
 
 def _cut_after_miss(words: list, expect) -> None:
@@ -215,13 +218,11 @@ class Device:
     # ----------------------------------------------- word-based charged passes
 
     @staticmethod
-    def _swap_words(tr: Racetrack, writes,
-                    span: int = 0) -> list[tuple[int, int]]:
-        """Check every (slot, value, width) word, then write each into its
-        slot and return (value, old word) per word, the value as a Python
-        int whatever integer type carried it. Nothing changes unless every
-        word is valid. A word replaces its `width` cells, or `span` cells
-        when given (the naive clear takes the whole interport span)."""
+    def _check_words(tr: Racetrack, writes) -> list[int]:
+        """Check every (slot, value, width) word of a batch on one track:
+        the slot on the track, the width within one interport segment, the
+        value below 2**width and no slot twice. Return the values as Python
+        ints, whatever integer type carried them."""
         n_ports, ip = tr.n_ports, tr.interport
         seen = set()
         values = []
@@ -238,17 +239,7 @@ class Device:
                 raise ConfigError(f"slot {slot} written twice in one batch")
             seen.add(slot)
             values.append(value)
-        # only changed words are written back, so a width-0 word never is
-        cells = tr.cells
-        swapped = []
-        for (slot, _value, width), value in zip(writes, values):
-            seg = cells[slot + 1]
-            mask = (1 << (span or width)) - 1
-            old = seg & mask
-            if old != value:
-                cells[slot + 1] = seg & ~mask | value
-            swapped.append((value, old))
-        return swapped
+        return values
 
     def _bill_pass(self, tr: Racetrack, det: int, det_steps: int, inj: int,
                    inj_steps: int, rem: int, rem_steps: int,
@@ -277,28 +268,77 @@ class Device:
 
     def write_serial(self, track, slot: int, value: int, width: int,
                      mode: str) -> None:
-        """One word through its port, naive or dcw; every port action is its
-        own latency step.
+        """One word through its port, naive or dcw; the one-word
+        :meth:`write_words`."""
+        if mode not in _MODES:
+            raise ConfigError(f"unknown write mode {mode!r}")
+        self.write_words(track, ((slot, value, width),), mode)
+
+    def write_words(self, track, writes, mode: str) -> None:
+        """Write the (slot, value, width) words of one track one after
+        another, each its own through-port pass, as one call; every port
+        action is its own latency step.
 
         A naive write clears the slot's whole interport span and injects
         the new 1s blind; dcw detects the `width` live bits, compares old
         and new as two ints and flips only the differences, leaving bits
-        past `width` alone.
+        past `width` alone. bcw is the one-word :meth:`write_batch_bcw`: it
+        flips as dcw does, but the detects at one bit position fire
+        together, one step per bit even when each counts twice.
+
+        Each word is billed as its own write: the first pays the align home
+        and every word the 2 * interport out-and-back stream, then its
+        detects, injects and removes, in the same trace order. Every word
+        is checked before any cell, offset or counter changes; no words
+        cost nothing.
         """
         tr = self._single(track)
-        if mode not in _MODES:
+        if mode not in _WORD_MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
-        if mode == "naive":
-            (value, old), = self._swap_words(tr, ((slot, value, width),),
-                                             tr.interport)
-            det, inj, rem = 0, value.bit_count(), old.bit_count()
-        else:
-            (value, old), = self._swap_words(tr, ((slot, value, width),))
-            det, inj, rem = (width, (value & ~old).bit_count(),
-                             (old & ~value).bit_count())
-        if self.count_new_detect:
-            det *= 2
-        self._bill_pass(tr, det, det, inj, inj, rem, rem)
+        if not writes:
+            return
+        values = self._check_words(tr, writes)
+        naive = mode == "naive"
+        per_bit = 2 if self.count_new_detect else 1
+        # a bcw detect step fires every doubled detect of its bit together
+        step_bit = 1 if mode == "bcw" else per_bit
+        c = self.counters
+        trace = c.trace
+        cells = tr.cells
+        stream = 2 * tr.interport
+        step = abs(tr.offset) + stream
+        tr.offset = 0
+        shifts = det = inj = rem = 0
+        # a naive word replaces the slot's whole segment; a word is written
+        # back only when it changed, so a width-0 word never is
+        for (slot, _value, width), value in zip(writes, values):
+            seg = cells[slot + 1]
+            old = seg if naive else seg & (1 << width) - 1
+            if old != value:
+                cells[slot + 1] = seg ^ old | value
+            if naive:
+                d, i, r = 0, value.bit_count(), old.bit_count()
+            else:
+                d, i, r = (width, (value & ~old).bit_count(),
+                           (old & ~value).bit_count())
+            shifts += step
+            det += d
+            inj += i
+            rem += r
+            if trace is not None:
+                c.log_steps("shift", step, step)
+                c.log_steps("detect", per_bit * d, step_bit * d)
+                c.log_steps("inject", i, i)
+                c.log_steps("remove", r, r)
+            step = stream
+        c.shift += shifts
+        c.shift_steps += shifts
+        c.detect += per_bit * det
+        c.detect_steps += step_bit * det
+        c.inject += inj
+        c.inject_steps += inj
+        c.remove += rem
+        c.remove_steps += rem
 
     def write_pw(self, track, slot: int, value: int, width: int) -> None:
         """Permutation-style write: reuse surviving skyrmions, shifting each
@@ -308,7 +348,10 @@ class Device:
         Survivors are matched first-to-first in position order, each match
         charging one shift per cell of displacement."""
         tr = self._single(track)
-        (value, old), = self._swap_words(tr, ((slot, value, width),))
+        value, = self._check_words(tr, ((slot, value, width),))
+        seg = tr.cells[slot + 1]
+        old = seg & (1 << width) - 1
+        tr.cells[slot + 1] = seg ^ old | value
         olds = [i for i in range(width) if old >> i & 1]
         news = [i for i in range(width) if value >> i & 1]
         reused = min(len(olds), len(news))
@@ -330,9 +373,14 @@ class Device:
         tr = self._single(track)
         if not writes:
             return
-        swapped = self._swap_words(tr, writes)
+        values = self._check_words(tr, writes)
+        cells = tr.cells
         det = act = inj = rem = inj_or = rem_or = 0
-        for (_slot, _value, width), (value, old) in zip(writes, swapped):
+        for (slot, _value, width), value in zip(writes, values):
+            seg = cells[slot + 1]
+            old = seg & (1 << width) - 1
+            if old != value:
+                cells[slot + 1] = seg ^ old | value
             det += width
             if width > act:
                 act = width

@@ -23,7 +23,8 @@ def apply_strategy(device, track, writes, strategy: str, parallel: bool) -> None
 
     parallel=True issues the whole batch as one shared pass (config layer
     guarantees strategy is bcw then); otherwise every word is its own
-    single-word operation, whatever the strategy.
+    single-word pass, whatever the strategy: one write_pw call per word
+    for pw, one write_words call for the whole batch otherwise.
     """
     if not writes:
         return
@@ -32,9 +33,5 @@ def apply_strategy(device, track, writes, strategy: str, parallel: bool) -> None
     elif strategy == "pw":
         for slot, value, width in writes:
             device.write_pw(track, slot, value, width)
-    elif strategy == "bcw":
-        for w in writes:
-            device.write_batch_bcw(track, [w])
     else:
-        for slot, value, width in writes:
-            device.write_serial(track, slot, value, width, strategy)
+        device.write_words(track, writes, strategy)

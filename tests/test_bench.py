@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import skrmbetree
+from skrmbetree import bench
 from skrmbetree.bench import (MetricsReport, emit, parse_csv, run_experiment,
                               run_single, run_sweep, with_reductions)
 from skrmbetree.betree import BeTree
@@ -97,6 +98,25 @@ def test_emission_is_deterministic():
     second = run_experiment(cfg)
     assert emit(first, "csv") == emit(second, "csv")
     assert emit(first, "json") == emit(second, "json")
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_cfg(strategy="bcw", encoding=True, parallel=True),
+    tiny_cfg(strategy="dcw", mapping="bit_interleaved"),
+    tiny_cfg(strategy="naive"),
+], ids=["word-full", "bit-dcw", "baseline"])
+def test_a_comparison_set_generates_its_stream_once(cfg, monkeypatch):
+    # every row replays the one stream; the reports are those of rows that
+    # each generate their own
+    want = [run_single(cfg.baseline())]
+    if not cfg.is_baseline():
+        want.append(with_reductions(want[0], run_single(cfg)))
+    calls = []
+    generate = bench.generate
+    monkeypatch.setattr(bench, "generate",
+                        lambda *args: calls.append(args) or generate(*args))
+    assert run_experiment(cfg) == want
+    assert len(calls) == 1
 
 
 def test_emit_validates_and_the_cli_writes_its_text(tmp_path):

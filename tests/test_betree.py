@@ -665,9 +665,10 @@ class _ShadowDevice(Device):
         kept = 0 if naive else self.shadow.get(where, 0) >> width << width
         self.shadow[where] = kept | value
 
-    def write_serial(self, track, slot, value, width, mode):
-        super().write_serial(track, slot, value, width, mode)
-        self._land((track.track_id, slot), value, width, mode == "naive")
+    def write_words(self, track, writes, mode):
+        super().write_words(track, writes, mode)
+        for slot, value, width in writes:
+            self._land((track.track_id, slot), value, width, mode == "naive")
 
     def write_pw(self, track, slot, value, width):
         super().write_pw(track, slot, value, width)

@@ -66,8 +66,11 @@ def test_port_range_checked():
     lambda dev, g: dev.write_batch_bcw(g, [(1, 5, 8)]),
     lambda dev, g: dev.write_batch_bcw(g, []),
     lambda dev, g: dev.read_word(g, 1, 8),
+    lambda dev, g: dev.write_words(g, [(1, 5, 8), (0, 3, 8)], "naive"),
+    lambda dev, g: dev.write_words(g, [], "dcw"),
 ], ids=["detect", "inject", "remove", "write_serial", "write_pw",
-        "write_batch_bcw", "write_batch_bcw_empty", "read_word"])
+        "write_batch_bcw", "write_batch_bcw_empty", "read_word",
+        "write_words", "write_words_empty"])
 def test_single_track_calls_refuse_a_track_group(call):
     # the primitives and word passes act on one track; a group fails
     # typed and unchanged, even with nothing to write
@@ -426,6 +429,119 @@ def _kernel_bcw(dev, tr, writes):
             c.log_steps(kind, n, steps)
     if dev.geom.shift_policy == "eager":
         dev.align(tr, 0)
+
+
+def _one_word_write(dev, tr, writes, mode):
+    """The words written one device call at a time, as a node write made
+    them before write_words."""
+    for slot, value, width in writes:
+        if mode == "bcw":
+            dev.write_batch_bcw(tr, [(slot, value, width)])
+        else:
+            dev.write_serial(tr, slot, value, width, mode)
+
+
+def _composed_words(dev, tr, writes, mode):
+    """The words written one at a time by the primitive-and-kernel
+    oracles: composed primitives for naive and dcw, the per-bit loop
+    kernel for a one-word bcw pass."""
+    for slot, value, width in writes:
+        if mode == "bcw":
+            _kernel_bcw(dev, tr, [(slot, value, width)])
+        else:
+            _composed_serial(dev, tr, slot, value, width, mode)
+
+
+_WORD_BATCHES = st.dictionaries(
+    st.integers(0, _SLOTS - 1), st.tuples(st.integers(0, 255),
+                                          st.integers(0, 8)),
+    min_size=1).map(lambda words: [(slot, value & ((1 << width) - 1), width)
+                                   for slot, (value, width) in words.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(["naive", "dcw", "bcw"]),
+       policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
+       doubled=st.booleans(), image=st.integers(0, (1 << 8 * _SLOTS) - 1),
+       start=st.integers(-8, 8), writes=_WORD_BATCHES)
+def test_write_words_bills_like_one_word_at_a_time(mode, policy, record,
+                                                   doubled, image, start,
+                                                   writes):
+    # the batch, the same words as one-word device calls, and the words
+    # composed from primitives: cells, offset, counters and trace agree
+    devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                         record_steps=record, count_new_detect=doubled)
+            for _ in range(3)]
+    trs = [d.new_track() for d in devs]
+    for dev, tr in zip(devs, trs):
+        _load_slots(tr, image, _SLOTS)
+        dev.align(tr, start)
+    devs[0].write_words(trs[0], writes, mode)
+    _one_word_write(devs[1], trs[1], writes, mode)
+    _composed_words(devs[2], trs[2], writes, mode)
+    for dev, tr in zip(devs[1:], trs[1:]):
+        assert trs[0].cells == tr.cells
+        assert trs[0].offset == tr.offset == 0
+        assert devs[0].counters.as_flat_dict() == dev.counters.as_flat_dict()
+        assert devs[0].counters.trace == dev.counters.trace
+    for slot, value, width in writes:
+        assert _cells_value(trs[0], slot, width) == value
+
+
+_BAD_WORDS = {
+    "slot past the track": (_SLOTS, 1, 8),
+    "negative slot": (-1, 1, 8),
+    "width past interport": (0, 1, 9),
+    "negative width": (0, 0, -1),
+    "value too wide": (0, 0x100, 8),
+    "negative value": (0, -1, 8),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(["naive", "dcw", "bcw"]),
+       policy=st.sampled_from(["lazy", "eager"]), doubled=st.booleans(),
+       bad=st.sampled_from(sorted(_BAD_WORDS)
+                           + ["duplicate slot", "unknown mode"]),
+       writes=_WORD_BATCHES, data=st.data())
+def test_write_words_rejects_a_bad_word_anywhere_before_any_change(
+        mode, policy, doubled, bad, writes, data):
+    dev = small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                       record_steps=True, count_new_detect=doubled)
+    tr = dev.new_track()
+    _fill_ones(tr)
+    dev.shift(tr, "left", 3)    # off home: a charged align would show
+    if bad == "unknown mode":
+        # every word is good, the empty batch too
+        mode = data.draw(st.sampled_from(["pw", "bogus", None]))
+        writes = data.draw(st.sampled_from([writes, []]))
+    elif bad == "duplicate slot":
+        at = data.draw(st.integers(1, len(writes)))
+        writes.insert(at, writes[data.draw(st.integers(0, at - 1))])
+    else:
+        writes.insert(data.draw(st.integers(0, len(writes))), _BAD_WORDS[bad])
+    before = list(tr.cells), tr.offset, dev.counters.as_flat_dict()
+    trace = list(dev.counters.trace)
+    with pytest.raises((ConfigError, PortRangeError)):
+        dev.write_words(tr, writes, mode)
+    assert before == (tr.cells, tr.offset, dev.counters.as_flat_dict())
+    assert dev.counters.trace == trace
+
+
+@pytest.mark.parametrize("mode", ("naive", "dcw", "bcw"))
+@pytest.mark.parametrize("policy", ("lazy", "eager"))
+def test_write_words_empty_batch_is_free(mode, policy):
+    # no words: no align home, no stream, no trace entry
+    dev = small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                       record_steps=True)
+    tr = dev.new_track()
+    _fill_ones(tr)
+    dev.shift(tr, "left", 3)
+    before = list(tr.cells), tr.offset, dev.counters.as_flat_dict()
+    trace = list(dev.counters.trace)
+    dev.write_words(tr, [], mode)
+    assert before == (tr.cells, tr.offset, dev.counters.as_flat_dict())
+    assert dev.counters.trace == trace
 
 
 _BCW_PORTS = 6

@@ -62,10 +62,33 @@ def test_all_strategies_land_the_new_pattern(width):
                                   new), strategy
 
 
+class _CallSpy:
+    """Forwards to a Device and logs every name looked up on it from
+    outside (apply_strategy looks up only the methods it calls); calls the
+    device makes on itself are not seen."""
+
+    def __init__(self, device):
+        self._device = device
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._device, name)
+
+
+# the one device call a node write of three words makes per route: the
+# node's words in one serial pass, or one shared pass with parallel ports;
+# pw alone stays one call per word
+_ROUTED_CALLS = {"naive": ["write_words"], "dcw": ["write_words"],
+                 "bcw": ["write_words"], "ports": ["write_batch_bcw"],
+                 "pw": ["write_pw"] * 3}
+
+
 @pytest.mark.parametrize("strategy", ("naive", "dcw", "pw", "bcw", "ports"))
 def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
     # without parallel ports every word is its own pass, pw included; with
-    # them the whole batch shares one bcw pass
+    # them the whole batch shares one bcw pass. Either way a node write is
+    # one device call, except pw's
     rng = np.random.default_rng(17)
     writes = [(slot, int(rng.integers(0, 256)), 8) for slot in (3, 0, 2)]
     routed, direct = fresh_track(8), fresh_track(8)
@@ -74,7 +97,10 @@ def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
     load_image(routed[1], image)
     load_image(direct[1], image)
     parallel = strategy == "ports"
-    apply_strategy(*routed, writes, "bcw" if parallel else strategy, parallel)
+    spy = _CallSpy(routed[0])
+    apply_strategy(spy, routed[1], writes, "bcw" if parallel else strategy,
+                   parallel)
+    assert spy.calls == _ROUTED_CALLS[strategy]
     dev, tr = direct
     if parallel:
         dev.write_batch_bcw(tr, writes)
