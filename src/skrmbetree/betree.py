@@ -217,6 +217,30 @@ class BeTree:
         if not (0 <= value < (1 << self.word_bits)):
             raise ConfigError(f"{what} does not fit in {self.word_bits} bits")
 
+    def _pair_writes(self, old, new) -> list:
+        """The pair writes that turn the (key, word) list `old` into `new`,
+        slot by slot: one per pair that changed, with None for the word of
+        it that did not. Pair i of either list sits in pair slot i."""
+        writes = []
+        for i, (k, v) in enumerate(new):
+            ok, ov = old[i] if i < len(old) else (None, None)
+            kw = k if ok != k else None
+            vw = v if ov != v else None
+            if kw is not None or vw is not None:
+                writes.append((i, kw, vw, self.word_bits))
+        return writes
+
+    def _move(self, msgs, src: InternalNode, dst: InternalNode,
+              writes: list) -> None:
+        """Move buffered messages from `src`'s slots to `dst`'s: each frees
+        its slot in `src`, takes the lowest free one in `dst`, and appends
+        its pair write there to `writes`, in message order."""
+        width = self.payload_width
+        for m in msgs:
+            src.give_slot(m.slot)
+            m.slot = dst.take_slot()
+            writes.append((m.slot, m.key, m.payload, width))
+
     def _release(self, node: InternalNode, msg: Message) -> None:
         # shadowed upsert dies in place: no device traffic, the slot and
         # arena index just return to their pools
@@ -261,7 +285,6 @@ class BeTree:
             # pool never reports for an empty buffer; looping would hang
             raise StructureError(
                 f"node {node.node_id} has no free slot and nothing to flush")
-        width = self.payload_width
         while node.buffer:
             # the buffer is key-sorted and pivot 0 anchors the node's key
             # range, so child i's messages are the run between the first
@@ -297,10 +320,7 @@ class BeTree:
             node.splice(lo, lo + len(batch))
             if child.kind == KIND_INTERNAL:
                 writes = []
-                for m in batch:
-                    node.give_slot(m.slot)
-                    m.slot = child.take_slot()
-                    writes.append((m.slot, m.key, m.payload, width))
+                self._move(batch, node, child, writes)
                 # two sorted runs: the merge sort is linear
                 child.splice(0, len(child.buffer),
                              sorted(child.buffer + batch, key=_ORDER))
@@ -385,15 +405,14 @@ class BeTree:
         merged += old[i:]
         self.kv_writes += len(arrivals)
         cap = self.cfg.element_pairs
-        if len(merged) <= cap:
-            self._write_leaf_diffs(leaf, merged)
-            return
-        n_chunks = -(-len(merged) // cap)
+        n_chunks = max(1, -(-len(merged) // cap))
         base, extra = divmod(len(merged), n_chunks)
         bounds = [0]
         for c in range(n_chunks):
             bounds.append(bounds[-1] + base + (c < extra))
-        self._write_leaf_diffs(leaf, merged[:bounds[1]])
+        leaf.elements = merged[:bounds[1]]
+        self.store.write_pairs(leaf.node_id,
+                               self._pair_writes(old, leaf.elements))
         # each chunk's pivot goes beside its left neighbour's: an earlier
         # pivot may have split the parent, leaving the old leaf in a node
         # whose key range ends below this chunk
@@ -403,27 +422,13 @@ class BeTree:
             chunk = merged[lo:hi]
             sibling = self._new_node(KIND_LEAF, left.parent)
             sibling.elements = chunk
-            self.store.write_pairs(
-                sibling.node_id,
-                [(i, k, v, self.word_bits) for i, (k, v) in enumerate(chunk)])
+            self.store.write_pairs(sibling.node_id, self._pair_writes([], chunk))
             # the old pairs that stayed are moved into the sibling
             upto = bisect.bisect_left(arrived, hi, done)
             self.kv_writes += (hi - lo) - (upto - done)
             done = upto
             self._on_split(left, chunk[0][0], sibling)
             left = sibling
-
-    def _write_leaf_diffs(self, leaf: LeafNode, new_list) -> None:
-        old = leaf.elements
-        writes = []
-        for i, (k, v) in enumerate(new_list):
-            ok, ov = old[i] if i < len(old) else (None, None)
-            kw = k if ok != k else None
-            vw = v if ov != v else None
-            if kw is not None or vw is not None:
-                writes.append((i, kw, vw, self.word_bits))
-        leaf.elements = new_list
-        self.store.write_pairs(leaf.node_id, writes)
 
     # ---------------------------------------------------------------- splits
 
@@ -434,10 +439,8 @@ class BeTree:
             child.parent = sibling.parent = root.node_id
             self.root_id = root.node_id
             self.height += 1
-            self.store.write_pairs(
-                root.node_id,
-                [(0, 0, child.node_id, self.word_bits),
-                 (1, sep, sibling.node_id, self.word_bits)])
+            self.store.write_pairs(root.node_id,
+                                   self._pair_writes([], root.pivots))
         else:
             self._add_pivot(self.nodes[child.parent], sep, sibling)
 
@@ -446,7 +449,8 @@ class BeTree:
         old_pivots = list(node.pivots)
         bisect.insort(node.pivots, (sep, new_child.node_id), key=_FIRST)
         if len(node.pivots) <= self.cfg.pivot_pairs:
-            self._write_pivot_diffs(node, old_pivots)
+            self.store.write_pairs(node.node_id,
+                                   self._pair_writes(old_pivots, node.pivots))
             return
         mid = len(node.pivots) // 2
         # with two-pivot nodes the upper piece of a midpoint split comes
@@ -464,31 +468,18 @@ class BeTree:
         node.pivots = node.pivots[:mid]
         for _k, cid in sibling.pivots:
             self.nodes[cid].parent = sibling.node_id
-        writes = [(i, k, cid, self.word_bits)
-                  for i, (k, cid) in enumerate(sibling.pivots)]
+        writes = self._pair_writes([], sibling.pivots)
         # keys at or above sep2 are a suffix of the key-sorted buffer
         cut = bisect.bisect_left(node.buffer, sep2, key=_KEY)
         moved = node.buffer[cut:]
         node.splice(cut, len(node.buffer))
-        for m in moved:
-            node.give_slot(m.slot)
-            m.slot = sibling.take_slot()
-            writes.append((m.slot, m.key, m.payload, self.payload_width))
+        self._move(moved, node, sibling, writes)
         sibling.splice(0, 0, moved)
         self.store.write_pairs(sibling.node_id, writes)
         self.kv_writes += len(moved)
-        self._write_pivot_diffs(node, old_pivots)
+        self.store.write_pairs(node.node_id,
+                               self._pair_writes(old_pivots, node.pivots))
         self._on_split(node, sep2, sibling)
-
-    def _write_pivot_diffs(self, node: InternalNode, old_pivots) -> None:
-        writes = []
-        for i, (k, cid) in enumerate(node.pivots):
-            ok, ocid = old_pivots[i] if i < len(old_pivots) else (None, None)
-            kw = k if ok != k else None
-            vw = cid if ocid != cid else None
-            if kw is not None or vw is not None:
-                writes.append((i, kw, vw, self.word_bits))
-        self.store.write_pairs(node.node_id, writes)
 
     # ----------------------------------------------------------------- query
 

@@ -10,8 +10,8 @@ sweep         run grid over dataset sizes and word sizes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -19,7 +19,7 @@ from .bench import emit, run_experiment, run_sweep
 from .btree import write_count_series
 from .config import (BOOL_WORDS, ExperimentConfig, apply_file_settings,
                      read_config_file)
-from .errors import SimError
+from .errors import ConfigError, SimError
 
 
 def _onoff(text: str) -> bool:
@@ -71,47 +71,52 @@ def build_config(args) -> ExperimentConfig:
         cfg, {key: value for key, value in flags.items() if value is not None})
 
 
-def _deliver(text: str, out) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path):
+    """The file `--out` names, opened for writing, or stdout without one.
+    Each command opens it before it simulates anything, so a path that
+    cannot be written fails at once rather than after a long run; as with
+    a shell redirection, the file is emptied when the command starts."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
-    reports = run_experiment(cfg, check_oracle=args.check, audit=args.check)
-    _deliver(emit(reports, args.format), args.out)
+    with _output(args.out) as out:
+        out.write(emit(run_experiment(cfg, check_oracle=args.check,
+                                      audit=args.check), args.format))
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
-    reports = run_sweep(cfg, entries_grid=args.entries_grid,
-                        word_bytes_grid=args.word_bytes_grid,
-                        check_oracle=args.check, audit=args.check)
-    _deliver(emit(reports, args.format), args.out)
+    with _output(args.out) as out:
+        out.write(emit(run_sweep(cfg, entries_grid=args.entries_grid,
+                                 word_bytes_grid=args.word_bytes_grid,
+                                 check_oracle=args.check, audit=args.check),
+                       args.format))
     return 0
 
 
 def cmd_write_counts(args) -> int:
     decades = [10 ** e for e in range(3, 7) if 10 ** e <= args.n]
     samples = sorted(set(decades + [args.n]))
-    rows = write_count_series(samples, args.seed, args.node_capacity)
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
+    with _output(args.out) as out:
+        rows = write_count_series(samples, args.seed, args.node_capacity)
+        if args.format == "json":
+            out.write(json.dumps(rows, indent=2) + "\n")
+            return 0
         writer = csv.DictWriter(
-            buf, fieldnames=["n_inserts", "btree_writes", "betree_writes",
+            out, fieldnames=["n_inserts", "btree_writes", "betree_writes",
                              "ratio"],
             lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({**row, "ratio": repr(row["ratio"])})
-        text = buf.getvalue()
-    _deliver(text, args.out)
     return 0
 
 

@@ -80,15 +80,6 @@ class Geometry:
         if self.shift_policy not in SHIFT_POLICIES:
             raise ConfigError(f"shift_policy must be one of {SHIFT_POLICIES}")
 
-    @property
-    def data_bits(self) -> int:
-        return self.ports_per_track * self.interport_bits
-
-    @property
-    def total_cells(self) -> int:
-        # data region plus the two overflow regions
-        return (self.ports_per_track + 2) * self.interport_bits
-
 
 @dataclass(frozen=True)
 class TreeConfig:
@@ -225,10 +216,11 @@ def read_config_file(path) -> dict:
     """Parse a plain ``key = value`` file into a {key: value} dict.
 
     Blank lines and ``#`` comments are skipped. Each value is parsed as the
-    type of the field its key names; an unknown key or a value of the
-    wrong type raises ConfigError.
+    type of the field its key names; an unknown key, a value of the wrong
+    type or a key set twice raises ConfigError.
     """
     out = {}
+    line_of = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -243,6 +235,10 @@ def read_config_file(path) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: {key} is set again, first "
+                              f"on line {line_of[key]}")
+        line_of[key] = lineno
         try:
             out[key] = _parse(key, value.strip())
         except ConfigError as exc:

@@ -22,7 +22,8 @@ A node visit of a query is one charged pass: ``scan_words`` and
 width, the payload the search chose, billed exactly as the same reads made
 one at a time. A node write is one call too: ``write_words`` writes a
 node's words one after another, billed as the same words written one at a
-time.
+time. No caller aligns: a pass positions its own track, or brings its
+node's column under the ports with one ``group_align`` shift set.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -497,11 +498,15 @@ class Device:
 
     # -------------------------------------------- bit-interleaved charged ops
 
-    def group_align(self, group: TrackGroup, node_offset: int) -> int:
-        """Bring a node column under the ports; the whole group moves as one
-        shift set."""
+    @staticmethod
+    def _check_column(group: TrackGroup, node_offset: int) -> None:
         if not (0 <= node_offset < group.interport):
             raise ConfigError("node offset outside the interport region")
+
+    def group_align(self, group: TrackGroup, node_offset: int) -> int:
+        """Bring a node column under the ports; the whole group moves as one
+        shift set. Every bit-interleaved pass aligns through here."""
+        self._check_column(group, node_offset)
         # billed as align -> shift would: the target offset lies inside the
         # overflow region, so no shift past it is possible
         steps = abs(node_offset + group.offset)
@@ -517,7 +522,7 @@ class Device:
 
     def bi_read_word(self, group: TrackGroup, port: int, node_offset: int,
                      row_start: int, width: int) -> int:
-        """Read one word stored one-bit-per-track at an aligned column; the
+        """Read one word stored one-bit-per-track at a node's column; the
         one-port scan."""
         return self.bi_scan_words(group, (port,), node_offset, row_start,
                                   width)[0]
@@ -530,8 +535,11 @@ class Device:
         does. `then` is ``(port, row_start, width)``: a node visit's
         payload read, on its own rows.
 
-        Every row head sits over the same column, so sensing a word is a
-        single simultaneous fire regardless of how writes are driven.
+        Once every check passes, the pass aligns the group itself
+        (:meth:`group_align`); with no ports and no `then` it only checks
+        the node offset. Every row head sits over the same column, so
+        sensing a word is a single simultaneous fire regardless of how
+        writes are driven.
         """
         n_ports, rows = group.n_ports, group.n_tracks
         if not self._ports.issuperset(ports):
@@ -549,9 +557,11 @@ class Device:
                                      f"0..{n_ports - 1}")
             if then_row < 0 or then_width < 0 or then_row + then_width > rows:
                 raise self._rows_error(group, then_row, then_width)
+        if not ports and then is None:
+            self._check_column(group, node_offset)
+            return []
+        self.group_align(group, node_offset)
         ip = group.interport
-        if group.offset != -node_offset or not (0 <= node_offset < ip):
-            raise ConfigError("group not aligned to the requested node offset")
         # port p's word is rows row_start.. of the column at
         # (p + 1) * interport + node_offset; width 0 reads 0
         cols, mask = group.cells, (1 << width) - 1
@@ -580,7 +590,7 @@ class Device:
     def bi_write_word(self, group: TrackGroup, port: int, node_offset: int,
                       row_start: int, span: int, width: int, value: int,
                       mode: str, parallel: bool) -> None:
-        """Write one word across tracks at an aligned column; the one-word
+        """Write one word across tracks at a node's column; the one-word
         node write."""
         self.bi_write_node(group, node_offset,
                            [(port, row_start, span, width, value)], mode,
@@ -588,15 +598,16 @@ class Device:
 
     def bi_write_node(self, group: TrackGroup, node_offset: int, words,
                       mode: str, parallel: bool) -> None:
-        """Write words of one node at an aligned column offset, naive or
+        """Write words of one node at its column offset, naive or
         compare-and-flip, each billed as its own pass.
 
         words: (port, row_start, span, width, value) per word; the value,
         of any integer type, numpy scalars included, fills rows
         [row_start, row_start + width), least significant bit first. A
         naive write clears the whole row span, a compare write leaves rows
-        past `width` alone. Every word is checked before any cell or
-        counter changes.
+        past `width` alone. Every word is checked before any cell, offset
+        or counter changes, then the pass aligns the group itself
+        (:meth:`group_align`); no words only check the node offset.
 
         Sensing (the compare pass) and the unconditional clear pulse of a
         naive write carry no per-row data, so they fire all rows in one
@@ -606,10 +617,8 @@ class Device:
         """
         if mode not in _MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
-        ip = group.interport
-        if group.offset != -node_offset or not (0 <= node_offset < ip):
-            raise ConfigError("group not aligned to the requested node offset")
         if not words:
+            self._check_column(group, node_offset)
             return
         n_ports, rows = group.n_ports, group.n_tracks
         seen = set()
@@ -629,6 +638,8 @@ class Device:
                                   f"written twice in one batch")
             seen.add((port, row_start))
             values.append(value)
+        self.group_align(group, node_offset)
+        ip = group.interport
         cols = group.cells
         naive = mode == "naive"
         # the naive clear-all pulse fires before inject-all, two pulses,

@@ -127,7 +127,6 @@ class DeviceStore:
                                         self.word_bits)
         else:
             group, offset = self.homes[node_id]
-            self.device.group_align(group, offset)
             got = self.device.bi_read_word(group, pair_slot, offset, 0,
                                            self.word_bits)
         return self._checked(got, expect, "node {} slot {} key", node_id,
@@ -151,7 +150,6 @@ class DeviceStore:
                 None if payload is None else (2 * payload[0] + 1, payload[1]))
         else:
             group, offset = self.homes[node_id]
-            device.group_align(group, offset)
             got = device.bi_scan_words(
                 group, pair_slots, offset, 0, wb, expect,
                 None if payload is None else (payload[0], wb, payload[1]))
@@ -171,7 +169,6 @@ class DeviceStore:
                                         2 * pair_slot + 1, width)
         else:
             group, offset = self.homes[node_id]
-            self.device.group_align(group, offset)
             got = self.device.bi_read_word(group, pair_slot, offset,
                                            self.word_bits, width)
         return self._checked(got, expect, "node {} slot {} payload", node_id,
@@ -202,7 +199,6 @@ class DeviceStore:
 
     def _write_pairs_bi(self, node_id, writes):
         group, offset = self.homes[node_id]
-        self.device.group_align(group, offset)
         wb = self.word_bits
         words = []
         for pair_slot, key, payload, pwidth in writes:
@@ -223,7 +219,6 @@ class DeviceStore:
         if self.mapping == "word":
             self.device.write_serial(home, port, value, width, "dcw")
         else:
-            self.device.group_align(home, offset)
             self.device.bi_write_node(
                 home, offset, [(port, 0, self.word_bits, width, value)],
                 "dcw", self.parallel)
@@ -233,7 +228,6 @@ class DeviceStore:
         if self.mapping == "word":
             got = self.device.read_word(home, port, width)
         else:
-            self.device.group_align(home, offset)
             got = self.device.bi_read_word(home, port, offset, 0, width)
         return self._checked(got, expect, "arena slot {}", index)
 

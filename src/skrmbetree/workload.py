@@ -34,7 +34,6 @@ MIXES = {
 ZIPF_THETA = 0.99
 
 OP_READ, OP_UPDATE, OP_INSERT = 0, 1, 2
-OP_NAMES = ("read", "update", "insert")
 
 
 def splitmix64(x: int) -> int:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import skrmbetree
-from skrmbetree import bench
+from skrmbetree import bench, cli
 from skrmbetree.bench import (MetricsReport, emit, parse_csv, run_experiment,
                               run_single, run_sweep, with_reductions)
 from skrmbetree.betree import BeTree
@@ -251,6 +251,26 @@ def test_cli_check_audits_the_tree(command, tmp_path, monkeypatch):
     rc = main([command, "--workload", "a", "--strategy", "dcw", *grid,
                "--out", str(tmp_path / "out.csv")])
     assert rc == 0 and not audits
+
+
+@pytest.mark.parametrize("argv", (
+    ["run", "--entries", "40"],
+    ["sweep", "--entries-grid", "40", "--word-bytes-grid", "2"],
+    ["write-counts", "--n", "400"],
+))
+def test_cli_refuses_an_unwritable_out_before_simulating(argv, tmp_path,
+                                                         capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before the --out path was checked")
+
+    for name in ("run_experiment", "run_sweep", "write_count_series"):
+        monkeypatch.setattr(cli, name, never)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -722,6 +722,12 @@ def test_skyrmions_are_conserved_against_a_shadow_image(config, encoding,
 
 # -------------------------------------------------------------- leaf merge
 
+def _rewrite_leaf(tree, leaf, new_list):
+    tree.store.write_pairs(leaf.node_id,
+                           tree._pair_writes(leaf.elements, new_list))
+    leaf.elements = new_list
+
+
 def _dict_leaf_merge(tree, leaf, arrivals):
     """The leaf merge as a dict update and a full re-sort, with set lookups
     for the moved pairs: the reference for the merge walk."""
@@ -734,7 +740,7 @@ def _dict_leaf_merge(tree, leaf, arrivals):
     tree.kv_writes += len(arrivals)
     cap = tree.cfg.element_pairs
     if len(new_list) <= cap:
-        tree._write_leaf_diffs(leaf, new_list)
+        _rewrite_leaf(tree, leaf, new_list)
         return
     n_chunks = -(-len(new_list) // cap)
     base, extra = divmod(len(new_list), n_chunks)
@@ -743,7 +749,7 @@ def _dict_leaf_merge(tree, leaf, arrivals):
         size = base + (1 if i < extra else 0)
         chunks.append(new_list[at:at + size])
         at += size
-    tree._write_leaf_diffs(leaf, chunks[0])
+    _rewrite_leaf(tree, leaf, chunks[0])
     left = leaf
     for chunk in chunks[1:]:
         sibling = tree._new_node(KIND_LEAF, left.parent)

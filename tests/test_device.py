@@ -933,13 +933,15 @@ def test_scan_words_checks_the_final_read_before_any_charge(then, error,
     ((0, 0, -1), ConfigError),
 ])
 def test_bi_scan_words_checks_the_final_read_before_any_charge(then, error):
+    # the group sits at column 0 and the refused pass asks for column 3:
+    # it must not move the group there
     dev = small_device(word_bits=8, ports=4, record_steps=True)
     g = dev.new_group(16)
     _fill_ones(g)
     dev.group_align(g, 0)
     before = _device_state(dev, g), list(dev.counters.trace)
     with pytest.raises(error):
-        dev.bi_scan_words(g, [0, 1], 0, 0, 8, [255, 255], then)
+        dev.bi_scan_words(g, [0, 1], 3, 0, 8, [255, 255], then)
     after = _device_state(dev, g), list(dev.counters.trace)
     assert np.array_equal(before[0][0], after[0][0])
     assert before[0][1:] == after[0][1:]
@@ -1029,19 +1031,25 @@ def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
     ([(1, 0, 8, 8, 5), (2, 8, 8, 4, 16)], 2, ConfigError),
     ([(1, 0, 8, 8, 256)], 2, ConfigError),
     ([(1, 0, 8, 8, -1)], 2, ConfigError),
-    ([(1, 0, 8, 8, 5)], 3, ConfigError),
+    ([(1, 0, 8, 8, 5), (2, 8, 8, 4, 16)], 3, ConfigError),
     ([(1, 0, 8, 8, 5), (2, 10, 8, 8, 5)], 2, ConfigError),
     ([(1, 0, 8, 8, 5), (2, -1, 8, 8, 5)], 2, ConfigError),
     ([(1, 0, 8, 9, 5)], 2, ConfigError),
-    ([], 3, ConfigError),
+    ([(1, 0, 8, 8, 5), (1, 0, 8, 4, 3)], 3, ConfigError),
+    ([(1, 0, 8, 8, 5)], 8, ConfigError),
+    ([(1, 0, 8, 8, 5)], -1, ConfigError),
+    ([], 8, ConfigError),
+    ([], -1, ConfigError),
 ])
 @pytest.mark.parametrize("mode", ("naive", "dcw", "bogus"))
 def test_bi_write_node_rejects_bad_batches_before_any_change(words, offset,
                                                              error, mode):
-    # bad port, duplicate word, value >= 2^width or negative, misaligned
-    # group, rows outside the group, width past the span; the valid words
-    # in front of the bad one must not land. An empty batch is checked
-    # too, and an unknown mode fails before anything else.
+    # bad port, duplicate word, value >= 2^width or negative, rows outside
+    # the group, width past the span, a node offset outside the interport
+    # region; the valid words in front of the bad one must not land. A
+    # refused batch for column 3 leaves the group at column 2, an empty
+    # batch has its offset checked too, and an unknown mode fails before
+    # anything else.
     dev = small_device(word_bits=8, ports=4, record_steps=True)
     g = dev.new_group(16)
     dev.group_align(g, 2)
@@ -1057,14 +1065,86 @@ def test_bi_write_node_rejects_bad_batches_before_any_change(words, offset,
 
 
 def test_group_align_and_column_check():
-    dev = small_device(word_bits=8, ports=4)
+    dev = small_device(word_bits=8, ports=4, record_steps=True)
     g = dev.new_group(16)
+    _fill_ones(g)
     assert dev.group_align(g, 3) == 3
     assert g.offset == -3
-    with pytest.raises(ConfigError):
-        dev.group_align(g, 8)
-    with pytest.raises(ConfigError):
-        dev.bi_read_word(g, 0, 5, 0, 8)     # not aligned to column 5
+    before = _device_state(dev, g), list(dev.counters.trace)
+    # a node offset outside the interport region is refused by the align
+    # and by every pass, an empty one too, with nothing moved or billed
+    for offset in (8, -1):
+        for call in (lambda: dev.group_align(g, offset),
+                     lambda: dev.bi_read_word(g, 0, offset, 0, 8),
+                     lambda: dev.bi_scan_words(g, [], offset, 0, 8),
+                     lambda: dev.bi_write_word(g, 0, offset, 0, 8, 8, 0,
+                                               "dcw", False),
+                     lambda: dev.bi_write_node(g, offset, [], "naive", True)):
+            with pytest.raises(ConfigError):
+                call()
+    # an empty pass at another column checks it and moves nothing
+    assert dev.bi_scan_words(g, [], 5, 0, 8) == []
+    dev.bi_write_node(g, 5, [], "dcw", False)
+    after = _device_state(dev, g), list(dev.counters.trace)
+    assert np.array_equal(before[0][0], after[0][0])
+    assert before[0][1:] == after[0][1:]
+    assert before[1] == after[1]
+    # a pass that reads something positions the group itself
+    assert dev.bi_read_word(g, 0, 5, 0, 8) == 0xFF
+    assert g.offset == -5
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=st.booleans(), doubled=st.booleans(), start=st.integers(-8, 8),
+       node_offset=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+       scan=st.booleans(), width=st.integers(0, 8), case=_SCAN_CASE,
+       then=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 8),
+                                  st.integers(0, 8)),
+       mode=st.sampled_from(["naive", "dcw"]), parallel=st.booleans(),
+       words=_NODE_WORDS)
+def test_bi_passes_position_their_own_group(record, doubled, start,
+                                            node_offset, seed, scan, width,
+                                            case, then, mode, parallel,
+                                            words):
+    # from a group left at any offset, a scan (keys on rows 3..3+width,
+    # then a payload on its own rows) or a node write must match an
+    # explicit group_align followed by the same pass: words, cells,
+    # offset, every counter and the trace. A pass with nothing to read or
+    # write moves and bills nothing.
+    devs = [small_device(word_bits=8, ports=4, record_steps=record,
+                         count_new_detect=doubled) for _ in range(2)]
+    groups = [d.new_group(16) for d in devs]
+    cells = np.random.default_rng(seed).integers(
+        0, 2, size=cell_image(groups[0]).shape, dtype=np.uint8)
+    for dev, g in zip(devs, groups):
+        load_image(g, cells)
+        dev.align(g, start)
+    empty = not (case[0] or then) if scan else not words
+    before = devs[0].counters.as_flat_dict(), list(devs[0].counters.trace
+                                                   or [])
+    if not empty:
+        devs[1].group_align(groups[1], node_offset)
+    if scan:
+        slots, how, pick, noise = case
+        values = [_column_value(groups[0], p, node_offset, 3, width)
+                  for p in slots]
+        expect = _expect(values, how, pick, noise)
+        got = [dev.bi_scan_words(g, slots, node_offset, 3, width, expect,
+                                 then) for dev, g in zip(devs, groups)]
+        assert got[0] == got[1]
+    else:
+        words = [(port, row, 8, w, value & ((1 << w) - 1))
+                 for port, row, w, value in words]
+        for dev, g in zip(devs, groups):
+            dev.bi_write_node(g, node_offset, words, mode, parallel)
+    assert groups[0].cells == groups[1].cells
+    assert groups[0].offset == groups[1].offset
+    assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
+    assert devs[0].counters.trace == devs[1].counters.trace
+    if empty:
+        assert groups[0].offset == start
+        assert before == (devs[0].counters.as_flat_dict(),
+                          list(devs[0].counters.trace or []))
 
 
 def test_bi_write_read_round_trip():
