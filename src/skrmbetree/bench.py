@@ -182,13 +182,12 @@ def run_experiment(cfg: ExperimentConfig, check_oracle: bool = False,
 def run_sweep(cfg: ExperimentConfig, entries_grid=(10**3, 10**4, 10**5, 10**6),
               word_bytes_grid=(4, 8, 16, 32), check_oracle: bool = False,
               audit: bool = False) -> list[MetricsReport]:
-    """Grid of comparison sets over dataset size and word size."""
-    reports = []
-    for entries in entries_grid:
-        for wb in word_bytes_grid:
-            point = replace(cfg, entries=int(entries), word_bytes=int(wb))
-            reports.extend(run_experiment(point, check_oracle, audit))
-    return reports
+    """Grid of comparison sets over dataset size and word size; every
+    point is built, and so checked, before the first one runs."""
+    points = [replace(cfg, entries=int(entries), word_bytes=int(wb))
+              for entries in entries_grid for wb in word_bytes_grid]
+    return [report for point in points
+            for report in run_experiment(point, check_oracle, audit)]
 
 
 def emit(reports, fmt: str) -> str:

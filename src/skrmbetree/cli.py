@@ -32,9 +32,12 @@ def _onoff(text: str) -> bool:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}")
+    return values
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:

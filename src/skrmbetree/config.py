@@ -136,6 +136,8 @@ class ExperimentConfig:
             raise ConfigError("word_bytes must be >= 1")
         if self.entries < 1:
             raise ConfigError("entries must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.tree.strategy == "pw" and self.mapping == "bit_interleaved":
             raise ConfigError("pw is a single-word word-based strategy; "
                               "it cannot drive the bit_interleaved mapping")
@@ -222,8 +224,8 @@ def read_config_file(path) -> dict:
     out = {}
     line_of = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read settings file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

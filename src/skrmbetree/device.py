@@ -96,7 +96,7 @@ class TrackGroup:
 
 
 _MODES = ("naive", "dcw")
-_WORD_MODES = _MODES + ("bcw",)
+_WORD_MODES = _MODES + ("bcw", "pw")
 
 
 def _cut_after_miss(words: list, expect) -> None:
@@ -242,31 +242,6 @@ class Device:
             values.append(value)
         return values
 
-    def _bill_pass(self, tr: Racetrack, det: int, det_steps: int, inj: int,
-                   inj_steps: int, rem: int, rem_steps: int,
-                   repos: int = 0) -> None:
-        """Charge a through-port write pass: the align home, the
-        2 * interport out-and-back stream plus `repos` repositioning
-        shifts, then the detects, injects and removes, exactly what
-        align/record_shift/record would bill one by one, in the same trace
-        order. The stream ends home, so the eager return costs nothing."""
-        shifts = abs(tr.offset) + 2 * tr.interport + repos
-        tr.offset = 0
-        c = self.counters
-        c.shift += shifts
-        c.shift_steps += shifts
-        c.detect += det
-        c.detect_steps += det_steps
-        c.inject += inj
-        c.inject_steps += inj_steps
-        c.remove += rem
-        c.remove_steps += rem_steps
-        if c.trace is not None:
-            c.log_steps("shift", shifts, shifts)
-            c.log_steps("detect", det, det_steps)
-            c.log_steps("inject", inj, inj_steps)
-            c.log_steps("remove", rem, rem_steps)
-
     def write_serial(self, track, slot: int, value: int, width: int,
                      mode: str) -> None:
         """One word through its port, naive or dcw; the one-word
@@ -285,13 +260,16 @@ class Device:
         and new as two ints and flips only the differences, leaving bits
         past `width` alone. bcw is the one-word :meth:`write_batch_bcw`: it
         flips as dcw does, but the detects at one bit position fire
-        together, one step per bit even when each counts twice.
+        together, one step per bit even when each counts twice. pw detects
+        nothing: it matches the old and new 1s first to first in position
+        order, shifts each survivor to its new cell and injects or removes
+        only the population difference.
 
         Each word is billed as its own write: the first pays the align home
-        and every word the 2 * interport out-and-back stream, then its
-        detects, injects and removes, in the same trace order. Every word
-        is checked before any cell, offset or counter changes; no words
-        cost nothing.
+        and every word the 2 * interport out-and-back stream, plus a pw
+        word's repositioning shifts, then its detects, injects and removes,
+        in the same trace order. Every word is checked before any cell,
+        offset or counter changes; no words cost nothing.
         """
         tr = self._single(track)
         if mode not in _WORD_MODES:
@@ -299,7 +277,7 @@ class Device:
         if not writes:
             return
         values = self._check_words(tr, writes)
-        naive = mode == "naive"
+        naive, pw = mode == "naive", mode == "pw"
         per_bit = 2 if self.count_new_detect else 1
         # a bcw detect step fires every doubled detect of its bit together
         step_bit = 1 if mode == "bcw" else per_bit
@@ -319,6 +297,14 @@ class Device:
                 cells[slot + 1] = seg ^ old | value
             if naive:
                 d, i, r = 0, value.bit_count(), old.bit_count()
+            elif pw:
+                # survivors move first old to first new, a shift per cell;
+                # the 1s left over are injected or removed
+                o, n = old, value
+                while o and n:
+                    step += abs((o & -o).bit_length() - (n & -n).bit_length())
+                    o, n = o & o - 1, n & n - 1
+                d, i, r = 0, n.bit_count(), o.bit_count()
             else:
                 d, i, r = (width, (value & ~old).bit_count(),
                            (old & ~value).bit_count())
@@ -342,28 +328,14 @@ class Device:
         c.remove_steps += rem
 
     def write_pw(self, track, slot: int, value: int, width: int) -> None:
-        """Permutation-style write: reuse surviving skyrmions, shifting each
-        to its new cell; only the population difference is injected or
-        removed. Single-word by construction.
-
-        Survivors are matched first-to-first in position order, each match
-        charging one shift per cell of displacement."""
-        tr = self._single(track)
-        value, = self._check_words(tr, ((slot, value, width),))
-        seg = tr.cells[slot + 1]
-        old = seg & (1 << width) - 1
-        tr.cells[slot + 1] = seg ^ old | value
-        olds = [i for i in range(width) if old >> i & 1]
-        news = [i for i in range(width) if value >> i & 1]
-        reused = min(len(olds), len(news))
-        inj, rem = len(news) - reused, len(olds) - reused
-        self._bill_pass(tr, 0, 0, inj, inj, rem, rem,
-                        sum(abs(o - n) for o, n in zip(olds, news)))
+        """One word in mode pw; the one-word :meth:`write_words`."""
+        self.write_words(track, ((slot, value, width),), "pw")
 
     def write_batch_bcw(self, track, writes) -> None:
         """Batched compare-write: one shared out-and-back pass; at every bit
         position all live slots detect in parallel (one step) and flip
-        differing bits in parallel (one step billed at the slowest kind).
+        differing bits in parallel (one step billed at the slowest kind),
+        after the align home and one 2 * interport stream that ends home.
 
         writes: list of (word_slot, value, width) on one track. Each slot
         compares its old and new words as two ints: inject mask new & ~old,
@@ -400,7 +372,22 @@ class Device:
             rem_only += both
         if self.count_new_detect:
             det *= 2
-        self._bill_pass(tr, det, act, inj, inj_only, rem, rem_only)
+        shifts = abs(tr.offset) + 2 * tr.interport
+        tr.offset = 0
+        c = self.counters
+        c.shift += shifts
+        c.shift_steps += shifts
+        c.detect += det
+        c.detect_steps += act
+        c.inject += inj
+        c.inject_steps += inj_only
+        c.remove += rem
+        c.remove_steps += rem_only
+        if c.trace is not None:
+            c.log_steps("shift", shifts, shifts)
+            c.log_steps("detect", det, act)
+            c.log_steps("inject", inj, inj_only)
+            c.log_steps("remove", rem, rem_only)
 
     def read_word(self, track, slot: int, width: int) -> int:
         """Stream one word's bits through its port, detecting each; the

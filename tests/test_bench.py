@@ -225,6 +225,16 @@ def test_cli_write_counts(tmp_path):
     assert rows[0]["ratio"] >= 1.0
 
 
+def test_cli_write_counts_takes_a_negative_seed(tmp_path):
+    # write-counts draws its keys through splitmix64, which masks any seed
+    out = tmp_path / "wc.csv"
+    assert main(["write-counts", "--n", "400", "--seed", "-1",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n_inserts,btree_writes,betree_writes,ratio"
+    assert [line.split(",")[0] for line in lines[1:]] == ["400"]
+
+
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--workload", "a", "--strategy", "dcw",
@@ -271,6 +281,60 @@ def test_cli_refuses_an_unwritable_out_before_simulating(argv, tmp_path,
         assert err.startswith("error: ") and str(out) in err
         assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("simulated before the arguments were checked")
+
+
+@pytest.mark.parametrize("argv, conf, fragment", (
+    (["run", "--seed", "-1"], None, "seed must be >= 0"),
+    (["sweep", "--seed", "-1"], None, "seed must be >= 0"),
+    (["run", "--config"], b"seed = -1\n", "seed must be >= 0"),
+    (["run", "--config"], b"entries = \xff\n", "run.conf"),
+), ids=["run-seed", "sweep-seed", "file-seed", "file-not-utf8"])
+def test_cli_refuses_bad_settings_before_opening_out(argv, conf, fragment,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+    for name in ("run_experiment", "run_sweep"):
+        monkeypatch.setattr(cli, name, _never)
+    if conf is not None:
+        (tmp_path / "run.conf").write_bytes(conf)
+        argv = [*argv, str(tmp_path / "run.conf")]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", (["--entries-grid", ""],
+                                  ["--entries-grid", ","],
+                                  ["--word-bytes-grid", ""]))
+def test_cli_sweep_refuses_an_empty_grid_before_opening_out(grid, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", _never)
+    out = tmp_path / "sweep.csv"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "expected comma-separated ints" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("grid", (["--entries-grid", "1000000,0"],
+                                  ["--word-bytes-grid", "8,0"]))
+def test_sweep_checks_every_grid_point_before_running_the_first(
+        grid, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "run_experiment", _never)
+    assert main(["sweep", *grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be >= 1" in err
+    with pytest.raises(ConfigError):
+        run_sweep(tiny_cfg(), entries_grid=(10**6, 0), word_bytes_grid=(2,))
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

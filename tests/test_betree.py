@@ -670,10 +670,6 @@ class _ShadowDevice(Device):
         for slot, value, width in writes:
             self._land((track.track_id, slot), value, width, mode == "naive")
 
-    def write_pw(self, track, slot, value, width):
-        super().write_pw(track, slot, value, width)
-        self._land((track.track_id, slot), value, width, False)
-
     def write_batch_bcw(self, track, writes):
         super().write_batch_bcw(track, writes)
         for slot, value, width in writes:

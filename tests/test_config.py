@@ -116,6 +116,25 @@ def test_settings_file_rejects_a_key_set_twice(tmp_path):
     assert "run.conf:4:" in msg and "entries" in msg and "line 1" in msg
 
 
+def test_settings_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_bytes(b"entries = 100\nseed = \xff\n")
+    with pytest.raises(ConfigError) as err:
+        read_config_file(path)
+    assert str(path) in str(err.value)
+
+
+def test_experiment_seed_must_be_non_negative(tmp_path):
+    # the workload stream seeds numpy's PCG64, which takes no negative seed
+    assert ExperimentConfig(seed=0).seed == 0
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ExperimentConfig(seed=-1)
+    path = tmp_path / "run.conf"
+    path.write_text("seed = -1\n")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        apply_file_settings(ExperimentConfig(), read_config_file(path))
+
+
 def test_settings_file_geometry_keys_must_agree():
     # word mapping: two word slots per pair, interport = word size
     agree = {"word_bits": 16, "node_pairs": 8, "pivot_pairs": 2,

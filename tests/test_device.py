@@ -437,6 +437,8 @@ def _one_word_write(dev, tr, writes, mode):
     for slot, value, width in writes:
         if mode == "bcw":
             dev.write_batch_bcw(tr, [(slot, value, width)])
+        elif mode == "pw":
+            dev.write_pw(tr, slot, value, width)
         else:
             dev.write_serial(tr, slot, value, width, mode)
 
@@ -444,10 +446,12 @@ def _one_word_write(dev, tr, writes, mode):
 def _composed_words(dev, tr, writes, mode):
     """The words written one at a time by the primitive-and-kernel
     oracles: composed primitives for naive and dcw, the per-bit loop
-    kernel for a one-word bcw pass."""
+    kernels for a one-word bcw pass and for pw."""
     for slot, value, width in writes:
         if mode == "bcw":
             _kernel_bcw(dev, tr, [(slot, value, width)])
+        elif mode == "pw":
+            _kernel_pw(dev, tr, slot, value, width)
         else:
             _composed_serial(dev, tr, slot, value, width, mode)
 
@@ -460,7 +464,7 @@ _WORD_BATCHES = st.dictionaries(
 
 
 @settings(max_examples=200, deadline=None)
-@given(mode=st.sampled_from(["naive", "dcw", "bcw"]),
+@given(mode=st.sampled_from(["naive", "dcw", "bcw", "pw"]),
        policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
        doubled=st.booleans(), image=st.integers(0, (1 << 8 * _SLOTS) - 1),
        start=st.integers(-8, 8), writes=_WORD_BATCHES)
@@ -499,7 +503,7 @@ _BAD_WORDS = {
 
 
 @settings(max_examples=150, deadline=None)
-@given(mode=st.sampled_from(["naive", "dcw", "bcw"]),
+@given(mode=st.sampled_from(["naive", "dcw", "bcw", "pw"]),
        policy=st.sampled_from(["lazy", "eager"]), doubled=st.booleans(),
        bad=st.sampled_from(sorted(_BAD_WORDS)
                            + ["duplicate slot", "unknown mode"]),
@@ -513,7 +517,7 @@ def test_write_words_rejects_a_bad_word_anywhere_before_any_change(
     dev.shift(tr, "left", 3)    # off home: a charged align would show
     if bad == "unknown mode":
         # every word is good, the empty batch too
-        mode = data.draw(st.sampled_from(["pw", "bogus", None]))
+        mode = data.draw(st.sampled_from(["bogus", None]))
         writes = data.draw(st.sampled_from([writes, []]))
     elif bad == "duplicate slot":
         at = data.draw(st.integers(1, len(writes)))
@@ -528,7 +532,7 @@ def test_write_words_rejects_a_bad_word_anywhere_before_any_change(
     assert dev.counters.trace == trace
 
 
-@pytest.mark.parametrize("mode", ("naive", "dcw", "bcw"))
+@pytest.mark.parametrize("mode", ("naive", "dcw", "bcw", "pw"))
 @pytest.mark.parametrize("policy", ("lazy", "eager"))
 def test_write_words_empty_batch_is_free(mode, policy):
     # no words: no align home, no stream, no trace entry

@@ -77,18 +77,17 @@ class _CallSpy:
 
 
 # the one device call a node write of three words makes per route: the
-# node's words in one serial pass, or one shared pass with parallel ports;
-# pw alone stays one call per word
+# node's words in one serial pass, or one shared pass with parallel ports
 _ROUTED_CALLS = {"naive": ["write_words"], "dcw": ["write_words"],
                  "bcw": ["write_words"], "ports": ["write_batch_bcw"],
-                 "pw": ["write_pw"] * 3}
+                 "pw": ["write_words"]}
 
 
 @pytest.mark.parametrize("strategy", ("naive", "dcw", "pw", "bcw", "ports"))
 def test_apply_strategy_routes_to_one_device_pass_per_word(strategy):
     # without parallel ports every word is its own pass, pw included; with
     # them the whole batch shares one bcw pass. Either way a node write is
-    # one device call, except pw's
+    # one device call
     rng = np.random.default_rng(17)
     writes = [(slot, int(rng.integers(0, 256)), 8) for slot in (3, 0, 2)]
     routed, direct = fresh_track(8), fresh_track(8)
