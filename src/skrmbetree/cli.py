@@ -106,6 +106,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_write_counts(args) -> int:
+    if args.n < 1:
+        raise ConfigError("--n must be >= 1")
+    if args.node_capacity < 4:
+        raise ConfigError("--node-capacity must be >= 4")
     decades = [10 ** e for e in range(3, 7) if 10 ** e <= args.n]
     samples = sorted(set(decades + [args.n]))
     with _output(args.out) as out:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .workload import MIXES
 
 PRIMITIVES = ("detect", "shift", "remove", "inject")
 
@@ -130,12 +131,16 @@ class ExperimentConfig:
     shift_policy: str = "lazy"
 
     def __post_init__(self):
+        if self.workload not in MIXES:
+            raise ConfigError(f"workload must be one of {sorted(MIXES)}")
         if self.mapping not in MAPPINGS:
             raise ConfigError(f"mapping must be one of {MAPPINGS}")
         if self.word_bytes < 1:
             raise ConfigError("word_bytes must be >= 1")
         if self.entries < 1:
             raise ConfigError("entries must be >= 1")
+        if self.op_count is not None and self.op_count < 0:
+            raise ConfigError("op_count must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.tree.strategy == "pw" and self.mapping == "bit_interleaved":

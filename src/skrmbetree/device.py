@@ -22,8 +22,11 @@ A node visit of a query is one charged pass: ``scan_words`` and
 width, the payload the search chose, billed exactly as the same reads made
 one at a time. A node write is one call too: ``write_words`` writes a
 node's words one after another, billed as the same words written one at a
-time. No caller aligns: a pass positions its own track, or brings its
-node's column under the ports with one ``group_align`` shift set.
+time, and ``bi_write_node`` takes the store's pair writes and diffs each
+pair's key and payload rows against its column in one read, billed as the
+key word and then the payload word written one at a time. No caller
+aligns: a pass positions its own track, or brings its node's column under
+the ports with one ``group_align`` shift set.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -577,58 +580,95 @@ class Device:
     def bi_write_word(self, group: TrackGroup, port: int, node_offset: int,
                       row_start: int, span: int, width: int, value: int,
                       mode: str, parallel: bool) -> None:
-        """Write one word across tracks at a node's column; the one-word
-        node write."""
-        self.bi_write_node(group, node_offset,
-                           [(port, row_start, span, width, value)], mode,
-                           parallel)
+        """Write one word across tracks at a node's column; the one-pair
+        node write with `span` key rows. A word takes one of two shapes: a
+        key, ``row_start == 0`` and ``width == span``, or a payload,
+        ``row_start == span`` and ``width <= span``. Any other shape is
+        refused before any change."""
+        if row_start == 0 and width == span:
+            pair = (port, value, None, 0)
+        elif row_start == span and width <= span:
+            pair = (port, None, value, width)
+        else:
+            raise ConfigError(f"rows {row_start}..{row_start + width - 1} "
+                              f"of a {span}-row span are neither a key nor "
+                              f"a payload word")
+        self.bi_write_node(group, node_offset, (pair,), span, mode, parallel)
 
-    def bi_write_node(self, group: TrackGroup, node_offset: int, words,
-                      mode: str, parallel: bool) -> None:
-        """Write words of one node at its column offset, naive or
-        compare-and-flip, each billed as its own pass.
+    def bi_write_node(self, group: TrackGroup, node_offset: int, pairs,
+                      key_rows: int, mode: str, parallel: bool) -> None:
+        """Write pairs of one node at its column offset, naive or
+        compare-and-flip, each word billed as its own pass.
 
-        words: (port, row_start, span, width, value) per word; the value,
-        of any integer type, numpy scalars included, fills rows
-        [row_start, row_start + width), least significant bit first. A
-        naive write clears the whole row span, a compare write leaves rows
-        past `width` alone. Every word is checked before any cell, offset
-        or counter changes, then the pass aligns the group itself
-        (:meth:`group_align`); no words only check the node offset.
+        pairs: (pair_slot, key, payload, payload_width) per pair, as the
+        store writes them; key or payload None leaves that word alone. Pair
+        slot s is the column under port s. The key fills rows
+        [0, key_rows), the payload rows [key_rows, key_rows +
+        payload_width) of a key_rows-row span, least significant bit first;
+        values of any integer type, numpy scalars included, land as the
+        equal Python int. A naive write clears each word's whole key_rows
+        span, a compare write leaves the rows past the word's width alone.
+        Every pair is checked before any cell, offset or counter changes,
+        then the pass aligns the group itself (:meth:`group_align`); no
+        pairs only check the node offset. Each pair's column is read once
+        and written back at most once.
 
         Sensing (the compare pass) and the unconditional clear pulse of a
-        naive write carry no per-row data, so they fire all rows in one
-        step. Patterned pulses that drive each row from its own data bit
-        need the parallel write drivers: one step with them, one step per
-        landed instance without.
+        naive write carry no per-row data, so they fire all rows of a word
+        in one step. Patterned pulses that drive each row from its own data
+        bit need the parallel write drivers: one step per word with them,
+        one step per landed instance without.
         """
         if mode not in _MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
-        if not words:
+        if not pairs:
             self._check_column(group, node_offset)
             return
-        n_ports, rows = group.n_ports, group.n_tracks
+        n_ports, rows, ip = group.n_ports, group.n_tracks, group.interport
+        if not 0 <= key_rows <= rows:
+            raise self._rows_error(group, 0, key_rows)
+        naive = mode == "naive"
+        per_bit = 2 if self.count_new_detect else 1
+        key_mask = (1 << key_rows) - 1
+        # naive: a removal wherever the span held a 1, an inject wherever
+        # the new word has one; compare: only the bits that differ
+        keep = 0 if naive else -1
         seen = set()
-        values = []
-        for port, row_start, span, width, value in words:
-            value = index(value)
+        plan = []
+        det = det_steps = 0
+        for port, key, payload, width in pairs:
             if not (0 <= port < n_ports):
                 raise PortRangeError(f"port {port} outside 0..{n_ports - 1}")
-            if row_start < 0 or span < 0 or row_start + span > rows:
-                raise self._rows_error(group, row_start, span)
-            if not (0 <= width <= span):
-                raise ConfigError(f"width {width} outside the {span}-row span")
-            if value < 0 or value >> width:
-                raise ConfigError(f"value does not fit in {width} bits")
-            if (port, row_start) in seen:
-                raise ConfigError(f"word at port {port} row {row_start} "
-                                  f"written twice in one batch")
-            seen.add((port, row_start))
-            values.append(value)
+            if port in seen:
+                raise ConfigError(f"port {port} written twice in one batch")
+            seen.add(port)
+            # m: the rows the pair's words own; v: the new words in place
+            m = v = kd = pd = 0
+            if key is not None:
+                v = index(key)
+                if v < 0 or v >> key_rows:
+                    raise ConfigError(f"value {v} does not fit in "
+                                      f"{key_rows} bits")
+                m = key_mask
+                kd = 0 if naive else per_bit * key_rows
+            if payload is not None:
+                payload = index(payload)
+                if not 0 <= width <= key_rows:
+                    raise ConfigError(f"width {width} outside the "
+                                      f"{key_rows}-row span")
+                if payload < 0 or payload >> width:
+                    raise ConfigError(f"value {payload} does not fit in "
+                                      f"{width} bits")
+                if 2 * key_rows > rows:
+                    raise self._rows_error(group, key_rows, key_rows)
+                m |= (key_mask if naive else (1 << width) - 1) << key_rows
+                v |= payload << key_rows
+                pd = 0 if naive else per_bit * width
+            det += kd + pd
+            det_steps += (kd > 0) + (pd > 0)
+            plan.append(((port + 1) * ip + node_offset, m, v, kd, pd))
         self.group_align(group, node_offset)
-        ip = group.interport
         cols = group.cells
-        naive = mode == "naive"
         # the naive clear-all pulse fires before inject-all, two pulses,
         # never one. Compare: flips are sequenced as a remove phase then an
         # inject phase; the two pulse polarities never share a fire. A fire
@@ -636,40 +676,33 @@ class Device:
         # no step at all when nothing fires.
         serial_rem = not (parallel or naive)
         serial_inj = not parallel
-        per_bit = 2 if self.count_new_detect else 1
         c = self.counters
         trace = c.trace
-        det = det_steps = inj = inj_steps = rem = rem_steps = 0
-        # a word is the rows [row_start, row_start + width) of its port's
-        # column; words sharing a column apply in order
-        for (port, row_start, span, width, _value), value in zip(words,
-                                                                 values):
-            at = (port + 1) * ip + node_offset
+        inj = inj_steps = rem = rem_steps = 0
+        for at, m, v, kd, pd in plan:
             col = cols[at]
-            if naive:
-                clear = ((1 << span) - 1) << row_start
-                d, r, i = 0, (col & clear).bit_count(), value.bit_count()
-                cols[at] = col & ~clear | value << row_start
-            else:
-                mask = (1 << width) - 1
-                old = col >> row_start & mask
-                d, r, i = (per_bit * width, (old & ~value).bit_count(),
-                           (value & ~old).bit_count())
-                if old != value:
-                    cols[at] = col & ~(mask << row_start) | value << row_start
-            ds = d > 0
-            rs = r if serial_rem else r > 0
-            is_ = i if serial_inj else i > 0
-            det += d
-            det_steps += ds
-            rem += r
-            rem_steps += rs
-            inj += i
-            inj_steps += is_
+            old = col & m
+            if old != v:
+                cols[at] = col ^ old | v
+            # split each flip mask at row key_rows into its two words
+            r, i = old & ~(v & keep), v & ~(old & keep)
+            rk, ik = (r & key_mask).bit_count(), (i & key_mask).bit_count()
+            rp, ipay = r.bit_count() - rk, i.bit_count() - ik
+            rks = rk if serial_rem else rk > 0
+            rps = rp if serial_rem else rp > 0
+            iks = ik if serial_inj else ik > 0
+            ips = ipay if serial_inj else ipay > 0
+            rem += rk + rp
+            rem_steps += rks + rps
+            inj += ik + ipay
+            inj_steps += iks + ips
             if trace is not None:
-                c.log_steps("detect", d, ds)
-                c.log_steps("remove", r, rs)
-                c.log_steps("inject", i, is_)
+                c.log_steps("detect", kd, kd > 0)
+                c.log_steps("remove", rk, rks)
+                c.log_steps("inject", ik, iks)
+                c.log_steps("detect", pd, pd > 0)
+                c.log_steps("remove", rp, rps)
+                c.log_steps("inject", ipay, ips)
         c.detect += det
         c.detect_steps += det_steps
         c.remove += rem

@@ -198,17 +198,13 @@ class DeviceStore:
                                   word_writes, self.strategy, self.parallel)
 
     def _write_pairs_bi(self, node_id, writes):
+        # pair slot s is the column under port s, the key on rows
+        # [0, word_bits) and the payload on the next word_bits rows: the
+        # device takes the pair writes as they are. Naive clears each
+        # word's whole span; compare strategies flip in place
         group, offset = self.homes[node_id]
-        wb = self.word_bits
-        words = []
-        for pair_slot, key, payload, pwidth in writes:
-            if key is not None:
-                words.append((pair_slot, 0, wb, wb, key))
-            if payload is not None:
-                words.append((pair_slot, wb, wb, pwidth, payload))
-        # naive clears the whole row span; compare strategies flip in place
         self.device.bi_write_node(
-            group, offset, words,
+            group, offset, writes, self.word_bits,
             "naive" if self.strategy == "naive" else "dcw", self.parallel)
 
     # ----------------------------------------------------------------- arena
@@ -219,9 +215,10 @@ class DeviceStore:
         if self.mapping == "word":
             self.device.write_serial(home, port, value, width, "dcw")
         else:
-            self.device.bi_write_node(
-                home, offset, [(port, 0, self.word_bits, width, value)],
-                "dcw", self.parallel)
+            # the value is the key word of a width-row pair on the
+            # word_bits-row arena group
+            self.device.bi_write_node(home, offset, ((port, value, None, 0),),
+                                      width, "dcw", self.parallel)
 
     def arena_read(self, index: int, width: int, expect=None) -> int:
         home, port, offset = self._arena_at(index)

@@ -309,6 +309,38 @@ def test_cli_refuses_bad_settings_before_opening_out(argv, conf, fragment,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, conf, fragment", (
+    (["run", "--entries", "50", "--ops", "-1"], None, "op_count must be >= 0"),
+    (["sweep", "--ops", "-1", "--entries-grid", "40"], None,
+     "op_count must be >= 0"),
+    (["run", "--config"], "workload = z\n", "workload must be one of"),
+    (["run", "--config"], "op_count = -3\n", "op_count must be >= 0"),
+    (["write-counts", "--n", "0"], None, "--n must be >= 1"),
+    (["write-counts", "--n", "-5"], None, "--n must be >= 1"),
+    (["write-counts", "--node-capacity", "3"], None,
+     "--node-capacity must be >= 4"),
+), ids=["run-ops", "sweep-ops", "file-workload", "file-ops", "wc-n-0",
+        "wc-n-negative", "wc-capacity"])
+def test_cli_refuses_bad_sizes_before_emptying_out(argv, conf, fragment,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+    # a bad op count, workload or write-counts size is refused before the
+    # simulation runs and before --out is opened, so the file keeps what
+    # it held
+    for name in ("run_experiment", "run_sweep", "write_count_series"):
+        monkeypatch.setattr(cli, name, _never)
+    if conf is not None:
+        (tmp_path / "run.conf").write_text(conf)
+        argv = [*argv, str(tmp_path / "run.conf")]
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("grid", (["--entries-grid", ""],
                                   ["--entries-grid", ","],
                                   ["--word-bytes-grid", ""]))

@@ -675,11 +675,17 @@ class _ShadowDevice(Device):
         for slot, value, width in writes:
             self._land((track.track_id, slot), value, width, False)
 
-    def bi_write_node(self, group, node_offset, words, mode, parallel):
-        super().bi_write_node(group, node_offset, words, mode, parallel)
-        for port, row_start, _span, width, value in words:
-            self._land((group.group_id, port, node_offset, row_start), value,
-                       width, mode == "naive")
+    def bi_write_node(self, group, node_offset, pairs, key_rows, mode,
+                      parallel):
+        super().bi_write_node(group, node_offset, pairs, key_rows, mode,
+                              parallel)
+        naive = mode == "naive"
+        for port, key, payload, width in pairs:
+            where = group.group_id, port, node_offset
+            if key is not None:
+                self._land((*where, 0), key, key_rows, naive)
+            if payload is not None:
+                self._land((*where, key_rows), payload, width, naive)
 
 
 @settings(max_examples=200, deadline=None)

@@ -57,6 +57,14 @@ def test_experiment_geometry_follows_mapping():
                          tree=TreeConfig(strategy="pw"))
 
 
+def test_experiment_refuses_a_bad_op_count_or_workload():
+    # checked when the config is built, not when the stream is generated
+    assert ExperimentConfig(op_count=0).ops == 0
+    for kw in ({"op_count": -1}, {"workload": "z"}, {"workload": "A"}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**kw)
+
+
 def test_baseline_projection():
     cfg = ExperimentConfig(tree=TreeConfig(strategy="bcw", encoding=True,
                                            parallel_ports=True))

@@ -673,17 +673,24 @@ def _composed_bi_read(dev, group, port, node_offset, row_start, width):
                enumerate(cell_image(group)[row_start:row_start + width, col]))
 
 
+# the two word shapes of bi_write_word on a 16-row group: an 8-row key on
+# rows 0..7, or a payload of width 0..8 on rows 8.. of an 8-row span
+_BI_WORD_SHAPE = st.one_of(st.just((0, 8)),
+                           st.tuples(st.just(8), st.integers(0, 8)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(record=st.booleans(), ops=st.lists(st.one_of(
     st.tuples(st.just("write"), st.integers(0, 3), st.integers(0, 255),
-              st.integers(0, 8), st.sampled_from(["naive", "dcw"]),
+              _BI_WORD_SHAPE, st.sampled_from(["naive", "dcw"]),
               st.booleans()),
-    st.tuples(st.just("read"), st.integers(0, 3), st.integers(0, 8))),
+    st.tuples(st.just("read"), st.integers(0, 3), st.sampled_from([0, 8]),
+              st.integers(0, 8))),
     max_size=30))
 def test_bi_word_ops_bill_like_record(record, ops):
     devs = [small_device(word_bits=8, ports=4, record_steps=record)
             for _ in range(2)]
-    groups = [d.new_group(8) for d in devs]
+    groups = [d.new_group(16) for d in devs]
     for dev, g in zip(devs, groups):
         dev.group_align(g, 2)
     sides = ((Device.bi_write_word, Device.bi_read_word),
@@ -692,16 +699,38 @@ def test_bi_word_ops_bill_like_record(record, ops):
         got = []
         for dev, g, (write, read) in zip(devs, groups, sides):
             if op[0] == "write":
-                _, port, value, width, mode, parallel = op
+                _, port, value, (row_start, width), mode, parallel = op
                 value &= (1 << width) - 1
-                write(dev, g, port, 2, 0, 8, width, value, mode, parallel)
+                write(dev, g, port, 2, row_start, 8, width, value, mode,
+                      parallel)
             else:
-                got.append(read(dev, g, op[1], 2, 0, op[2]))
+                _, port, row_start, width = op
+                got.append(read(dev, g, port, 2, row_start, width))
         assert len(set(got)) <= 1
         assert groups[0].cells == groups[1].cells
         assert (devs[0].counters.as_flat_dict()
                 == devs[1].counters.as_flat_dict())
         assert devs[0].counters.trace == devs[1].counters.trace
+
+
+@pytest.mark.parametrize("row_start,span,width", [
+    (0, 8, 4), (0, 8, 0), (0, 8, 9), (4, 8, 4), (1, 8, 8), (8, 8, 9),
+    (8, 4, 4), (16, 8, 8), (4, 4, 5),
+])
+@pytest.mark.parametrize("mode", ("naive", "dcw"))
+def test_bi_write_word_refuses_every_other_shape(row_start, span, width,
+                                                 mode):
+    # a key is rows [0, span), a payload rows [span, span + width) with
+    # width <= span; any other word is refused with nothing moved or billed
+    dev = small_device(word_bits=8, ports=4, record_steps=True)
+    g = dev.new_group(16)
+    _fill_ones(g)
+    dev.group_align(g, 3)
+    _assert_refused_unchanged(
+        dev, g,
+        lambda: dev.bi_write_word(g, 1, 2, row_start, span, width, 0, mode,
+                                  True),
+        ConfigError, match="neither a key nor a payload")
 
 
 def _stops(word, i, expect):
@@ -979,29 +1008,49 @@ def test_primitives_at_segment_edges_address_the_cell_image(offset, port):
         assert tr.popcount() == int(image.sum())
 
 
-_NODE_WORDS = st.lists(
-    st.tuples(st.integers(0, 3), st.sampled_from([0, 8]), st.integers(0, 8),
-              st.integers(0, 255)),
-    max_size=8, unique_by=lambda w: (w[0], w[1]))
+# (pair_slot, key, payload, payload_width) node writes on an 8-bit word: a
+# key or payload may be None, a payload narrower than its 8-row span is the
+# encoded arena index
+_NODE_PAIRS = st.lists(
+    st.tuples(st.integers(0, 3), st.none() | st.integers(0, 255),
+              st.none() | st.integers(0, 255), st.integers(0, 8)),
+    max_size=4, unique_by=lambda p: p[0]).map(
+    lambda pairs: [(port, key, None if payload is None
+                    else payload & ((1 << width) - 1), width)
+                   for port, key, payload, width in pairs])
+
+
+def _pair_words(pairs, key_rows):
+    """The (port, row_start, span, width, value) words of node pairs, each
+    key before its payload."""
+    words = []
+    for port, key, payload, width in pairs:
+        if key is not None:
+            words.append((port, 0, key_rows, key_rows, key))
+        if payload is not None:
+            words.append((port, key_rows, key_rows, width, payload))
+    return words
 
 
 @settings(max_examples=200, deadline=None)
 @given(record=st.booleans(), doubled=st.booleans(), parallel=st.booleans(),
        mode=st.sampled_from(["naive", "dcw"]), seed=st.integers(0, 2**32 - 1),
-       words=_NODE_WORDS)
+       pairs=_NODE_PAIRS)
 @example(record=True, doubled=False, parallel=True, mode="dcw", seed=0,
-         words=[])
-# a key and an encoded 3-bit payload in one column, then another pair
+         pairs=[])
+# a key and an encoded 3-bit payload in one column, a lone payload, a
+# width-0 payload and a lone key
 @example(record=True, doubled=True, parallel=False, mode="naive", seed=1,
-         words=[(1, 0, 8, 0xA5), (1, 8, 3, 5), (3, 0, 8, 0x0F)])
+         pairs=[(1, 0xA5, 5, 3), (0, None, 0x81, 8), (2, 0x3C, 0, 0),
+                (3, 0x0F, None, 8)])
 @example(record=True, doubled=True, parallel=False, mode="dcw", seed=1,
-         words=[(1, 0, 8, 0xA5), (1, 8, 3, 5), (3, 0, 8, 0x0F)])
+         pairs=[(1, 0xA5, 5, 3), (0, None, 0x81, 8), (2, 0x3C, 0, 0),
+                (3, 0x0F, None, 8)])
 def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
-                                                  mode, seed, words):
-    # (port, row_start, width, value) over an 8-row span: a payload word
-    # narrower than its span is the encoded arena index
-    words = [(port, row, 8, width, value & ((1 << width) - 1))
-             for port, row, width, value in words]
+                                                  mode, seed, pairs):
+    # the node write must land and bill as its key and payload words
+    # written one at a time, key first: by bi_write_word and by the per-bit
+    # kernel billed through OpCounters.record
     devs = [small_device(word_bits=8, ports=4, record_steps=record,
                          count_new_detect=doubled) for _ in range(3)]
     groups = [d.new_group(16) for d in devs]
@@ -1011,10 +1060,10 @@ def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
         load_image(g, cells)
         dev.group_align(g, 2)
     aligned = devs[0].counters.as_flat_dict()
-    devs[0].bi_write_node(groups[0], 2, words, mode, parallel)
+    devs[0].bi_write_node(groups[0], 2, pairs, 8, mode, parallel)
     for dev, g, write in zip(devs[1:], groups[1:],
                              (Device.bi_write_word, _composed_bi_write)):
-        for port, row_start, span, width, value in words:
+        for port, row_start, span, width, value in _pair_words(pairs, 8):
             write(dev, g, port, 2, row_start, span, width, value, mode,
                   parallel)
     for dev, g in zip(devs[1:], groups[1:]):
@@ -1023,49 +1072,83 @@ def test_bi_write_node_bills_like_per_word_writes(record, doubled, parallel,
         assert (devs[0].counters.as_flat_dict()
                 == dev.counters.as_flat_dict())
         assert devs[0].counters.trace == dev.counters.trace
-    if not words:
+    if not pairs:
         assert np.array_equal(cell_image(groups[0]), cells)
         assert devs[0].counters.as_flat_dict() == aligned
 
 
+def _assert_refused_unchanged(dev, g, call, error, match=None):
+    """`call` raises `error` with no cell, offset, counter or trace
+    change."""
+    before = _device_state(dev, g), list(dev.counters.trace)
+    with pytest.raises(error, match=match):
+        call()
+    after = _device_state(dev, g), list(dev.counters.trace)
+    assert np.array_equal(before[0][0], after[0][0])
+    assert before[0][1:] == after[0][1:]
+    assert before[1] == after[1]
+
+
+# (pair_slot, key, payload, payload_width) batches with 8 key rows on a
+# 16-row group
 @pytest.mark.parametrize("words,offset,error", [
-    ([(1, 0, 8, 8, 5), (4, 0, 8, 8, 5)], 2, PortRangeError),
-    ([(1, 0, 8, 8, 5), (-1, 0, 8, 8, 5)], 2, PortRangeError),
-    ([(1, 0, 8, 8, 5), (2, 8, 8, 8, 6), (1, 0, 8, 4, 3)], 2, ConfigError),
-    ([(1, 0, 8, 8, 5), (2, 8, 8, 4, 16)], 2, ConfigError),
-    ([(1, 0, 8, 8, 256)], 2, ConfigError),
-    ([(1, 0, 8, 8, -1)], 2, ConfigError),
-    ([(1, 0, 8, 8, 5), (2, 8, 8, 4, 16)], 3, ConfigError),
-    ([(1, 0, 8, 8, 5), (2, 10, 8, 8, 5)], 2, ConfigError),
-    ([(1, 0, 8, 8, 5), (2, -1, 8, 8, 5)], 2, ConfigError),
-    ([(1, 0, 8, 9, 5)], 2, ConfigError),
-    ([(1, 0, 8, 8, 5), (1, 0, 8, 4, 3)], 3, ConfigError),
-    ([(1, 0, 8, 8, 5)], 8, ConfigError),
-    ([(1, 0, 8, 8, 5)], -1, ConfigError),
+    # a port off the group
+    ([(1, 5, 5, 8), (4, 5, 5, 8)], 2, PortRangeError),
+    ([(1, 5, None, 0), (-1, 5, None, 0)], 2, PortRangeError),
+    # a port twice, also as a key and a payload of one pair
+    ([(1, 5, None, 0), (2, 5, 6, 8), (1, None, 3, 4)], 2, ConfigError),
+    # a key or payload too wide, or negative
+    ([(1, 5, 5, 8), (2, 256, None, 0)], 2, ConfigError),
+    ([(1, -1, None, 0)], 2, ConfigError),
+    ([(1, 5, 5, 8), (2, None, 16, 4)], 2, ConfigError),
+    ([(1, 5, 5, 8), (2, None, 16, 4)], 3, ConfigError),
+    ([(1, 5, 5, 8), (2, 5, -1, 8)], 2, ConfigError),
+    # a payload width past the 8-row span, or negative
+    ([(1, 5, 5, 8), (2, 5, 5, 9)], 2, ConfigError),
+    ([(1, 5, 0, -1)], 2, ConfigError),
+    # a port twice, for another column
+    ([(1, 5, 5, 8), (1, 5, 5, 8)], 3, ConfigError),
+    # a node offset outside the interport region, an empty batch too
+    ([(1, 5, 5, 8)], 8, ConfigError),
+    ([(1, 5, 5, 8)], -1, ConfigError),
     ([], 8, ConfigError),
     ([], -1, ConfigError),
 ])
 @pytest.mark.parametrize("mode", ("naive", "dcw", "bogus"))
 def test_bi_write_node_rejects_bad_batches_before_any_change(words, offset,
                                                              error, mode):
-    # bad port, duplicate word, value >= 2^width or negative, rows outside
-    # the group, width past the span, a node offset outside the interport
-    # region; the valid words in front of the bad one must not land. A
-    # refused batch for column 3 leaves the group at column 2, an empty
-    # batch has its offset checked too, and an unknown mode fails before
-    # anything else.
+    # the valid pairs in front of the bad one must not land. A refused
+    # batch for column 3 leaves the group at column 2, an empty batch has
+    # its offset checked too, and an unknown mode fails before anything
+    # else.
     dev = small_device(word_bits=8, ports=4, record_steps=True)
     g = dev.new_group(16)
     dev.group_align(g, 2)
-    before = _device_state(dev, g), list(dev.counters.trace)
-    raises = (pytest.raises(ConfigError, match="unknown write mode")
-              if mode == "bogus" else pytest.raises(error))
-    with raises:
-        dev.bi_write_node(g, offset, words, mode, True)
-    after = _device_state(dev, g), list(dev.counters.trace)
-    assert np.array_equal(before[0][0], after[0][0])
-    assert before[0][1:] == after[0][1:]
-    assert before[1] == after[1]
+    bogus = mode == "bogus"
+    _assert_refused_unchanged(
+        dev, g, lambda: dev.bi_write_node(g, offset, words, 8, mode, True),
+        ConfigError if bogus else error,
+        match="unknown write mode" if bogus else None)
+
+
+@pytest.mark.parametrize("pairs,key_rows,rows", [
+    # payload rows past a word_bits-row group, a width-0 payload too
+    ([(1, 5, None, 0), (2, None, 5, 8)], 8, 8),
+    ([(1, 5, None, 0), (2, 5, 0, 0)], 8, 8),
+    # key rows past the group, or negative
+    ([(1, 5, None, 0)], 9, 8),
+    ([(1, 5, None, 0)], 17, 16),
+    ([(1, 0, None, 0)], -1, 16),
+])
+@pytest.mark.parametrize("mode", ("naive", "dcw"))
+def test_bi_write_node_rejects_rows_past_the_group(pairs, key_rows, rows,
+                                                   mode):
+    dev = small_device(word_bits=8, ports=4, record_steps=True)
+    g = dev.new_group(rows)
+    dev.group_align(g, 2)
+    _assert_refused_unchanged(
+        dev, g, lambda: dev.bi_write_node(g, 3, pairs, key_rows, mode, True),
+        ConfigError)
 
 
 def test_group_align_and_column_check():
@@ -1083,12 +1166,13 @@ def test_group_align_and_column_check():
                      lambda: dev.bi_scan_words(g, [], offset, 0, 8),
                      lambda: dev.bi_write_word(g, 0, offset, 0, 8, 8, 0,
                                                "dcw", False),
-                     lambda: dev.bi_write_node(g, offset, [], "naive", True)):
+                     lambda: dev.bi_write_node(g, offset, [], 8, "naive",
+                                               True)):
             with pytest.raises(ConfigError):
                 call()
     # an empty pass at another column checks it and moves nothing
     assert dev.bi_scan_words(g, [], 5, 0, 8) == []
-    dev.bi_write_node(g, 5, [], "dcw", False)
+    dev.bi_write_node(g, 5, [], 8, "dcw", False)
     after = _device_state(dev, g), list(dev.counters.trace)
     assert np.array_equal(before[0][0], after[0][0])
     assert before[0][1:] == after[0][1:]
@@ -1105,11 +1189,11 @@ def test_group_align_and_column_check():
        then=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 8),
                                   st.integers(0, 8)),
        mode=st.sampled_from(["naive", "dcw"]), parallel=st.booleans(),
-       words=_NODE_WORDS)
+       pairs=_NODE_PAIRS)
 def test_bi_passes_position_their_own_group(record, doubled, start,
                                             node_offset, seed, scan, width,
                                             case, then, mode, parallel,
-                                            words):
+                                            pairs):
     # from a group left at any offset, a scan (keys on rows 3..3+width,
     # then a payload on its own rows) or a node write must match an
     # explicit group_align followed by the same pass: words, cells,
@@ -1123,7 +1207,7 @@ def test_bi_passes_position_their_own_group(record, doubled, start,
     for dev, g in zip(devs, groups):
         load_image(g, cells)
         dev.align(g, start)
-    empty = not (case[0] or then) if scan else not words
+    empty = not (case[0] or then) if scan else not pairs
     before = devs[0].counters.as_flat_dict(), list(devs[0].counters.trace
                                                    or [])
     if not empty:
@@ -1137,10 +1221,8 @@ def test_bi_passes_position_their_own_group(record, doubled, start,
                                  then) for dev, g in zip(devs, groups)]
         assert got[0] == got[1]
     else:
-        words = [(port, row, 8, w, value & ((1 << w) - 1))
-                 for port, row, w, value in words]
         for dev, g in zip(devs, groups):
-            dev.bi_write_node(g, node_offset, words, mode, parallel)
+            dev.bi_write_node(g, node_offset, pairs, 8, mode, parallel)
     assert groups[0].cells == groups[1].cells
     assert groups[0].offset == groups[1].offset
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
@@ -1324,6 +1406,10 @@ def test_writes_reject_bits_other_than_0_and_1(name, bad, dtype, policy):
 _ANY_INT_WRITES = {
     "bi_write_word": lambda dev, tr, g, port, v, mode, parallel:
         dev.bi_write_word(g, port, 1, 8, 8, 8, v, mode, parallel),
+    "bi_write_node": lambda dev, tr, g, port, v, mode, parallel:
+        dev.bi_write_node(g, 1, [(port, v, v >> 3, 5),
+                                 ((port + 1) % 4, None, v & 0x1F, 5)], 8,
+                          mode, parallel),
     "write_serial": lambda dev, tr, g, port, v, mode, parallel:
         dev.write_serial(tr, port, v, 64, mode),
     "write_pw": lambda dev, tr, g, port, v, mode, parallel:
@@ -1339,7 +1425,7 @@ def test_bi_write_takes_any_integer_bit_dtype():
     # the bit-interleaved and on every word-mapping write
     for name, write in sorted(_ANY_INT_WRITES.items()):
         rng = np.random.default_rng(4)
-        wide = name != "bi_write_word"
+        wide = not name.startswith("bi_")
         devs = [small_device(word_bits=64 if wide else 8, ports=4,
                              record_steps=True) for _ in range(3)]
         trs = [d.new_track() for d in devs]
