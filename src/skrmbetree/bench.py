@@ -4,7 +4,9 @@ A run builds a fresh device, store and tree for one configuration, replays
 the workload's load and operation phases, and reports the device counters
 plus derived energy/latency. Comparison sets put the naive baseline of the
 same mapping first, and every other row carries its reduction percentages
-against that baseline.
+against that baseline. Each report becomes one row record
+(`MetricsReport.json_record`), and `format_rows` writes the records of
+every command, reports and write counts alike, as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .betree import BeTree
 from .config import ExperimentConfig
-from .counters import accumulate_cost
 from .device import Device
 from .errors import ConfigError, StructureError
 from .layout import DeviceStore
@@ -53,35 +54,15 @@ class MetricsReport:
     energy_reduction_pct: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def csv_row(self) -> dict:
-        return {
-            "workload": self.workload,
-            "mapping": self.mapping,
-            "strategy": self.strategy,
-            "encoding": "on" if self.encoding else "off",
-            "parallel_updates": "on" if self.parallel_updates else "off",
-            "word_bytes": self.word_bytes,
-            "entries": self.entries,
-            "shift": self.shift,
-            "detect": self.detect,
-            "remove": self.remove,
-            "inject": self.inject,
-            "energy_fJ": repr(self.energy_fJ),
-            "latency_ns": repr(self.latency_ns),
-            "latency_reduction_pct": repr(self.latency_reduction_pct),
-            "energy_reduction_pct": repr(self.energy_reduction_pct),
-        }
-
     def json_record(self) -> dict:
-        rec = self.csv_row()
-        rec["energy_fJ"] = self.energy_fJ
-        rec["latency_ns"] = self.latency_ns
-        rec["latency_reduction_pct"] = self.latency_reduction_pct
-        rec["energy_reduction_pct"] = self.energy_reduction_pct
-        rec["shift_steps"] = self.shift_steps
-        rec["detect_steps"] = self.detect_steps
-        rec["remove_steps"] = self.remove_steps
-        rec["inject_steps"] = self.inject_steps
+        """The report as one output row: the CSV_COLUMNS fields in order,
+        then the per-kind step counts, then the run extras. The two toggles
+        read on or off."""
+        rec = {name: getattr(self, name) for name in CSV_COLUMNS}
+        rec.update((f.name, getattr(self, f.name)) for f in fields(self)
+                   if f.name.endswith("_steps"))
+        for name in ("encoding", "parallel_updates"):
+            rec[name] = "on" if rec[name] else "off"
         rec.update(self.extra)
         return rec
 
@@ -134,18 +115,12 @@ def run_single(cfg: ExperimentConfig, check_oracle: bool = False,
         if tree.arena is not None and tree.arena.occupancy != 0:
             raise StructureError("arena slots leaked after full flush")
 
-    counters = device.counters
-    energy, latency = accumulate_cost(counters, cfg.cost)
     t = cfg.tree
     return MetricsReport(
         workload=cfg.workload, mapping=cfg.mapping, strategy=t.strategy,
         encoding=t.encoding, parallel_updates=t.parallel_ports,
         word_bytes=cfg.word_bytes, entries=cfg.entries,
-        shift=counters.shift, detect=counters.detect,
-        remove=counters.remove, inject=counters.inject,
-        shift_steps=counters.shift_steps, detect_steps=counters.detect_steps,
-        remove_steps=counters.remove_steps, inject_steps=counters.inject_steps,
-        energy_fJ=energy, latency_ns=latency,
+        **device.counters.as_flat_dict(cfg.cost),
         extra={"seed": cfg.seed, "ops": cfg.ops, "reads": reads,
                "read_misses": misses, **tree.stats()},
     )
@@ -179,47 +154,55 @@ def run_experiment(cfg: ExperimentConfig, check_oracle: bool = False,
     return reports
 
 
+def sweep_points(cfg: ExperimentConfig, entries_grid,
+                 word_bytes_grid) -> list[ExperimentConfig]:
+    """Every point of a sweep grid, each built, and so checked."""
+    return [replace(cfg, entries=int(entries), word_bytes=int(wb))
+            for entries in entries_grid for wb in word_bytes_grid]
+
+
 def run_sweep(cfg: ExperimentConfig, entries_grid=(10**3, 10**4, 10**5, 10**6),
               word_bytes_grid=(4, 8, 16, 32), check_oracle: bool = False,
               audit: bool = False) -> list[MetricsReport]:
     """Grid of comparison sets over dataset size and word size; every
     point is built, and so checked, before the first one runs."""
-    points = [replace(cfg, entries=int(entries), word_bytes=int(wb))
-              for entries in entries_grid for wb in word_bytes_grid]
-    return [report for point in points
+    return [report
+            for point in sweep_points(cfg, entries_grid, word_bytes_grid)
             for report in run_experiment(point, check_oracle, audit)]
 
 
-def emit(reports, fmt: str) -> str:
-    """Serialize reports as CSV or JSON text."""
-    if not reports:
+def format_rows(rows: list[dict], fmt: str, columns) -> str:
+    """Serialize row records as CSV or JSON text: the one writer of every
+    command's output.
+
+    JSON keeps each record whole. CSV writes `columns` as the header and
+    cuts each record to them; the csv module writes floats with repr, so
+    parsing them back gives the same values."""
+    if not rows:
         raise ConfigError("nothing to emit")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS,
-                                lineterminator="\n")
-        writer.writeheader()
-        for r in reports:
-            writer.writerow(r.csv_row())
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps([r.json_record() for r in reports], indent=2)
-        text += "\n"
-    else:
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt != "csv":
         raise ConfigError(f"format must be csv or json, not {fmt!r}")
-    return text
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n",
+                            extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def emit(reports, fmt: str) -> str:
+    """Serialize reports as CSV (the CSV_COLUMNS) or JSON (whole records)."""
+    return format_rows([r.json_record() for r in reports], fmt, CSV_COLUMNS)
+
+
+# emitted column -> its type, from the annotation of its MetricsReport field
+_COLUMN_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str)
+                 for f in fields(MetricsReport)}
 
 
 def parse_csv(text: str) -> list[dict]:
     """Read an emitted CSV back into typed dicts (round-trip check)."""
-    rows = []
-    for raw in csv.DictReader(text.splitlines()):
-        row: dict = dict(raw)
-        for k in ("word_bytes", "entries", "shift", "detect", "remove",
-                  "inject"):
-            row[k] = int(row[k])
-        for k in ("energy_fJ", "latency_ns", "latency_reduction_pct",
-                  "energy_reduction_pct"):
-            row[k] = float(row[k])
-        rows.append(row)
-    return rows
+    return [{name: _COLUMN_TYPES[name](value) for name, value in raw.items()}
+            for raw in csv.DictReader(text.splitlines())]

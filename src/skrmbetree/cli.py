@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import sys
 
-from .bench import emit, run_experiment, run_sweep
+from .bench import emit, format_rows, run_experiment, run_sweep, sweep_points
 from .btree import write_count_series
-from .config import (BOOL_WORDS, ExperimentConfig, apply_file_settings,
-                     read_config_file)
+from .config import (BOOL_WORDS, MAPPINGS, STRATEGIES, ExperimentConfig,
+                     apply_file_settings, read_config_file)
 from .errors import ConfigError, SimError
+from .workload import MIXES
 
 
 def _onoff(text: str) -> bool:
@@ -43,9 +42,9 @@ def _int_list(text: str) -> list[int]:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="key = value settings file applied before flags")
-    p.add_argument("--workload", choices=list("abcdef"))
-    p.add_argument("--mapping", choices=["word", "bit", "bit_interleaved"])
-    p.add_argument("--strategy", choices=["naive", "dcw", "pw", "bcw"])
+    p.add_argument("--workload", choices=sorted(MIXES))
+    p.add_argument("--mapping", choices=[*MAPPINGS, "bit"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--encoding", type=_onoff, metavar="on|off")
     p.add_argument("--parallel-ports", type=_onoff, metavar="on|off")
     p.add_argument("--entries", type=int)
@@ -97,6 +96,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
+    # a bad grid point fails here, before --out is emptied
+    sweep_points(cfg, args.entries_grid, args.word_bytes_grid)
     with _output(args.out) as out:
         out.write(emit(run_sweep(cfg, entries_grid=args.entries_grid,
                                  word_bytes_grid=args.word_bytes_grid,
@@ -113,17 +114,10 @@ def cmd_write_counts(args) -> int:
     decades = [10 ** e for e in range(3, 7) if 10 ** e <= args.n]
     samples = sorted(set(decades + [args.n]))
     with _output(args.out) as out:
-        rows = write_count_series(samples, args.seed, args.node_capacity)
-        if args.format == "json":
-            out.write(json.dumps(rows, indent=2) + "\n")
-            return 0
-        writer = csv.DictWriter(
-            out, fieldnames=["n_inserts", "btree_writes", "betree_writes",
-                             "ratio"],
-            lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({**row, "ratio": repr(row["ratio"])})
+        out.write(format_rows(
+            write_count_series(samples, args.seed, args.node_capacity),
+            args.format,
+            ["n_inserts", "btree_writes", "betree_writes", "ratio"]))
     return 0
 
 

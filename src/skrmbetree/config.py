@@ -42,8 +42,9 @@ class CostModel:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{f.name} must be finite and positive")
 
     def energy(self, kind: str) -> float:
         return getattr(self, "energy_" + kind)
@@ -114,6 +115,8 @@ class TreeConfig:
                               "write; parallel_ports requires strategy=bcw")
         if self.arena_capacity is not None and self.arena_capacity < 1:
             raise ConfigError("arena_capacity must be >= 1")
+        if self.max_tracks is not None and self.max_tracks < 1:
+            raise ConfigError("max_tracks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,8 @@ class ExperimentConfig:
             raise ConfigError("op_count must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.shift_policy not in SHIFT_POLICIES:
+            raise ConfigError(f"shift_policy must be one of {SHIFT_POLICIES}")
         if self.tree.strategy == "pw" and self.mapping == "bit_interleaved":
             raise ConfigError("pw is a single-word word-based strategy; "
                               "it cannot drive the bit_interleaved mapping")

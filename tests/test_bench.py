@@ -133,6 +133,102 @@ def test_emit_validates_and_the_cli_writes_its_text(tmp_path):
         emit(reports, "xml")
 
 
+def pinned_reports():
+    plain = MetricsReport(
+        workload="a", mapping="word", strategy="naive", encoding=False,
+        parallel_updates=False, word_bytes=2, entries=60, shift=11,
+        detect=22, remove=3, inject=4, shift_steps=5, detect_steps=6,
+        remove_steps=7, inject_steps=8, energy_fJ=1234.5,
+        latency_ns=0.1 + 0.2, extra={"seed": 7, "reads": 30, "kv_writes": 12})
+    tuned = MetricsReport(
+        workload="d", mapping="bit_interleaved", strategy="bcw",
+        encoding=True, parallel_updates=True, word_bytes=4, entries=100,
+        shift=9, detect=8, remove=1, inject=2, shift_steps=3, detect_steps=2,
+        remove_steps=1, inject_steps=1, energy_fJ=2.0 / 3, latency_ns=1e-05,
+        latency_reduction_pct=100.0 / 3, energy_reduction_pct=-12.5)
+    return [plain, tuned]
+
+
+PINNED_CSV = """\
+workload,mapping,strategy,encoding,parallel_updates,word_bytes,entries,\
+shift,detect,remove,inject,energy_fJ,latency_ns,latency_reduction_pct,\
+energy_reduction_pct
+a,word,naive,off,off,2,60,11,22,3,4,1234.5,0.30000000000000004,0.0,0.0
+d,bit_interleaved,bcw,on,on,4,100,9,8,1,2,0.6666666666666666,1e-05,\
+33.333333333333336,-12.5
+"""
+
+PINNED_JSON = """\
+[
+  {
+    "workload": "a",
+    "mapping": "word",
+    "strategy": "naive",
+    "encoding": "off",
+    "parallel_updates": "off",
+    "word_bytes": 2,
+    "entries": 60,
+    "shift": 11,
+    "detect": 22,
+    "remove": 3,
+    "inject": 4,
+    "energy_fJ": 1234.5,
+    "latency_ns": 0.30000000000000004,
+    "latency_reduction_pct": 0.0,
+    "energy_reduction_pct": 0.0,
+    "shift_steps": 5,
+    "detect_steps": 6,
+    "remove_steps": 7,
+    "inject_steps": 8,
+    "seed": 7,
+    "reads": 30,
+    "kv_writes": 12
+  },
+  {
+    "workload": "d",
+    "mapping": "bit_interleaved",
+    "strategy": "bcw",
+    "encoding": "on",
+    "parallel_updates": "on",
+    "word_bytes": 4,
+    "entries": 100,
+    "shift": 9,
+    "detect": 8,
+    "remove": 1,
+    "inject": 2,
+    "energy_fJ": 0.6666666666666666,
+    "latency_ns": 1e-05,
+    "latency_reduction_pct": 33.333333333333336,
+    "energy_reduction_pct": -12.5,
+    "shift_steps": 3,
+    "detect_steps": 2,
+    "remove_steps": 1,
+    "inject_steps": 1
+  }
+]
+"""
+
+
+def test_emitted_text_is_pinned():
+    # header, column and key order, on/off words and float repr, byte for
+    # byte; extra keys reach the JSON only
+    assert emit(pinned_reports(), "csv") == PINNED_CSV
+    assert emit(pinned_reports(), "json") == PINNED_JSON
+
+
+def test_write_counts_text_is_pinned(tmp_path):
+    out = tmp_path / "wc"
+    assert main(["write-counts", "--n", "1000", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "n_inserts,btree_writes,betree_writes,ratio\n"
+        "1000,1774,5966,3.363021420518602\n")
+    assert main(["write-counts", "--n", "1000", "--format", "json",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == (
+        '[\n  {\n    "n_inserts": 1000,\n    "btree_writes": 1774,\n'
+        '    "betree_writes": 5966,\n    "ratio": 3.363021420518602\n  }\n]\n')
+
+
 def test_sweep_covers_the_grid():
     reports = run_sweep(tiny_cfg(strategy="bcw", parallel=True),
                         entries_grid=(40, 60), word_bytes_grid=(2,))
@@ -319,14 +415,20 @@ def test_cli_refuses_bad_settings_before_opening_out(argv, conf, fragment,
     (["write-counts", "--n", "-5"], None, "--n must be >= 1"),
     (["write-counts", "--node-capacity", "3"], None,
      "--node-capacity must be >= 4"),
+    (["sweep", "--entries-grid", "0,10", "--word-bytes-grid", "4"], None,
+     "entries must be >= 1"),
+    (["sweep", "--entries-grid", "40", "--word-bytes-grid", "8,0"], None,
+     "word_bytes must be >= 1"),
+    (["run", "--config"], "max_tracks = -3\n", "max_tracks must be >= 1"),
 ), ids=["run-ops", "sweep-ops", "file-workload", "file-ops", "wc-n-0",
-        "wc-n-negative", "wc-capacity"])
+        "wc-n-negative", "wc-capacity", "sweep-entries-grid",
+        "sweep-word-bytes-grid", "file-max-tracks"])
 def test_cli_refuses_bad_sizes_before_emptying_out(argv, conf, fragment,
                                                    tmp_path, capsys,
                                                    monkeypatch):
-    # a bad op count, workload or write-counts size is refused before the
-    # simulation runs and before --out is opened, so the file keeps what
-    # it held
+    # a bad op count, workload, grid point, track budget or write-counts
+    # size is refused before the simulation runs and before --out is
+    # opened, so the file keeps what it held
     for name in ("run_experiment", "run_sweep", "write_count_series"):
         monkeypatch.setattr(cli, name, _never)
     if conf is not None:

@@ -13,6 +13,12 @@ def test_cost_model_rejects_nonpositive_units():
         CostModel(energy_shift=0)
     with pytest.raises(ConfigError):
         CostModel(latency_inject=-1.0)
+    # a non-finite unit is refused in code as it is in a settings file
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            CostModel(energy_detect=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            CostModel(latency_shift=bad)
     model = CostModel()
     assert model.energy("inject") == 200.0
     assert model.latency("detect") == 0.1
@@ -37,6 +43,11 @@ def test_tree_config_validation():
         TreeConfig(strategy="dcw", parallel_ports=True)
     with pytest.raises(ConfigError):
         TreeConfig(arena_capacity=0)
+    # a track budget below one track could place nothing
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="max_tracks must be >= 1"):
+            TreeConfig(max_tracks=bad)
+    assert TreeConfig(max_tracks=1).max_tracks == 1
     # a leaf's elements sit in the node's pair slots
     with pytest.raises(ConfigError):
         TreeConfig(node_pairs=6, pivot_pairs=2, buffer_pairs=4,
@@ -63,6 +74,14 @@ def test_experiment_refuses_a_bad_op_count_or_workload():
     for kw in ({"op_count": -1}, {"workload": "z"}, {"workload": "A"}):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
+
+
+def test_experiment_refuses_an_unknown_shift_policy():
+    # checked when the config is built, not when the geometry is derived
+    assert ExperimentConfig(shift_policy="eager").geometry().shift_policy \
+        == "eager"
+    with pytest.raises(ConfigError, match="shift_policy must be one of"):
+        ExperimentConfig(shift_policy="sideways")
 
 
 def test_baseline_projection():
