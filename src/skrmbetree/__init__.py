@@ -6,10 +6,10 @@ compare-written, optionally index-encoded device traffic. See the README
 for the CLI and the cost model.
 """
 
-from .betree import BeTree, ValueArena, encoding_overhead_bytes, index_bits_for
+from .betree import BeTree, ValueArena, encoding_overhead_bytes
 from .btree import BTree, write_count_experiment, write_count_series
 from .config import (CostModel, ExperimentConfig, Geometry, TreeConfig,
-                     read_config_file)
+                     index_bits_for, read_config_file)
 from .counters import OpCounters, accumulate_cost
 from .device import Device
 from .layout import DeviceStore, NullStore

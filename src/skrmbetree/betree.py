@@ -28,24 +28,14 @@ import bisect
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
+from .config import index_bits_for
 from .errors import (ArenaFullError, ConfigError, StructureError)
 from .layout import KIND_INTERNAL, KIND_LEAF
-
-
-def index_bits_for(capacity: int) -> int:
-    """Bits needed to address `capacity` arena slots; 1 slot needs none."""
-    if capacity < 1:
-        raise ConfigError("capacity must be >= 1")
-    return (capacity - 1).bit_length()
 
 
 def encoding_overhead_bytes(capacity: int) -> int:
     """Device bytes the arena itself occupies: index width times slots."""
     return (index_bits_for(capacity) * capacity + 7) // 8
-
-
-def next_pow2(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
 class ValueArena:
@@ -179,15 +169,9 @@ class BeTree:
         self.store = store
         self.cfg = cfg
         self.word_bits = word_bits
-        if cfg.encoding:
-            cap = cfg.arena_capacity
-            if cap is None:
-                cap = next_pow2(max(256, planned_upserts or 0))
-            self.arena = ValueArena(cap)
-            if self.arena.index_bits > word_bits:
-                raise ConfigError("arena index wider than a payload word")
-        else:
-            self.arena = None
+        self.arena = (ValueArena(cfg.arena_slots(planned_upserts or 0,
+                                                  word_bits))
+                      if cfg.encoding else None)
         self.nodes: dict[int, LeafNode | InternalNode] = {}
         self._next_node = 0
         self.seq = 0
@@ -487,11 +471,12 @@ class BeTree:
         """The live value of `key`, or None. Every internal node on the
         path is one pass: the tree knows its own keys, so it lists each key
         read its search makes and hands them, with the payload read the
-        search ends on, to the store as one `scan_keys`. The store checks
-        every word it reads against the tree's, so the tree's keys decide
-        the search. At the leaf the value read is a `read_payload` of its
-        own: the value a query returns is what the store's value read
-        returns."""
+        search ends on and the words it expects, to the store as one
+        `scan_keys`. The device reads and bills every listed word; the
+        store compares them with the tree's and raises StructureError on
+        the first that differs, so the tree's keys decide the search. At
+        the leaf the value read is a `read_payload` of its own: the value
+        a query returns is what the store's value read returns."""
         self._check_word(key, "key")
         store = self.store
         device = store.has_device
@@ -511,8 +496,8 @@ class BeTree:
                 payload = hit.payload
                 if device:
                     payload = store.scan_keys(
-                        nid, slots[:i + 1], keys[:i + 1],
-                        (hit.slot, self.payload_width, payload))[-1]
+                        nid, slots[:i + 1], [*keys[:i + 1], payload],
+                        (hit.slot, self.payload_width))[-1]
                 if self.arena is not None:
                     return store.arena_read(payload, self.word_bits,
                                             expect=self.arena.values[payload])
@@ -532,8 +517,9 @@ class BeTree:
                     hi = mid
             child = pivots[lo][1]
             if device:
-                child = store.scan_keys(nid, slots + probes, keys + probe_keys,
-                                        (lo, self.word_bits, child))[-1]
+                child = store.scan_keys(nid, slots + probes,
+                                        [*keys, *probe_keys, child],
+                                        (lo, self.word_bits))[-1]
             node = self.nodes[child]
         elements = node.elements
         lo, hi = 0, len(elements)

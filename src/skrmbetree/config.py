@@ -21,6 +21,17 @@ STRATEGIES = ("naive", "dcw", "pw", "bcw")
 SHIFT_POLICIES = ("lazy", "eager")
 
 
+def index_bits_for(capacity: int) -> int:
+    """Bits needed to address `capacity` arena slots; 1 slot needs none."""
+    if capacity < 1:
+        raise ConfigError("capacity must be >= 1")
+    return (capacity - 1).bit_length()
+
+
+def next_pow2(n: int) -> int:
+    return 1 if n <= 1 else 1 << (n - 1).bit_length()
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-primitive unit costs.
@@ -118,6 +129,17 @@ class TreeConfig:
         if self.max_tracks is not None and self.max_tracks < 1:
             raise ConfigError("max_tracks must be >= 1")
 
+    def arena_slots(self, planned: int, word_bits: int) -> int:
+        """Value-arena slots for `planned` upserts: arena_capacity, else
+        the power of two at or above `planned`, at least 256. An arena
+        whose index is wider than a `word_bits` payload word is refused."""
+        cap = self.arena_capacity
+        if cap is None:
+            cap = next_pow2(max(256, planned))
+        if index_bits_for(cap) > word_bits:
+            raise ConfigError("arena index wider than a payload word")
+        return cap
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -151,6 +173,10 @@ class ExperimentConfig:
         if self.tree.strategy == "pw" and self.mapping == "bit_interleaved":
             raise ConfigError("pw is a single-word word-based strategy; "
                               "it cannot drive the bit_interleaved mapping")
+        if self.tree.encoding:
+            # a run plans entries + ops upserts: an arena too wide for
+            # them is refused here, before any work
+            self.tree.arena_slots(self.entries + self.ops, self.word_bits)
 
     @property
     def word_bits(self) -> int:
@@ -260,8 +286,8 @@ def read_config_file(path) -> dict:
 
 _COST_KEYS = [f.name for f in fields(CostModel)]
 _TREE_KEYS = [f.name for f in fields(TreeConfig)]
-_EXP_KEYS = ("workload", "mapping", "entries", "op_count", "word_bytes",
-             "seed", "shift_policy")
+_EXP_KEYS = [f.name for f in fields(ExperimentConfig)
+             if f.name not in ("tree", "cost")]
 
 
 def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConfig:
@@ -291,12 +317,9 @@ def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConf
             # settings file can be shared; checked once every other key
             # has applied
             derived_kw[key] = value
-    if cost_kw:
-        cfg = replace(cfg, cost=replace(cfg.cost, **cost_kw))
-    if tree_kw:
-        cfg = replace(cfg, tree=replace(cfg.tree, **tree_kw))
-    if exp_kw:
-        cfg = replace(cfg, **exp_kw)
+    # one replace, so the cross-field checks see only the finished config
+    cfg = replace(cfg, cost=replace(cfg.cost, **cost_kw),
+                  tree=replace(cfg.tree, **tree_kw), **exp_kw)
     geom = cfg.geometry()
     for key, value in derived_kw.items():
         if value != getattr(geom, key):

@@ -134,10 +134,3 @@ def accumulate_cost(counters: OpCounters, model: CostModel) -> tuple[float, floa
         latency += counters.steps(kind) * model.latency(kind)
     return energy, latency
 
-
-def latency_from_trace(trace, model: CostModel) -> float:
-    """Recompute latency from a (kind, width) step log; widths cost nothing."""
-    total = 0.0
-    for kind, _width in trace:
-        total += model.latency(kind)
-    return total

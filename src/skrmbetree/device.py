@@ -18,15 +18,16 @@ A track group is one int per cell column whose bit ``r`` is row ``r``, so a
 word stored down a column is ``column >> row_start & mask``.
 
 A node visit of a query is one charged pass: ``scan_words`` and
-``bi_scan_words`` read a node's keys and then, as a final word of its own
-width, the payload the search chose, billed exactly as the same reads made
-one at a time. A node write is one call too: ``write_words`` writes a
-node's words one after another, billed as the same words written one at a
-time, and ``bi_write_node`` takes the store's pair writes and diffs each
-pair's key and payload rows against its column in one read, billed as the
-key word and then the payload word written one at a time. No caller
-aligns: a pass positions its own track, or brings its node's column under
-the ports with one ``group_align`` shift set.
+``bi_scan_words`` read every key word they are given and then, as a final
+word of its own width, the payload the search chose, billed exactly as the
+same reads made one at a time. A scan judges nothing it reads; the store
+compares the words with the tree's. A node write is one call too:
+``write_words`` writes a node's words one after another, billed as the same
+words written one at a time, and ``bi_write_node`` takes the store's pair
+writes and diffs each pair's key and payload rows against its column in one
+read, billed as the key word and then the payload word written one at a
+time. No caller aligns: a pass positions its own track, or brings its
+node's column under the ports with one ``group_align`` shift set.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -100,15 +101,6 @@ class TrackGroup:
 
 _MODES = ("naive", "dcw")
 _WORD_MODES = _MODES + ("bcw", "pw")
-
-
-def _cut_after_miss(words: list, expect) -> None:
-    """Drop the words after the first that differs from its entry in
-    `expect`: a scan stops at a read the caller did not expect."""
-    for i, (word, want) in enumerate(zip(words, expect)):
-        if word != want:
-            del words[i + 1:]
-            return
 
 
 class Device:
@@ -397,16 +389,11 @@ class Device:
         one-slot scan."""
         return self.scan_words(track, (slot,), width)[0]
 
-    def scan_words(self, track, slots, width: int, expect=None,
-                   then=None) -> list[int]:
+    def scan_words(self, track, slots, width: int, then=None) -> list[int]:
         """Read the words in `slots` one after another, then the word
-        `then` names, and return them.
-
-        Stops after the first word that differs from its entry in `expect`
-        (None: no such stop), so a read the caller did not expect is the
-        last one paid for. `then` is one more read at its own width,
-        ``(slot, width)``, made only when no word stopped the scan: a node
-        visit's payload read after its key reads.
+        `then` names, and return them, the `then` word last. `then` is one
+        more read at its own width, ``(slot, width)``: a node visit's
+        payload read after its key reads.
 
         Each read sweeps from whichever end of the bit range is closer to
         the current offset, so back-to-back reads ping-pong instead of
@@ -425,9 +412,6 @@ class Device:
         if not (0 <= width <= ip):
             raise ConfigError(f"width {width} outside one interport segment "
                               f"(0..{ip})")
-        if expect is not None and len(expect) != len(slots):
-            raise ConfigError(f"{len(expect)} expected words for "
-                              f"{len(slots)} slots")
         if then is not None:
             then_slot, then_width = then
             if not 0 <= then_slot < n_ports:
@@ -438,9 +422,6 @@ class Device:
                                   f"segment (0..{ip})")
         cells, mask = tr.cells, (1 << width) - 1
         words = [cells[slot + 1] & mask for slot in slots]
-        if expect is not None and words != expect:
-            _cut_after_miss(words, expect)
-            then = None
         n = len(words)
         if then is None:
             self._bill_reads(tr, n, width)
@@ -518,12 +499,11 @@ class Device:
                                   width)[0]
 
     def bi_scan_words(self, group: TrackGroup, ports, node_offset: int,
-                      row_start: int, width: int, expect=None,
-                      then=None) -> list[int]:
+                      row_start: int, width: int, then=None) -> list[int]:
         """Read the node's words under `ports` one after another, then the
-        word `then` names, and return them, stopping as :meth:`scan_words`
-        does. `then` is ``(port, row_start, width)``: a node visit's
-        payload read, on its own rows.
+        word `then` names, and return them, the `then` word last. `then`
+        is ``(port, row_start, width)``: a node visit's payload read, on
+        its own rows.
 
         Once every check passes, the pass aligns the group itself
         (:meth:`group_align`); with no ports and no `then` it only checks
@@ -537,9 +517,6 @@ class Device:
             raise PortRangeError(f"port {bad} outside 0..{n_ports - 1}")
         if row_start < 0 or width < 0 or row_start + width > rows:
             raise self._rows_error(group, row_start, width)
-        if expect is not None and len(expect) != len(ports):
-            raise ConfigError(f"{len(expect)} expected words for "
-                              f"{len(ports)} ports")
         if then is not None:
             then_port, then_row, then_width = then
             if not 0 <= then_port < n_ports:
@@ -557,9 +534,6 @@ class Device:
         cols, mask = group.cells, (1 << width) - 1
         words = [cols[(port + 1) * ip + node_offset] >> row_start & mask
                  for port in ports]
-        if expect is not None and words != expect:
-            _cut_after_miss(words, expect)
-            then = None
         c = self.counters
         n = len(words)
         if width and n:

@@ -135,31 +135,34 @@ class DeviceStore:
     def scan_keys(self, node_id: int, pair_slots, expect,
                   payload=None) -> list[int]:
         """Read the keys of `pair_slots` in order, then the payload
-        `payload` names, as one charged pass: a node visit. Each key read
-        must equal its entry in `expect`; the pass stops at the first that
-        does not, and that one raises with no payload read. `payload` is
-        ``(pair_slot, width, expected)``, and the payload read must equal
-        its expected value too. Returns the words read, the payload last."""
+        `payload` names, as one charged pass: a node visit. `payload` is
+        ``(pair_slot, width)``. The device reads and bills every word;
+        the store then compares them with `expect`, the tree's keys and,
+        last, its payload, and raises on the first that differs. Returns
+        the words read, the payload last."""
         if not pair_slots and payload is None:
             return []
         device, wb = self.device, self.word_bits
         if self.mapping == "word":
             # pair slot s is word slots 2s (key) and 2s + 1 (payload)
             got = device.scan_words(
-                self.homes[node_id], [2 * s for s in pair_slots], wb, expect,
+                self.homes[node_id], [2 * s for s in pair_slots], wb,
                 None if payload is None else (2 * payload[0] + 1, payload[1]))
         else:
             group, offset = self.homes[node_id]
             got = device.bi_scan_words(
-                group, pair_slots, offset, 0, wb, expect,
+                group, pair_slots, offset, 0, wb,
                 None if payload is None else (payload[0], wb, payload[1]))
-        last = len(got) - 1
-        if last < len(pair_slots):
-            self._checked(got[last], expect[last], "node {} slot {} key",
-                          node_id, pair_slots[last])
-        else:
-            self._checked(got[last], payload[2], "node {} slot {} payload",
-                          node_id, payload[0])
+        if got != expect:
+            for i, (word, want) in enumerate(zip(got, expect)):
+                if i < len(pair_slots):
+                    self._checked(word, want, "node {} slot {} key", node_id,
+                                  pair_slots[i])
+                else:
+                    self._checked(word, want, "node {} slot {} payload",
+                                  node_id, payload[0])
+            raise ConfigError(f"{len(expect)} expected words for a pass of "
+                              f"{len(got)} reads")
         return got
 
     def read_payload(self, node_id: int, pair_slot: int, width: int,

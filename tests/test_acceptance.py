@@ -50,6 +50,7 @@ def reduction(base, value):
     return 100.0 * (base - value) / base
 
 
+@pytest.mark.slow
 def test_headline_latency_reductions_word_mapping():
     # full configuration vs naive, word mapping, 10^4 entries / 8-byte
     # words: latency must drop on every workload and the best write-heavy
@@ -67,6 +68,7 @@ def test_headline_latency_reductions_word_mapping():
     assert 50.0 <= best <= 90.0, f"best write-heavy reduction {best:.2f}%"
 
 
+@pytest.mark.slow
 def test_headline_reductions_bit_interleaved_mapping():
     # same protocol on the bit-interleaved mapping: latency and energy
     # both drop everywhere, best latency reduction in [50%, 90%]
@@ -173,6 +175,7 @@ def test_strategy_count_oracles():
                     <= counts["naive"].inject)
 
 
+@pytest.mark.slow
 def test_write_amplification_trend():
     # pair-write ratio >= 1 at 10^3, strictly increasing by decade, and
     # >= 8x at 10^6, all inside 300 s
@@ -186,6 +189,7 @@ def test_write_amplification_trend():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_reads_match_in_memory_oracle_with_audit():
     # every read of every workload checked against a dict oracle, plus a
     # full structural audit before and after a forced flush

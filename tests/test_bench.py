@@ -420,15 +420,25 @@ def test_cli_refuses_bad_settings_before_opening_out(argv, conf, fragment,
     (["sweep", "--entries-grid", "40", "--word-bytes-grid", "8,0"], None,
      "word_bytes must be >= 1"),
     (["run", "--config"], "max_tracks = -3\n", "max_tracks must be >= 1"),
+    (["run", "--entries", "2000", "--word-bytes", "1", "--strategy", "bcw",
+      "--encoding", "on", "--parallel-ports", "on"], None,
+     "arena index wider than a payload word"),
+    (["sweep", "--strategy", "bcw", "--encoding", "on", "--parallel-ports",
+      "on", "--entries-grid", "100,2000", "--word-bytes-grid", "1"], None,
+     "arena index wider than a payload word"),
+    (["run", "--entries", "50", "--config"],
+     "encoding = on\nstrategy = dcw\narena_capacity = 512\nword_bits = 8\n",
+     "arena index wider than a payload word"),
 ), ids=["run-ops", "sweep-ops", "file-workload", "file-ops", "wc-n-0",
         "wc-n-negative", "wc-capacity", "sweep-entries-grid",
-        "sweep-word-bytes-grid", "file-max-tracks"])
+        "sweep-word-bytes-grid", "file-max-tracks", "run-arena-width",
+        "sweep-arena-width", "file-arena-width"])
 def test_cli_refuses_bad_sizes_before_emptying_out(argv, conf, fragment,
                                                    tmp_path, capsys,
                                                    monkeypatch):
-    # a bad op count, workload, grid point, track budget or write-counts
-    # size is refused before the simulation runs and before --out is
-    # opened, so the file keeps what it held
+    # a bad op count, workload, grid point, track budget, arena width or
+    # write-counts size is refused before the simulation runs and before
+    # --out is opened, so the file keeps what it held
     for name in ("run_experiment", "run_sweep", "write_count_series"):
         monkeypatch.setattr(cli, name, _never)
     if conf is not None:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from cellimage import cell_image, load_image
 from refquery import reference_query
 from skrmbetree.betree import (BeTree, InternalNode, ValueArena,
-                               encoding_overhead_bytes, index_bits_for,
-                               next_pow2)
-from skrmbetree.config import CostModel, Geometry, TreeConfig
+                               encoding_overhead_bytes)
+from skrmbetree.config import (CostModel, Geometry, TreeConfig,
+                               index_bits_for, next_pow2)
 from skrmbetree.device import Device
 from skrmbetree.errors import ArenaFullError, ConfigError, StructureError
 from skrmbetree.layout import KIND_LEAF, DeviceStore, NullStore
@@ -384,40 +384,57 @@ def _device_image(device):
             for h in (*device.tracks.values(), *device.groups.values())]
 
 
+def _flip_bit(store, node_id, pair_slot, word):
+    """Flip bit 0 of one stored word of a node: its key or its payload."""
+    if store.mapping == "word":
+        tr = store.homes[node_id]
+        cells = cell_image(tr)
+        cells[tr.slot_start(2 * pair_slot + (word == "payload"))] ^= 1
+        load_image(tr, cells)
+    else:
+        group, offset = store.homes[node_id]
+        cells = cell_image(group)
+        row = store.word_bits if word == "payload" else 0
+        cells[row, group.slot_start(pair_slot) + offset] ^= 1
+        load_image(group, cells)
+
+
+@pytest.mark.parametrize("target", ("buffered-key", "buffer-hit-payload",
+                                    "pivot-child-id", "leaf-key",
+                                    "leaf-value"))
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
-def test_corrupt_buffered_key_fails_the_scan_at_the_same_read(mapping):
-    # six-slot buffers; the corrupted message sits in the middle of the
-    # newest-first order, so the scan pays for reads before it fails
-    runs = []
-    for reference in (False, True):
-        tree, device = make_device_tree(mapping, node_pairs=8,
-                                        element_pairs=4)
-        for i in range(9):
-            tree.upsert(i * 1000 + 7, i)
-        root = tree.nodes[tree.root_id]
-        newest = sorted(root.buffer, key=lambda m: -m.seq)
-        assert len(newest) == 4
-        victim = newest[2]
-        if mapping == "word":
-            tr = tree.store.homes[root.node_id]
-            cells = cell_image(tr)
-            cells[tr.slot_start(2 * victim.slot)] ^= 1
-            load_image(tr, cells)
-        else:
-            group, offset = tree.store.homes[root.node_id]
-            cells = cell_image(group)
-            cells[0, group.slot_start(victim.slot) + offset] ^= 1
-            load_image(group, cells)
-        query = reference_query if reference else BeTree.query
-        device.counters.trace = []
-        before = device.counters.snapshot()
-        with pytest.raises(StructureError, match="key"):
-            query(tree, victim.key)
-        runs.append((device.counters.as_flat_dict(), device.counters.trace,
-                     _device_image(device)))
-        # three keys read, the third one wrong
-        assert device.counters.delta(before).detect == 3 * 16
-    assert runs[0] == runs[1]
+def test_corrupt_word_fails_the_query_naming_node_slot_and_word(mapping,
+                                                                target):
+    # six-slot buffers over two-pivot roots; one bit of one stored word is
+    # flipped, and the query that reads it names where it sits
+    tree, _ = make_device_tree(mapping, node_pairs=8, element_pairs=4)
+    for i in range(9):
+        tree.upsert(i * 1000 + 7, i)
+    root = tree.nodes[tree.root_id]
+    newest = sorted(root.buffer, key=lambda m: -m.seq)
+    assert len(newest) == 4
+    # a buffered message in the middle of the newest-first order, and a
+    # leaf key under the last pivot that no message shadows
+    victim = newest[2]
+    slot_of_child = len(root.pivots) - 1
+    leaf = tree.nodes[root.pivots[slot_of_child][1]]
+    assert leaf.kind == KIND_LEAF
+    mid = len(leaf.elements) // 2
+    leaf_key = leaf.elements[mid][0]
+    assert leaf_key not in {m.key for m in root.buffer}
+    key, node_id, slot, word = {
+        "buffered-key": (victim.key, root.node_id, victim.slot, "key"),
+        "buffer-hit-payload": (victim.key, root.node_id, victim.slot,
+                               "payload"),
+        "pivot-child-id": (leaf_key, root.node_id, slot_of_child, "payload"),
+        "leaf-key": (leaf_key, leaf.node_id, mid, "key"),
+        "leaf-value": (leaf_key, leaf.node_id, mid, "payload"),
+    }[target]
+    assert tree.query(key) is not None
+    _flip_bit(tree.store, node_id, slot, word)
+    with pytest.raises(StructureError,
+                       match=f"^node {node_id} slot {slot} {word}: "):
+        tree.query(key)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,7 @@
 """Configuration dataclasses and the key = value settings file."""
 
+from dataclasses import fields
+
 import pytest
 
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
@@ -116,6 +118,23 @@ def test_settings_file_round_trip(tmp_path):
     assert cfg.tree.strategy == "bcw"
     assert cfg.tree.encoding and cfg.tree.parallel_ports
     assert cfg.cost.energy_inject == 150.0
+
+
+# a value other than the default for every experiment-level field
+_EXP_SAMPLES = {"workload": "c", "mapping": "bit_interleaved",
+                "entries": 500, "op_count": 7, "word_bytes": 2, "seed": 9,
+                "shift_policy": "eager"}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)
+                                 if f.name not in ("tree", "cost")])
+def test_settings_file_sets_every_experiment_field(tmp_path, key):
+    value = _EXP_SAMPLES[key]
+    assert getattr(ExperimentConfig(), key) != value
+    path = tmp_path / "run.conf"
+    path.write_text(f"{key} = {value}\n")
+    cfg = apply_file_settings(ExperimentConfig(), read_config_file(path))
+    assert getattr(cfg, key) == value
 
 
 def test_settings_file_rejects_garbage(tmp_path):

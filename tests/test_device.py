@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cellimage import cell_image, load_image
 from skrmbetree import kernels
 from skrmbetree.config import CostModel, Geometry
-from skrmbetree.counters import accumulate_cost, latency_from_trace
+from skrmbetree.counters import accumulate_cost
 from skrmbetree.device import Device
 from skrmbetree.errors import (BoundaryError, ConfigError, DoubleInjectError,
                                PortRangeError)
@@ -592,9 +592,10 @@ def test_bcw_batch_bills_like_the_per_bit_fires(policy, record, doubled,
         assert devs[0].counters.trace == devs[2].counters.trace
     if record:
         _, lat = accumulate_cost(devs[0].counters, cost)
+        # the latency recomputed from the step log, one unit per step;
         # the trace sums step by step, so only float association differs
-        assert latency_from_trace(devs[0].counters.trace, cost) == \
-            pytest.approx(lat)
+        assert sum(cost.latency(kind) for kind, _width
+                   in devs[0].counters.trace) == pytest.approx(lat)
 
 
 def _kernel_pw(dev, tr, slot, value, width):
@@ -733,69 +734,33 @@ def test_bi_write_word_refuses_every_other_shape(row_start, span, width,
         ConfigError, match="neither a key nor a payload")
 
 
-def _stops(word, i, expect):
-    """The scan's stop rule: a word the caller did not expect."""
-    return expect is not None and word != expect[i]
-
-
-def _scanned(words, expect):
-    """The prefix of `words` a scan reads."""
-    for i, word in enumerate(words):
-        if _stops(word, i, expect):
-            return words[:i + 1]
-    return words
-
-
-def _read_one_by_one(read, slots, expect):
-    words = []
-    for i, slot in enumerate(slots):
-        words.append(read(slot))
-        if _stops(words[-1], i, expect):
-            break
-    return words
-
-
-# slots (repeats allowed), how the expected words are given (none, the
-# cell contents, or with one corrupted), and a pick and a noise value
-_SCAN_CASE = st.tuples(
-    st.lists(st.integers(0, 3), max_size=8),
-    st.sampled_from(["none", "cells", "corrupt"]),
-    st.integers(0, 7), st.integers(0, 255))
-
-
-def _expect(values, how, pick, noise):
-    expect = None if how == "none" else list(values)
-    if how == "corrupt" and expect:
-        expect[pick % len(expect)] ^= noise or 1
-    return expect
-
-
-_LONG_SCAN = ([0, 1, 2, 3, 0, 1, 2], "cells", 0, 0)
+# the slots a scan reads, repeats allowed
+_SCAN_SLOTS = st.lists(st.integers(0, 3), max_size=8)
+_LONG_SCAN = [0, 1, 2, 3, 0, 1, 2]
 
 
 @settings(max_examples=200, deadline=None)
 @given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
        image=st.integers(0, (1 << 8 * _SLOTS) - 1), start=st.integers(-8, 8),
-       width=st.integers(0, 8), composed=st.booleans(), case=_SCAN_CASE)
+       width=st.integers(0, 8), composed=st.booleans(), slots=_SCAN_SLOTS)
 # widths 0 and 1, whose sweeps are empty and one cell long, and starts
 # right of home and left of the far sweep end, each under both policies
 @example(policy="lazy", record=True, image=0x5A3C, start=3, width=0,
-         composed=True, case=_LONG_SCAN)
+         composed=True, slots=_LONG_SCAN)
 @example(policy="eager", record=True, image=0x5A3C, start=-5, width=1,
-         composed=True, case=_LONG_SCAN)
+         composed=True, slots=_LONG_SCAN)
 @example(policy="lazy", record=True, image=0x5A3C, start=6, width=1,
-         composed=True, case=_LONG_SCAN)
+         composed=True, slots=_LONG_SCAN)
 @example(policy="lazy", record=True, image=0xF0E1D2C3, start=-8, width=3,
-         composed=True, case=_LONG_SCAN)
+         composed=True, slots=_LONG_SCAN)
 @example(policy="eager", record=True, image=0xF0E1D2C3, start=8, width=5,
-         composed=True, case=_LONG_SCAN)
+         composed=True, slots=_LONG_SCAN)
 @example(policy="eager", record=True, image=0xF0E1D2C3, start=-7, width=4,
-         composed=True, case=([3, 2, 1], "corrupt", 1, 9))
+         composed=True, slots=[3, 2, 1])
 def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
-                                                width, composed, case):
+                                                width, composed, slots):
     # the reference reads one slot at a time through read_word (the
     # one-slot scan) or through the primitives (align/shift/record)
-    slots, how, pick, noise = case
     devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
                          record_steps=record) for _ in range(2)]
     trs = [d.new_track() for d in devs]
@@ -803,12 +768,10 @@ def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
         _load_slots(tr, image, _SLOTS)
         dev.align(tr, start)
     values = [_cells_value(trs[0], s, width) for s in slots]
-    expect = _expect(values, how, pick, noise)
-    got = devs[0].scan_words(trs[0], slots, width, expect)
+    got = devs[0].scan_words(trs[0], slots, width)
     read = _composed_read if composed else Device.read_word
-    want = _read_one_by_one(lambda s: read(devs[1], trs[1], s, width), slots,
-                            expect)
-    assert got == want == _scanned(values, expect)
+    want = [read(devs[1], trs[1], s, width) for s in slots]
+    assert got == want == values
     assert trs[0].offset == trs[1].offset
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
     assert devs[0].counters.trace == devs[1].counters.trace
@@ -823,11 +786,10 @@ def _column_value(group, port, node_offset, row_start, width):
 @settings(max_examples=150, deadline=None)
 @given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
        width=st.integers(0, 8), composed=st.booleans(),
-       seed=st.integers(0, 2**32 - 1), case=_SCAN_CASE)
+       seed=st.integers(0, 2**32 - 1), slots=_SCAN_SLOTS)
 def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
-                                                   composed, seed, case):
+                                                   composed, seed, slots):
     # rows 3..3+width of a 12-track group at node offset 2
-    slots, how, pick, noise = case
     devs = [small_device(word_bits=8, ports=4, policy=policy,
                          record_steps=record) for _ in range(2)]
     groups = [d.new_group(12) for d in devs]
@@ -837,45 +799,33 @@ def test_bi_scan_words_bills_like_sequential_reads(policy, record, width,
         load_image(g, cells)
         dev.group_align(g, 2)
     values = [_column_value(groups[0], p, 2, 3, width) for p in slots]
-    expect = _expect(values, how, pick, noise)
-    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width, expect)
+    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width)
     read = _composed_bi_read if composed else Device.bi_read_word
-    want = _read_one_by_one(lambda p: read(devs[1], groups[1], p, 2, 3, width),
-                            slots, expect)
-    assert got == want == _scanned(values, expect)
+    want = [read(devs[1], groups[1], p, 2, 3, width) for p in slots]
+    assert got == want == values
     assert groups[0].offset == groups[1].offset == -2
     assert np.array_equal(cell_image(groups[0]), cells)
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
     assert devs[0].counters.trace == devs[1].counters.trace
 
 
-def _scan_then_read(scan, read, then, expect):
-    """A scan, then the final read one call later when nothing stopped the
-    scan: what one fused pass must match."""
-    words = scan()
-    if not any(_stops(w, i, expect) for i, w in enumerate(words)):
-        words.append(read(*then))
-    return words
-
-
 @settings(max_examples=200, deadline=None)
 @given(policy=st.sampled_from(["lazy", "eager"]), record=st.booleans(),
        image=st.integers(0, (1 << 8 * _SLOTS) - 1), start=st.integers(-8, 8),
        width=st.integers(0, 8), then_slot=st.integers(0, _SLOTS - 1),
-       then_width=st.integers(0, 8), case=_SCAN_CASE)
-# a payload read after a wrong key is never made; an empty key list reads
-# only the payload; equal and unequal widths under both policies
+       then_width=st.integers(0, 8), slots=_SCAN_SLOTS)
+# an empty key list reads only the payload; equal and unequal widths under
+# both policies
 @example(policy="lazy", record=True, image=0xF0E1D2C3, start=-7, width=4,
-         then_slot=1, then_width=8, case=([3, 2, 1], "corrupt", 1, 9))
+         then_slot=1, then_width=8, slots=[3, 2, 1])
 @example(policy="eager", record=True, image=0xF0E1D2C3, start=5, width=8,
-         then_slot=0, then_width=3, case=([], "cells", 0, 0))
+         then_slot=0, then_width=3, slots=[])
 @example(policy="lazy", record=True, image=0x5A3C, start=6, width=8,
-         then_slot=2, then_width=8, case=_LONG_SCAN)
+         then_slot=2, then_width=8, slots=_LONG_SCAN)
 @example(policy="eager", record=True, image=0x5A3C, start=-8, width=1,
-         then_slot=3, then_width=0, case=_LONG_SCAN)
+         then_slot=3, then_width=0, slots=_LONG_SCAN)
 def test_scan_words_final_read_bills_like_a_read_word_after_the_scan(
-        policy, record, image, start, width, then_slot, then_width, case):
-    slots, how, pick, noise = case
+        policy, record, image, start, width, then_slot, then_width, slots):
     devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
                          record_steps=record) for _ in range(2)]
     trs = [d.new_track() for d in devs]
@@ -883,18 +833,11 @@ def test_scan_words_final_read_bills_like_a_read_word_after_the_scan(
         _load_slots(tr, image, _SLOTS)
         dev.align(tr, start)
     values = [_cells_value(trs[0], s, width) for s in slots]
-    expect = _expect(values, how, pick, noise)
-    got = devs[0].scan_words(trs[0], slots, width, expect,
-                             (then_slot, then_width))
-    want = _scan_then_read(
-        lambda: devs[1].scan_words(trs[1], slots, width, expect),
-        lambda s, w: devs[1].read_word(trs[1], s, w),
-        (then_slot, then_width), expect)
+    got = devs[0].scan_words(trs[0], slots, width, (then_slot, then_width))
+    want = devs[1].scan_words(trs[1], slots, width)
+    want.append(devs[1].read_word(trs[1], then_slot, then_width))
     assert got == want
-    scanned = _scanned(values, expect)
-    assert got[:len(scanned)] == scanned
-    if len(got) > len(scanned):
-        assert got[-1] == _cells_value(trs[0], then_slot, then_width)
+    assert got == values + [_cells_value(trs[0], then_slot, then_width)]
     assert trs[0].offset == trs[1].offset
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
     assert devs[0].counters.trace == devs[1].counters.trace
@@ -904,12 +847,11 @@ def test_scan_words_final_read_bills_like_a_read_word_after_the_scan(
 @given(record=st.booleans(), width=st.integers(0, 8),
        then_port=st.integers(0, 3), then_row=st.integers(0, 4),
        then_width=st.integers(0, 8), seed=st.integers(0, 2**32 - 1),
-       case=_SCAN_CASE)
+       slots=_SCAN_SLOTS)
 def test_bi_scan_words_final_read_bills_like_a_bi_read_word_after_the_scan(
-        record, width, then_port, then_row, then_width, seed, case):
+        record, width, then_port, then_row, then_width, seed, slots):
     # keys on rows 3..3+width, the payload on its own rows, of a 12-track
     # group at node offset 2
-    slots, how, pick, noise = case
     devs = [small_device(word_bits=8, ports=4, record_steps=record)
             for _ in range(2)]
     groups = [d.new_group(12) for d in devs]
@@ -919,19 +861,14 @@ def test_bi_scan_words_final_read_bills_like_a_bi_read_word_after_the_scan(
         load_image(g, cells)
         dev.group_align(g, 2)
     values = [_column_value(groups[0], p, 2, 3, width) for p in slots]
-    expect = _expect(values, how, pick, noise)
     then = (then_port, then_row, then_width)
-    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width, expect, then)
-    want = _scan_then_read(
-        lambda: devs[1].bi_scan_words(groups[1], slots, 2, 3, width, expect),
-        lambda p, r, w: devs[1].bi_read_word(groups[1], p, 2, r, w),
-        then, expect)
+    got = devs[0].bi_scan_words(groups[0], slots, 2, 3, width, then)
+    want = devs[1].bi_scan_words(groups[1], slots, 2, 3, width)
+    want.append(devs[1].bi_read_word(groups[1], then_port, 2, then_row,
+                                     then_width))
     assert got == want
-    scanned = _scanned(values, expect)
-    assert got[:len(scanned)] == scanned
-    if len(got) > len(scanned):
-        assert got[-1] == _column_value(groups[0], then_port, 2, then_row,
-                                        then_width)
+    assert got == values + [_column_value(groups[0], then_port, 2, then_row,
+                                          then_width)]
     assert groups[0].offset == groups[1].offset == -2
     assert np.array_equal(cell_image(groups[0]), cells)
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
@@ -953,7 +890,7 @@ def test_scan_words_checks_the_final_read_before_any_charge(then, error,
     before = cell_image(tr), tr.offset, dev.counters.as_flat_dict()
     trace = list(dev.counters.trace)
     with pytest.raises(error):
-        dev.scan_words(tr, [0, 1, 2], 8, [255, 255, 255], then)
+        dev.scan_words(tr, [0, 1, 2], 8, then)
     after = cell_image(tr), tr.offset, dev.counters.as_flat_dict()
     assert np.array_equal(before[0], after[0])
     assert before[1:] == after[1:]
@@ -974,7 +911,7 @@ def test_bi_scan_words_checks_the_final_read_before_any_charge(then, error):
     dev.group_align(g, 0)
     before = _device_state(dev, g), list(dev.counters.trace)
     with pytest.raises(error):
-        dev.bi_scan_words(g, [0, 1], 3, 0, 8, [255, 255], then)
+        dev.bi_scan_words(g, [0, 1], 3, 0, 8, then)
     after = _device_state(dev, g), list(dev.counters.trace)
     assert np.array_equal(before[0][0], after[0][0])
     assert before[0][1:] == after[0][1:]
@@ -1185,14 +1122,14 @@ def test_group_align_and_column_check():
 @settings(max_examples=200, deadline=None)
 @given(record=st.booleans(), doubled=st.booleans(), start=st.integers(-8, 8),
        node_offset=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
-       scan=st.booleans(), width=st.integers(0, 8), case=_SCAN_CASE,
+       scan=st.booleans(), width=st.integers(0, 8), slots=_SCAN_SLOTS,
        then=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 8),
                                   st.integers(0, 8)),
        mode=st.sampled_from(["naive", "dcw"]), parallel=st.booleans(),
        pairs=_NODE_PAIRS)
 def test_bi_passes_position_their_own_group(record, doubled, start,
                                             node_offset, seed, scan, width,
-                                            case, then, mode, parallel,
+                                            slots, then, mode, parallel,
                                             pairs):
     # from a group left at any offset, a scan (keys on rows 3..3+width,
     # then a payload on its own rows) or a node write must match an
@@ -1207,18 +1144,14 @@ def test_bi_passes_position_their_own_group(record, doubled, start,
     for dev, g in zip(devs, groups):
         load_image(g, cells)
         dev.align(g, start)
-    empty = not (case[0] or then) if scan else not pairs
+    empty = not (slots or then) if scan else not pairs
     before = devs[0].counters.as_flat_dict(), list(devs[0].counters.trace
                                                    or [])
     if not empty:
         devs[1].group_align(groups[1], node_offset)
     if scan:
-        slots, how, pick, noise = case
-        values = [_column_value(groups[0], p, node_offset, 3, width)
-                  for p in slots]
-        expect = _expect(values, how, pick, noise)
-        got = [dev.bi_scan_words(g, slots, node_offset, 3, width, expect,
-                                 then) for dev, g in zip(devs, groups)]
+        got = [dev.bi_scan_words(g, slots, node_offset, 3, width, then)
+               for dev, g in zip(devs, groups)]
         assert got[0] == got[1]
     else:
         for dev, g in zip(devs, groups):

@@ -244,7 +244,7 @@ def test_node_read_detects_per_mapping():
 
 
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
-def test_scan_keys_stops_at_a_wrong_key_and_bills_like_read_key(mapping):
+def test_scan_keys_bills_like_read_key_and_names_a_wrong_key(mapping):
     stores = [make_store(mapping) for _ in range(2)]
     for store in stores:
         store.add_node(0, KIND_INTERNAL)
@@ -262,15 +262,10 @@ def test_scan_keys_stops_at_a_wrong_key_and_bills_like_read_key(mapping):
         [103, 101, 102, 100]
     assert (scan.device.counters.as_flat_dict()
             == ref.device.counters.as_flat_dict())
-    # the second key read is not the one expected: the pass pays for two
-    # reads, as read_key would up to its raise, and the store raises
-    with pytest.raises(StructureError, match="slot 1 key"):
-        scan.scan_keys(0, slots, [103, 999, 102, 100])
-    with pytest.raises(StructureError, match="slot 1 key"):
-        for s, want in zip(slots, [103, 999, 102, 100]):
-            ref.read_key(0, s, expect=want)
-    assert (scan.device.counters.as_flat_dict()
-            == ref.device.counters.as_flat_dict())
+    # the first key that differs from the tree's is the one named
+    with pytest.raises(StructureError, match="node 0 slot 1 key: device "
+                       "holds 0x65, tree expected 0x3e7"):
+        scan.scan_keys(0, slots, [103, 999, 102, 998])
 
 
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
@@ -284,31 +279,24 @@ def test_scan_keys_payload_read_bills_like_read_payload_after_the_keys(
     scan, ref = stores
     slots = [3, 1, 2]
     keys = [100 + s for s in slots]
-    visits = [(slots, keys, (0, 5, 3)),     # keys, then a narrower payload
-              ([], [], (2, 5, 5)),          # an empty key list: payload only
-              (slots[:1], keys[:1], (3, 5, 6))]
-    for pair_slots, want_keys, payload in visits:
-        got = scan.scan_keys(0, pair_slots, want_keys, payload)
-        assert got == want_keys + [payload[2]]
+    visits = [(slots, keys, 0, 3),      # keys, then a narrower payload
+              ([], [], 2, 5),           # an empty key list: payload only
+              (slots[:1], keys[:1], 3, 6)]
+    for pair_slots, want_keys, pay_slot, want in visits:
+        got = scan.scan_keys(0, pair_slots, want_keys + [want], (pay_slot, 5))
+        assert got == want_keys + [want]
         for s, k in zip(pair_slots, want_keys):
             ref.read_key(0, s, expect=k)
-        ref.read_payload(0, payload[0], payload[1], expect=payload[2])
+        ref.read_payload(0, pay_slot, 5, expect=want)
         assert (scan.device.counters.as_flat_dict()
                 == ref.device.counters.as_flat_dict())
-    # a wrong key stops the pass before the payload read, which is never
-    # paid for; a wrong payload raises after its read
-    with pytest.raises(StructureError, match="slot 1 key"):
-        scan.scan_keys(0, slots, [103, 999, 102], (0, 5, 3))
-    with pytest.raises(StructureError, match="slot 1 key"):
-        for s, want in zip(slots, [103, 999, 102]):
-            ref.read_key(0, s, expect=want)
-    assert (scan.device.counters.as_flat_dict()
-            == ref.device.counters.as_flat_dict())
-    with pytest.raises(StructureError, match="slot 0 payload"):
-        scan.scan_keys(0, slots, keys, (0, 5, 4))
-    for s, k in zip(slots, keys):
-        ref.read_key(0, s, expect=k)
-    with pytest.raises(StructureError, match="slot 0 payload"):
-        ref.read_payload(0, 0, 5, expect=4)
-    assert (scan.device.counters.as_flat_dict()
-            == ref.device.counters.as_flat_dict())
+    # a wrong key is named before a wrong payload; a wrong payload alone
+    # is named as one
+    with pytest.raises(StructureError, match="node 0 slot 1 key"):
+        scan.scan_keys(0, slots, [103, 999, 102, 4], (0, 5))
+    with pytest.raises(StructureError, match="node 0 slot 0 payload: device "
+                       "holds 0x3, tree expected 0x4"):
+        scan.scan_keys(0, slots, keys + [4], (0, 5))
+    # an expectation list of the wrong length is refused
+    with pytest.raises(ConfigError, match="3 expected words for a pass of 4"):
+        scan.scan_keys(0, slots, keys, (0, 5))
