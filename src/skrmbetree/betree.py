@@ -495,8 +495,10 @@ class BeTree:
                 hit = newest[i]
                 payload = hit.payload
                 if device:
+                    expect = keys[:i + 1]
+                    expect.append(payload)
                     payload = store.scan_keys(
-                        nid, slots[:i + 1], [*keys[:i + 1], payload],
+                        nid, slots[:i + 1], expect,
                         (hit.slot, self.payload_width))[-1]
                 if self.arena is not None:
                     return store.arena_read(payload, self.word_bits,

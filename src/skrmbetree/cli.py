@@ -57,20 +57,21 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = apply_file_settings(cfg, read_config_file(args.config))
-    # flags override the file, overlaid the same way
+def build_config(args, **overrides) -> ExperimentConfig:
+    """The config the settings file, then the flags, then `overrides` (a
+    sweep's first grid point) give, built once: a check that spans
+    fields sees only the finished config."""
     flags = {"workload": args.workload,
              "mapping": ("bit_interleaved" if args.mapping == "bit"
                          else args.mapping),
              "entries": args.entries, "op_count": args.ops,
              "word_bytes": args.word_bytes, "seed": args.seed,
              "strategy": args.strategy, "encoding": args.encoding,
-             "parallel_ports": args.parallel_ports}
+             "parallel_ports": args.parallel_ports, **overrides}
     return apply_file_settings(
-        cfg, {key: value for key, value in flags.items() if value is not None})
+        ExperimentConfig(),
+        read_config_file(args.config) if args.config else {},
+        {key: value for key, value in flags.items() if value is not None})
 
 
 def _output(path):
@@ -95,8 +96,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = build_config(args)
-    # a bad grid point fails here, before --out is emptied
+    # the grid sets entries and word size, so the base config takes them
+    # from its first point; a bad point fails here, before --out is emptied
+    cfg = build_config(args, entries=args.entries_grid[0],
+                       word_bytes=args.word_bytes_grid[0])
     sweep_points(cfg, args.entries_grid, args.word_bytes_grid)
     with _output(args.out) as out:
         out.write(emit(run_sweep(cfg, entries_grid=args.entries_grid,

@@ -193,12 +193,8 @@ class ExperimentConfig:
         Bit-interleaved tracks hold one bit column of many nodes: one port
         per pair slot.
         """
-        ports = (2 * self.tree.node_pairs if self.mapping == "word"
-                 else self.tree.node_pairs)
-        return Geometry(word_bits=self.word_bits,
-                        interport_bits=self.word_bits,
-                        ports_per_track=ports,
-                        shift_policy=self.shift_policy)
+        return _geometry(self.mapping, self.tree.node_pairs, self.word_bits,
+                         self.shift_policy)
 
     def baseline(self) -> "ExperimentConfig":
         """The naive reference configuration on the same mapping."""
@@ -290,41 +286,58 @@ _EXP_KEYS = [f.name for f in fields(ExperimentConfig)
              if f.name not in ("tree", "cost")]
 
 
-def apply_file_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConfig:
-    """Overlay settings, a parsed config file or the CLI flags, onto an
-    ExperimentConfig. Each value is checked against its field's type.
+def _geometry(mapping: str, node_pairs: int, word_bits: int,
+              shift_policy: str) -> Geometry:
+    ports = 2 * node_pairs if mapping == "word" else node_pairs
+    return Geometry(word_bits=word_bits, interport_bits=word_bits,
+                    ports_per_track=ports, shift_policy=shift_policy)
+
+
+def apply_file_settings(cfg: ExperimentConfig, *layers: dict) -> ExperimentConfig:
+    """Overlay layers of settings onto an ExperimentConfig, each over the
+    ones before it: a parsed config file, then the CLI flags. Each value is
+    checked against its field's type. All layers apply in one replace, so
+    the cross-field checks see only the finished config, never a
+    half-applied one.
 
     Geometry keys (word_bits, ...) adjust the experiment-level fields they
     derive from; ports_per_track and interport_bits are derived from the
-    tree shape and word size, so they must agree with the result. Unknown
-    keys raise, so typos do not pass silently.
+    tree shape and word size, so they must agree with what their own layer
+    and the ones before it give (a later layer may change the word size).
+    Unknown keys raise, so typos do not pass silently.
     """
-    cost_kw, tree_kw, exp_kw, derived_kw = {}, {}, {}, {}
-    for key, value in settings.items():
-        value = _parse(key, value)
-        if key in _COST_KEYS:
-            cost_kw[key] = value
-        elif key in _TREE_KEYS:
-            tree_kw[key] = value
-        elif key in _EXP_KEYS:
-            exp_kw[key] = value
-        elif key == "word_bits":
-            if value % 8:
-                raise ConfigError("word_bits from file must be a multiple of 8")
-            exp_kw["word_bytes"] = value // 8
-        else:
-            # ports_per_track or interport_bits: accepted so a device-level
-            # settings file can be shared; checked once every other key
-            # has applied
-            derived_kw[key] = value
-    # one replace, so the cross-field checks see only the finished config
+    cost_kw, tree_kw, exp_kw = {}, {}, {}
+    derived = []    # (key, value, the geometry its layer gives)
+    for settings in layers:
+        layer_derived = []
+        for key, value in settings.items():
+            value = _parse(key, value)
+            if key in _COST_KEYS:
+                cost_kw[key] = value
+            elif key in _TREE_KEYS:
+                tree_kw[key] = value
+            elif key in _EXP_KEYS:
+                exp_kw[key] = value
+            elif key == "word_bits":
+                if value % 8:
+                    raise ConfigError("word_bits from file must be a multiple of 8")
+                exp_kw["word_bytes"] = value // 8
+            else:
+                # ports_per_track or interport_bits: accepted so a
+                # device-level settings file can be shared
+                layer_derived.append((key, value))
+        at = (exp_kw.get("mapping", cfg.mapping),
+              tree_kw.get("node_pairs", cfg.tree.node_pairs),
+              8 * exp_kw.get("word_bytes", cfg.word_bytes),
+              exp_kw.get("shift_policy", cfg.shift_policy))
+        derived += [(key, value, at) for key, value in layer_derived]
     cfg = replace(cfg, cost=replace(cfg.cost, **cost_kw),
                   tree=replace(cfg.tree, **tree_kw), **exp_kw)
-    geom = cfg.geometry()
-    for key, value in derived_kw.items():
-        if value != getattr(geom, key):
+    # checked once the finished config stands, so a bad field is named first
+    for key, value, at in derived:
+        want = getattr(_geometry(*at), key)
+        if value != want:
             raise ConfigError(
                 f"{key} = {value} from file disagrees with the geometry this "
-                f"run derives ({key} = {getattr(geom, key)})")
+                f"run derives ({key} = {want})")
     return cfg
-

@@ -310,6 +310,34 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     assert rows[1]["seed"] == 9
 
 
+@pytest.mark.parametrize("argv, conf, want", (
+    # the file alone plans 20000 upserts, 15 index bits; with the flag, 100
+    (["run", "--entries", "50"], "encoding = on\nword_bits = 8\n", [(50, 1)]),
+    # the grid sets every point's entries and word size
+    (["sweep", "--entries-grid", "50", "--word-bytes-grid", "1"],
+     "encoding = on\nword_bits = 8\n", [(50, 1)]),
+    (["sweep", "--word-bytes", "1", "--entries-grid", "50,60",
+      "--word-bytes-grid", "2"], "encoding = on\n", [(50, 2), (60, 2)]),
+    # the derived keys agree with the file's own geometry; flags change it
+    (["run", "--word-bytes", "8", "--mapping", "bit"],
+     "word_bits = 32\ninterport_bits = 32\nports_per_track = 32\n",
+     [(10_000, 8)]),
+), ids=["run-file-word", "sweep-file-word", "sweep-flag-word",
+        "run-derived-keys"])
+def test_cli_checks_only_the_finished_config(argv, conf, want, tmp_path,
+                                             monkeypatch):
+    # the file, the flags and the grid apply as one config, so a check that
+    # spans fields never fires on a half-built one
+    ran = []
+    for module in (bench, cli):
+        monkeypatch.setattr(module, "run_experiment",
+                            lambda cfg, *args, **kw: ran.append(cfg) or [])
+    monkeypatch.setattr(cli, "emit", lambda rows, fmt: "")
+    (tmp_path / "run.conf").write_text(conf)
+    assert main([*argv, "--config", str(tmp_path / "run.conf")]) == 0
+    assert [(cfg.entries, cfg.word_bytes) for cfg in ran] == want
+
+
 def test_cli_write_counts(tmp_path):
     out = tmp_path / "wc.json"
     rc = main(["write-counts", "--n", "400", "--seed", "3",
