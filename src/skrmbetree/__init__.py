@@ -7,7 +7,7 @@ for the CLI and the cost model.
 """
 
 from .betree import BeTree, ValueArena, encoding_overhead_bytes
-from .btree import BTree, write_count_experiment, write_count_series
+from .btree import BTree, write_count_series
 from .config import (CostModel, ExperimentConfig, Geometry, TreeConfig,
                      index_bits_for, read_config_file)
 from .counters import OpCounters, accumulate_cost
@@ -22,5 +22,5 @@ __all__ = [
     "ExperimentConfig", "Geometry", "NullStore", "OpCounters", "TreeConfig",
     "ValueArena", "WorkloadSpec", "accumulate_cost",
     "encoding_overhead_bytes", "generate", "index_bits_for",
-    "read_config_file", "write_count_experiment", "write_count_series",
+    "read_config_file", "write_count_series",
 ]

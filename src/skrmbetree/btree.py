@@ -175,9 +175,3 @@ def write_count_series(samples, seed: int, node_capacity: int = 16):
         })
     return rows
 
-
-def write_count_experiment(n_inserts: int, seed: int,
-                           node_capacity: int = 16):
-    """(btree_writes, betree_writes, ratio) after n identical inserts."""
-    row = write_count_series([n_inserts], seed, node_capacity)[-1]
-    return row["btree_writes"], row["betree_writes"], row["ratio"]

@@ -22,12 +22,14 @@ A node visit of a query is one charged pass: ``scan_words`` and
 word of its own width, the payload the search chose, billed exactly as the
 same reads made one at a time. A scan judges nothing it reads; the store
 compares the words with the tree's. A node write is one call too:
-``write_words`` writes a node's words one after another, billed as the same
-words written one at a time, and ``bi_write_node`` takes the store's pair
-writes and diffs each pair's key and payload rows against its column in one
-read, billed as the key word and then the payload word written one at a
-time. No caller aligns: a pass positions its own track, or brings its
-node's column under the ports with one ``group_align`` shift set.
+``write_words`` is the one word-mapping write loop, diffing and writing
+back each word once; serial, it bills the words as written one at a time,
+and parallel (bcw only) as one shared pass whose ports detect and flip
+together. ``bi_write_node`` takes the store's pair writes and diffs each
+pair's key and payload rows against its column in one read, billed as the
+key word and then the payload word written one at a time. No caller
+aligns: a pass positions its own track, or brings its node's column under
+the ports with one ``group_align`` shift set.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -245,30 +247,44 @@ class Device:
             raise ConfigError(f"unknown write mode {mode!r}")
         self.write_words(track, ((slot, value, width),), mode)
 
-    def write_words(self, track, writes, mode: str) -> None:
-        """Write the (slot, value, width) words of one track one after
-        another, each its own through-port pass, as one call; every port
-        action is its own latency step.
+    def write_words(self, track, writes, mode: str,
+                    parallel: bool = False) -> None:
+        """Write the (slot, value, width) words of one track as one call:
+        the device's only word-mapping write loop. Each word's old value
+        is diffed against its new one and written back once; the mode and
+        `parallel` decide only the bill.
 
         A naive write clears the slot's whole interport span and injects
-        the new 1s blind; dcw detects the `width` live bits, compares old
-        and new as two ints and flips only the differences, leaving bits
-        past `width` alone. bcw is the one-word :meth:`write_batch_bcw`: it
-        flips as dcw does, but the detects at one bit position fire
-        together, one step per bit even when each counts twice. pw detects
-        nothing: it matches the old and new 1s first to first in position
-        order, shifts each survivor to its new cell and injects or removes
-        only the population difference.
+        the new 1s blind; dcw and bcw detect the `width` live bits, compare
+        old and new as two ints and flip only the differences, leaving bits
+        past `width` alone. pw detects nothing: it matches the old and new
+        1s first to first in position order, shifts each survivor to its
+        new cell and injects or removes only the population difference.
 
-        Each word is billed as its own write: the first pays the align home
-        and every word the 2 * interport out-and-back stream, plus a pw
-        word's repositioning shifts, then its detects, injects and removes,
-        in the same trace order. Every word is checked before any cell,
-        offset or counter changes; no words cost nothing.
+        Serial (``parallel=False``): each word is billed as its own
+        through-port pass. The first pays the align home and every word the
+        2 * interport out-and-back stream, plus a pw word's repositioning
+        shifts, then its detects, injects and removes, in that trace order;
+        every port action is its own latency step, except that bcw fires
+        the doubled detects of one bit together.
+
+        Parallel (bcw only, the access-port parallel batch): all words share
+        one pass, the align home plus one 2 * interport stream. At each bit
+        position every slot that wide detects at once, so the detect steps
+        are the widest word; the flip steps are the positions set in the
+        ORed inject and remove masks, a position in both billed once at the
+        slower kind. The trace logs the pass's shift, detect, inject and
+        remove steps once each, not per word.
+
+        A parallel write in any other mode, and any bad word, is refused
+        before any cell, offset or counter changes; no words cost nothing.
         """
         tr = self._single(track)
         if mode not in _WORD_MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
+        if parallel and mode != "bcw":
+            raise ConfigError(f"a parallel write is a bcw batch; mode "
+                              f"{mode!r} writes one word at a time")
         if not writes:
             return
         values = self._check_words(tr, writes)
@@ -277,12 +293,13 @@ class Device:
         # a bcw detect step fires every doubled detect of its bit together
         step_bit = 1 if mode == "bcw" else per_bit
         c = self.counters
-        trace = c.trace
+        trace = None if parallel else c.trace
         cells = tr.cells
         stream = 2 * tr.interport
-        step = abs(tr.offset) + stream
+        home = abs(tr.offset)
         tr.offset = 0
-        shifts = det = inj = rem = 0
+        step = home + stream
+        shifts = det = inj = rem = widest = inj_or = rem_or = 0
         # a naive word replaces the slot's whole segment; a word is written
         # back only when it changed, so a width-0 word never is
         for (slot, _value, width), value in zip(writes, values):
@@ -301,8 +318,12 @@ class Device:
                     o, n = o & o - 1, n & n - 1
                 d, i, r = 0, n.bit_count(), o.bit_count()
             else:
-                d, i, r = (width, (value & ~old).bit_count(),
-                           (old & ~value).bit_count())
+                im, rm = value & ~old, old & ~value
+                inj_or |= im
+                rem_or |= rm
+                if width > widest:
+                    widest = width
+                d, i, r = width, im.bit_count(), rm.bit_count()
             shifts += step
             det += d
             inj += i
@@ -313,76 +334,41 @@ class Device:
                 c.log_steps("inject", i, i)
                 c.log_steps("remove", r, r)
             step = stream
+        det_steps, inj_steps, rem_steps = step_bit * det, inj, rem
+        if parallel:
+            shifts = home + stream
+            # a position that both injects and removes is one mixed fire,
+            # billed at the slower kind
+            both = (inj_or & rem_or).bit_count()
+            inj_steps = inj_or.bit_count() - both
+            rem_steps = rem_or.bit_count() - both
+            if self.cost.dominant(("inject", "remove")) == "inject":
+                inj_steps += both
+            else:
+                rem_steps += both
+            det_steps = widest
+            if c.trace is not None:
+                c.log_steps("shift", shifts, shifts)
+                c.log_steps("detect", per_bit * det, det_steps)
+                c.log_steps("inject", inj, inj_steps)
+                c.log_steps("remove", rem, rem_steps)
         c.shift += shifts
         c.shift_steps += shifts
         c.detect += per_bit * det
-        c.detect_steps += step_bit * det
+        c.detect_steps += det_steps
         c.inject += inj
-        c.inject_steps += inj
+        c.inject_steps += inj_steps
         c.remove += rem
-        c.remove_steps += rem
+        c.remove_steps += rem_steps
 
     def write_pw(self, track, slot: int, value: int, width: int) -> None:
         """One word in mode pw; the one-word :meth:`write_words`."""
         self.write_words(track, ((slot, value, width),), "pw")
 
     def write_batch_bcw(self, track, writes) -> None:
-        """Batched compare-write: one shared out-and-back pass; at every bit
-        position all live slots detect in parallel (one step) and flip
-        differing bits in parallel (one step billed at the slowest kind),
-        after the align home and one 2 * interport stream that ends home.
-
-        writes: list of (word_slot, value, width) on one track. Each slot
-        compares its old and new words as two ints: inject mask new & ~old,
-        remove mask old & ~new. A bit position is live while some slot is
-        that wide, and its flip fire is inject-only, remove-only or mixed
-        by which of the ORed masks hold the bit.
-        """
-        tr = self._single(track)
-        if not writes:
-            return
-        values = self._check_words(tr, writes)
-        cells = tr.cells
-        det = act = inj = rem = inj_or = rem_or = 0
-        for (slot, _value, width), value in zip(writes, values):
-            seg = cells[slot + 1]
-            old = seg & (1 << width) - 1
-            if old != value:
-                cells[slot + 1] = seg ^ old | value
-            det += width
-            if width > act:
-                act = width
-            i, r = value & ~old, old & ~value
-            inj += i.bit_count()
-            rem += r.bit_count()
-            inj_or |= i
-            rem_or |= r
-        both = (inj_or & rem_or).bit_count()
-        inj_only, rem_only = inj_or.bit_count() - both, rem_or.bit_count() - both
-        # a column that both injects and removes is one mixed fire, billed
-        # at the slower kind
-        if self.cost.dominant(("inject", "remove")) == "inject":
-            inj_only += both
-        else:
-            rem_only += both
-        if self.count_new_detect:
-            det *= 2
-        shifts = abs(tr.offset) + 2 * tr.interport
-        tr.offset = 0
-        c = self.counters
-        c.shift += shifts
-        c.shift_steps += shifts
-        c.detect += det
-        c.detect_steps += act
-        c.inject += inj
-        c.inject_steps += inj_only
-        c.remove += rem
-        c.remove_steps += rem_only
-        if c.trace is not None:
-            c.log_steps("shift", shifts, shifts)
-            c.log_steps("detect", det, act)
-            c.log_steps("inject", inj, inj_only)
-            c.log_steps("remove", rem, rem_only)
+        """Batched compare-write of (word_slot, value, width) words on one
+        track: the parallel bcw :meth:`write_words`."""
+        self.write_words(track, writes, "bcw", parallel=True)
 
     def read_word(self, track, slot: int, width: int) -> int:
         """Stream one word's bits through its port, detecting each; the

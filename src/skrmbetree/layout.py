@@ -3,8 +3,9 @@
 Two mappings:
 
 word mapping
-    One track per node, in id order. Pair slot s owns two word slots: 2s
-    holds the key, 2s+1 the payload. A track therefore carries
+    One track per node, in id order. Pair slot s keeps its key in word
+    slot s and its payload in word slot node_pairs + s, so the tree's pair
+    slots are the track's key slots as they stand, and a track carries
     2 * node_pairs ports. Arena slot i is word slot i % ports_per_track of
     arena track i // ports_per_track; arena tracks are added when a slot
     on them is first used.
@@ -49,6 +50,8 @@ class DeviceStore:
         self.cfg = tree_cfg
         self.word_bits = word_bits
         self.parallel = tree_cfg.parallel_ports
+        # word mapping: pair slot s's payload sits in word slot s + this
+        self._payload_base = tree_cfg.node_pairs
         self.strategy = tree_cfg.strategy
         geom = device.geom
         if mapping == "word":
@@ -123,7 +126,7 @@ class DeviceStore:
 
     def read_key(self, node_id: int, pair_slot: int, expect=None) -> int:
         if self.mapping == "word":
-            got = self.device.read_word(self.homes[node_id], 2 * pair_slot,
+            got = self.device.read_word(self.homes[node_id], pair_slot,
                                         self.word_bits)
         else:
             group, offset = self.homes[node_id]
@@ -136,18 +139,21 @@ class DeviceStore:
                   payload=None) -> list[int]:
         """Read the keys of `pair_slots` in order, then the payload
         `payload` names, as one charged pass: a node visit. `payload` is
-        ``(pair_slot, width)``. The device reads and bills every word;
-        the store then compares them with `expect`, the tree's keys and,
-        last, its payload, and raises on the first that differs. Returns
-        the words read, the payload last."""
+        ``(pair_slot, width)``. On the word mapping the pair slots are
+        the track's key slots, so they go to the device as they are. The
+        device reads and bills every word; the store then compares them
+        with `expect`, the tree's keys and, last, its payload, and raises
+        on the first that differs. Returns the words read, the payload
+        last."""
         if not pair_slots and payload is None:
             return []
         device, wb = self.device, self.word_bits
         if self.mapping == "word":
-            # pair slot s is word slots 2s (key) and 2s + 1 (payload)
+            # pair slot s is word slots s (key) and node_pairs + s (payload)
             got = device.scan_words(
-                self.homes[node_id], [2 * s for s in pair_slots], wb,
-                None if payload is None else (2 * payload[0] + 1, payload[1]))
+                self.homes[node_id], pair_slots, wb,
+                None if payload is None
+                else (self._payload_base + payload[0], payload[1]))
         else:
             group, offset = self.homes[node_id]
             got = device.bi_scan_words(
@@ -169,7 +175,7 @@ class DeviceStore:
                      expect=None) -> int:
         if self.mapping == "word":
             got = self.device.read_word(self.homes[node_id],
-                                        2 * pair_slot + 1, width)
+                                        self._payload_base + pair_slot, width)
         else:
             group, offset = self.homes[node_id]
             got = self.device.bi_read_word(group, pair_slot, offset,
@@ -190,13 +196,13 @@ class DeviceStore:
             self._write_pairs_bi(node_id, writes)
 
     def _write_pairs_word(self, node_id, writes):
-        wb = self.word_bits
+        wb, base = self.word_bits, self._payload_base
         word_writes = []
         for pair_slot, key, payload, pwidth in writes:
             if key is not None:
-                word_writes.append((2 * pair_slot, key, wb))
+                word_writes.append((pair_slot, key, wb))
             if payload is not None:
-                word_writes.append((2 * pair_slot + 1, payload, pwidth))
+                word_writes.append((base + pair_slot, payload, pwidth))
         strategies.apply_strategy(self.device, self.homes[node_id],
                                   word_writes, self.strategy, self.parallel)
 
@@ -239,8 +245,8 @@ class DeviceStore:
         if self.mapping == "word":
             # word slot w is the track's segment w + 1
             cells = self.homes[node_id].cells
-            key = cells[2 * pair_slot + 1]
-            payload = cells[2 * pair_slot + 2]
+            key = cells[pair_slot + 1]
+            payload = cells[self._payload_base + pair_slot + 1]
         else:
             # cells never move; a node's column for port p is the fixed
             # index slot_start(p) + offset whatever the alignment

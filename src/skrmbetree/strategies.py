@@ -10,9 +10,11 @@ they differ only in how many primitives that costs:
 ``bcw``    the batched compare write: many slots of one track share a single
            out-and-back pass, detecting and flipping in parallel per bit.
 
-The charging rules live on :class:`~skrmbetree.device.Device`; this module
-only routes a batch of (word_slot, value, width) writes, each value an int
-below 2**width, to its serial pass or to the shared bcw pass.
+The charging rules and the one word-mapping write loop live on
+:class:`~skrmbetree.device.Device`; this module only routes a batch of
+(word_slot, value, width) writes, each value an int below 2**width, to the
+serial passes of ``Device.write_words`` or to the shared bcw pass of
+``Device.write_batch_bcw``.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 def apply_strategy(device, track, writes, strategy: str, parallel: bool) -> None:
     """Route a batch through the configured strategy.
 
-    parallel=True issues the whole batch as one shared pass (config layer
-    guarantees strategy is bcw then); otherwise one write_words call
-    writes every word as its own pass in the strategy's mode.
+    parallel=True with bcw issues the whole batch as one shared pass;
+    otherwise one write_words call writes every word as its own pass in the
+    strategy's mode, and the device refuses a parallel write in any mode
+    but bcw.
     """
-    if parallel:
+    if parallel and strategy == "bcw":
         device.write_batch_bcw(track, writes)
     else:
-        device.write_words(track, writes, strategy)
+        device.write_words(track, writes, strategy, parallel)

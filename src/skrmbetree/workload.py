@@ -104,13 +104,14 @@ class OpStream:
         return len(self.ops)
 
     def iter_load(self):
-        for k, v in zip(self.load_keys.tolist(), self.load_values.tolist()):
-            yield int(k), int(v)
+        """(key, value) per load entry, as Python ints: ``tolist`` turns a
+        uint64 array into ints and an object array holds ints already."""
+        return zip(self.load_keys.tolist(), self.load_values.tolist())
 
     def iter_ops(self):
-        for op, k, v in zip(self.ops.tolist(), self.keys.tolist(),
-                            self.values.tolist()):
-            yield op, int(k), int(v)
+        """(op, key, value) per operation, as Python ints."""
+        return zip(self.ops.tolist(), self.keys.tolist(),
+                   self.values.tolist())
 
 
 def zipf_head_probability(n: int, theta: float = ZIPF_THETA) -> float:

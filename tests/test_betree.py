@@ -389,7 +389,8 @@ def _flip_bit(store, node_id, pair_slot, word):
     if store.mapping == "word":
         tr = store.homes[node_id]
         cells = cell_image(tr)
-        cells[tr.slot_start(2 * pair_slot + (word == "payload"))] ^= 1
+        payload_base = store.cfg.node_pairs if word == "payload" else 0
+        cells[tr.slot_start(payload_base + pair_slot)] ^= 1
         load_image(tr, cells)
     else:
         group, offset = store.homes[node_id]
@@ -682,15 +683,10 @@ class _ShadowDevice(Device):
         kept = 0 if naive else self.shadow.get(where, 0) >> width << width
         self.shadow[where] = kept | value
 
-    def write_words(self, track, writes, mode):
-        super().write_words(track, writes, mode)
+    def write_words(self, track, writes, mode, parallel=False):
+        super().write_words(track, writes, mode, parallel)
         for slot, value, width in writes:
             self._land((track.track_id, slot), value, width, mode == "naive")
-
-    def write_batch_bcw(self, track, writes):
-        super().write_batch_bcw(track, writes)
-        for slot, value, width in writes:
-            self._land((track.track_id, slot), value, width, False)
 
     def bi_write_node(self, group, node_offset, pairs, key_rows, mode,
                       parallel):

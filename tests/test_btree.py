@@ -5,7 +5,7 @@ import random
 import pytest
 
 from skrmbetree.btree import (BTree, betree_config_for_capacity,
-                              write_count_experiment, write_count_series)
+                              write_count_series)
 from skrmbetree.errors import ConfigError, StructureError
 
 
@@ -80,9 +80,9 @@ def test_betree_config_for_capacity_shape():
 
 
 def test_write_count_experiment_n1_ratio_one():
-    b, be, ratio = write_count_experiment(1, seed=3)
-    assert (b, be) == (1, 1)
-    assert ratio == 1.0
+    row = write_count_series([1], seed=3)[-1]
+    assert (row["btree_writes"], row["betree_writes"]) == (1, 1)
+    assert row["ratio"] == 1.0
 
 
 def test_write_count_series_deterministic_and_monotone():

@@ -548,6 +548,40 @@ def test_write_words_empty_batch_is_free(mode, policy):
     assert dev.counters.trace == trace
 
 
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(["lazy", "eager"]), doubled=st.booleans(),
+       serial=st.sampled_from(["naive", "dcw", "pw"]),
+       image=st.integers(0, (1 << 8 * _SLOTS) - 1),
+       start=st.integers(-8, 8), writes=_WORD_BATCHES)
+def test_one_write_loop_bills_serial_bcw_as_one_word_batches(
+        policy, doubled, serial, image, start, writes):
+    # one loop serves both bcw bills: the serial pass matches the same
+    # words as one-word parallel batches, on a track left off home; a
+    # parallel write in any other mode is refused with nothing changed
+    devs = [small_device(word_bits=8, ports=_SLOTS, policy=policy,
+                         record_steps=True, count_new_detect=doubled)
+            for _ in range(2)]
+    trs = [d.new_track() for d in devs]
+    for dev, tr in zip(devs, trs):
+        _load_slots(tr, image, _SLOTS)
+        dev.align(tr, start)
+    dev, tr = devs[0], trs[0]
+    before = list(tr.cells), tr.offset, dev.counters.as_flat_dict()
+    trace = list(dev.counters.trace)
+    for batch in (writes, []):
+        with pytest.raises(ConfigError, match="parallel"):
+            dev.write_words(tr, batch, serial, parallel=True)
+    assert before == (tr.cells, tr.offset, dev.counters.as_flat_dict())
+    assert dev.counters.trace == trace
+    dev.write_words(tr, writes, "bcw")
+    for word in writes:
+        devs[1].write_batch_bcw(trs[1], [word])
+    assert tr.cells == trs[1].cells
+    assert tr.offset == trs[1].offset == 0
+    assert dev.counters.as_flat_dict() == devs[1].counters.as_flat_dict()
+    assert dev.counters.trace == devs[1].counters.trace
+
+
 _BCW_PORTS = 6
 _BCW_OPS = st.lists(st.one_of(
     st.dictionaries(st.integers(0, _BCW_PORTS - 1),

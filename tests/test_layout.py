@@ -98,6 +98,33 @@ def test_word_placement_pins_every_home():
     assert not dev.groups
 
 
+@pytest.mark.parametrize("node_pairs", (16, 5))
+@pytest.mark.parametrize("strategy", ("dcw", "bcw+ports"))
+def test_word_layout_keys_then_payloads(node_pairs, strategy):
+    # pair slot s keeps its key in word slot s (segment s + 1) and its
+    # payload in word slot node_pairs + s (segment node_pairs + s + 1);
+    # the peek and a charged node visit read the same words
+    wb = 16
+    geom = Geometry(word_bits=wb, interport_bits=wb,
+                    ports_per_track=2 * node_pairs)
+    cfg = TreeConfig(node_pairs=node_pairs, pivot_pairs=2,
+                     buffer_pairs=node_pairs - 2, element_pairs=node_pairs,
+                     strategy=strategy.split("+")[0],
+                     parallel_ports=strategy == "bcw+ports")
+    store = DeviceStore(Device(geom, CostModel()), "word", cfg, wb)
+    store.add_node(0, KIND_LEAF)
+    pairs = [(s, 0x100 + s, 0x8000 + 3 * s, wb) for s in range(node_pairs)]
+    store.write_pairs(0, pairs)
+    cells = store.homes[0].cells
+    for s, key, payload, _width in pairs:
+        assert cells[s + 1] == key
+        assert cells[node_pairs + s + 1] == payload
+        assert store.peek_pair(0, s, wb) == (key, payload)
+    slots = list(range(node_pairs))[::-1]
+    words = [cells[s + 1] for s in slots] + [cells[node_pairs + 2]]
+    assert store.scan_keys(0, slots, words, (1, wb)) == words
+
+
 def test_bit_interleaved_placement_pins_every_home():
     # each kind fills the interport columns of its own 2 * word_bits-row
     # group in order; arena slot i sits in word_bits-row group

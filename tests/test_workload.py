@@ -43,6 +43,23 @@ def test_stream_shape_and_load_phase():
     assert all(isinstance(k, int) for k, _v in pairs)
 
 
+@pytest.mark.parametrize("word_bytes", (4, 8, 32))
+def test_iterated_ops_and_words_are_the_arrays_as_python_ints(word_bytes):
+    # uint64 arrays up to 8-byte words, object arrays of ints past them
+    stream = generate(spec_for("a", 200, 120), 8 * word_bytes)
+    for rows, arrays in ((stream.iter_load(),
+                          (stream.load_keys, stream.load_values)),
+                         (stream.iter_ops(),
+                          (stream.ops, stream.keys, stream.values))):
+        rows = list(rows)
+        assert len(rows) == len(arrays[0])
+        for i, row in enumerate(rows):
+            assert len(row) == len(arrays)
+            for got, array in zip(row, arrays):
+                assert type(got) is int
+                assert got == array[i]
+
+
 def test_workload_c_is_read_only():
     stream = generate(spec_for("c", 3000, 400), 64)
     assert np.all(stream.ops == OP_READ)
