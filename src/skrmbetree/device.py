@@ -249,35 +249,25 @@ class Device:
 
     def write_words(self, track, writes, mode: str,
                     parallel: bool = False) -> None:
-        """Write the (slot, value, width) words of one track as one call:
-        the device's only word-mapping write loop. Each word's old value
-        is diffed against its new one and written back once; the mode and
-        `parallel` decide only the bill.
+        """Write the (slot, value, width) words of one track: the one
+        word-mapping write loop. Each word is diffed and written back once;
+        the mode and `parallel` decide only the bill.
 
         A naive write clears the slot's whole interport span and injects
-        the new 1s blind; dcw and bcw detect the `width` live bits, compare
-        old and new as two ints and flip only the differences, leaving bits
-        past `width` alone. pw detects nothing: it matches the old and new
-        1s first to first in position order, shifts each survivor to its
-        new cell and injects or removes only the population difference.
+        the new 1s blind; dcw and bcw detect the `width` live bits and flip
+        only the differences. pw detects nothing: it matches the old and new
+        1s first to first, shifts each survivor to its new cell and injects
+        or removes only the population difference.
 
-        Serial (``parallel=False``): each word is billed as its own
-        through-port pass. The first pays the align home and every word the
-        2 * interport out-and-back stream, plus a pw word's repositioning
-        shifts, then its detects, injects and removes, in that trace order;
-        every port action is its own latency step, except that bcw fires
-        the doubled detects of one bit together.
-
-        Parallel (bcw only, the access-port parallel batch): all words share
-        one pass, the align home plus one 2 * interport stream. At each bit
-        position every slot that wide detects at once, so the detect steps
-        are the widest word; the flip steps are the positions set in the
-        ORed inject and remove masks, a position in both billed once at the
-        slower kind. The trace logs the pass's shift, detect, inject and
-        remove steps once each, not per word.
-
-        A parallel write in any other mode, and any bad word, is refused
-        before any cell, offset or counter changes; no words cost nothing.
+        Serial: each word is its own pass, the first paying the align home,
+        every word the 2 * interport stream (plus a pw word's repositioning
+        shifts), then its detects, injects and removes, each its own step
+        but a bcw bit's doubled detects. Parallel (bcw only): one shared
+        pass, the align home plus one stream; the detect steps are the
+        widest word, the flip steps the positions in the ORed inject and
+        remove masks, one in both billed at the slower kind, each kind
+        traced once. A parallel write in another mode, and any bad word,
+        is refused before any change; no words cost nothing.
         """
         tr = self._single(track)
         if mode not in _WORD_MODES:

@@ -28,7 +28,8 @@ budget (max_tracks) is checked before every new track or group.
 from __future__ import annotations
 
 from . import strategies
-from .errors import CapacityError, ConfigError, StructureError
+from .errors import (CapacityError, ConfigError, PortRangeError,
+                     StructureError)
 
 KIND_INTERNAL = "internal"
 KIND_LEAF = "leaf"
@@ -52,6 +53,7 @@ class DeviceStore:
         self.parallel = tree_cfg.parallel_ports
         # word mapping: pair slot s's payload sits in word slot s + this
         self._payload_base = tree_cfg.node_pairs
+        self._pair_slots = frozenset(range(tree_cfg.node_pairs))
         self.strategy = tree_cfg.strategy
         geom = device.geom
         if mapping == "word":
@@ -124,8 +126,16 @@ class DeviceStore:
                                  f"{got:#x}, tree expected {expect:#x}")
         return got
 
+    def _slot_error(self, pair_slots) -> PortRangeError:
+        """Word mapping: a pair slot past node_pairs aliases another's."""
+        bad = next(s for s in pair_slots if s not in self._pair_slots)
+        return PortRangeError(f"pair slot {bad} outside "
+                              f"0..{self._payload_base - 1}")
+
     def read_key(self, node_id: int, pair_slot: int, expect=None) -> int:
         if self.mapping == "word":
+            if pair_slot not in self._pair_slots:
+                raise self._slot_error((pair_slot,))
             got = self.device.read_word(self.homes[node_id], pair_slot,
                                         self.word_bits)
         else:
@@ -139,17 +149,22 @@ class DeviceStore:
                   payload=None) -> list[int]:
         """Read the keys of `pair_slots` in order, then the payload
         `payload` names, as one charged pass: a node visit. `payload` is
-        ``(pair_slot, width)``. On the word mapping the pair slots are
-        the track's key slots, so they go to the device as they are. The
-        device reads and bills every word; the store then compares them
-        with `expect`, the tree's keys and, last, its payload, and raises
-        on the first that differs. Returns the words read, the payload
-        last."""
+        ``(pair_slot, width)``. On the word mapping the pair slots, once
+        checked, are the track's key slots and go to the device as they
+        are. The device reads and bills every word; the store then
+        compares them with `expect`, the tree's keys and, last, its
+        payload, and raises on the first that differs. Returns the words
+        read, the payload last."""
         if not pair_slots and payload is None:
             return []
         device, wb = self.device, self.word_bits
         if self.mapping == "word":
             # pair slot s is word slots s (key) and node_pairs + s (payload)
+            known = self._pair_slots
+            if not known.issuperset(pair_slots) or (
+                    payload is not None and payload[0] not in known):
+                raise self._slot_error((*pair_slots, payload[0]) if payload
+                                       else pair_slots)
             got = device.scan_words(
                 self.homes[node_id], pair_slots, wb,
                 None if payload is None
@@ -174,6 +189,8 @@ class DeviceStore:
     def read_payload(self, node_id: int, pair_slot: int, width: int,
                      expect=None) -> int:
         if self.mapping == "word":
+            if pair_slot not in self._pair_slots:
+                raise self._slot_error((pair_slot,))
             got = self.device.read_word(self.homes[node_id],
                                         self._payload_base + pair_slot, width)
         else:
@@ -196,9 +213,11 @@ class DeviceStore:
             self._write_pairs_bi(node_id, writes)
 
     def _write_pairs_word(self, node_id, writes):
-        wb, base = self.word_bits, self._payload_base
+        wb, base, known = self.word_bits, self._payload_base, self._pair_slots
         word_writes = []
         for pair_slot, key, payload, pwidth in writes:
+            if pair_slot not in known:
+                raise self._slot_error((pair_slot,))
             if key is not None:
                 word_writes.append((pair_slot, key, wb))
             if payload is not None:

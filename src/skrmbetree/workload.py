@@ -103,13 +103,11 @@ class OpStream:
     def __len__(self):
         return len(self.ops)
 
+    # tolist gives Python ints, and the object arrays hold ints already
     def iter_load(self):
-        """(key, value) per load entry, as Python ints: ``tolist`` turns a
-        uint64 array into ints and an object array holds ints already."""
         return zip(self.load_keys.tolist(), self.load_values.tolist())
 
     def iter_ops(self):
-        """(op, key, value) per operation, as Python ints."""
         return zip(self.ops.tolist(), self.keys.tolist(),
                    self.values.tolist())
 

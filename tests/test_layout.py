@@ -6,7 +6,8 @@ import pytest
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
                                TreeConfig)
 from skrmbetree.device import Device
-from skrmbetree.errors import CapacityError, ConfigError, StructureError
+from skrmbetree.errors import (CapacityError, ConfigError, PortRangeError,
+                               StructureError)
 from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore
 
 
@@ -123,6 +124,29 @@ def test_word_layout_keys_then_payloads(node_pairs, strategy):
     slots = list(range(node_pairs))[::-1]
     words = [cells[s + 1] for s in slots] + [cells[node_pairs + 2]]
     assert store.scan_keys(0, slots, words, (1, wb)) == words
+
+
+@pytest.mark.parametrize("bad", (-1, 4))
+def test_word_store_refuses_a_pair_slot_that_would_alias(bad):
+    # pair slots 4..7 are word slots of pairs 0..3's payloads, and -1 is
+    # pair 3's key: every word-mapping access refuses them before any
+    # cell, offset or counter changes
+    store = make_store("word")
+    store.add_node(0, KIND_LEAF)
+    store.write_pairs(0, [(s, 100 + s, s, 16) for s in range(4)])
+    track, dev = store.homes[0], store.device
+    before = list(track.cells), track.offset, dev.counters.as_flat_dict()
+    for access in (lambda: store.read_key(0, bad),
+                   lambda: store.read_payload(0, bad, 16),
+                   lambda: store.scan_keys(0, [1, bad], [101, 0]),
+                   lambda: store.scan_keys(0, [1], [101, 0], (bad, 16)),
+                   lambda: store.write_pairs(0, [(1, 7, None, 16),
+                                                 (bad, 7, None, 16)]),
+                   lambda: store.write_pairs(0, [(bad, None, 7, 16)])):
+        with pytest.raises(PortRangeError, match=f"pair slot {bad} "):
+            access()
+        assert before == (track.cells, track.offset,
+                          dev.counters.as_flat_dict())
 
 
 def test_bit_interleaved_placement_pins_every_home():
