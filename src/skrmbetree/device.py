@@ -116,6 +116,8 @@ class Device:
         self._ports = frozenset(range(geometry.ports_per_track))
         self._eager = geometry.shift_policy == "eager"
         self.cost = cost if cost is not None else CostModel()
+        # the kind a mixed parallel flip fire bills as: the slower one
+        self._mixed_kind = self.cost.dominant(("inject", "remove"))
         self.counters = OpCounters(trace=[] if record_steps else None)
         self.count_new_detect = count_new_detect
         self.tracks: dict[int, Racetrack] = {}
@@ -255,9 +257,8 @@ class Device:
 
         A naive write clears the slot's whole interport span and injects
         the new 1s blind; dcw and bcw detect the `width` live bits and flip
-        only the differences. pw detects nothing: it matches the old and new
-        1s first to first, shifts each survivor to its new cell and injects
-        or removes only the population difference.
+        only the differences. pw matches the old and new 1s first to first,
+        shifts each survivor to its new cell and flips only the rest.
 
         Serial: each word is its own pass, the first paying the align home,
         every word the 2 * interport stream (plus a pw word's repositioning
@@ -309,11 +310,12 @@ class Device:
                 d, i, r = 0, n.bit_count(), o.bit_count()
             else:
                 im, rm = value & ~old, old & ~value
-                inj_or |= im
-                rem_or |= rm
-                if width > widest:
-                    widest = width
                 d, i, r = width, im.bit_count(), rm.bit_count()
+                if parallel:
+                    inj_or |= im
+                    rem_or |= rm
+                    if width > widest:
+                        widest = width
             shifts += step
             det += d
             inj += i
@@ -327,12 +329,11 @@ class Device:
         det_steps, inj_steps, rem_steps = step_bit * det, inj, rem
         if parallel:
             shifts = home + stream
-            # a position that both injects and removes is one mixed fire,
-            # billed at the slower kind
+            # a position that both injects and removes is one mixed fire
             both = (inj_or & rem_or).bit_count()
             inj_steps = inj_or.bit_count() - both
             rem_steps = rem_or.bit_count() - both
-            if self.cost.dominant(("inject", "remove")) == "inject":
+            if self._mixed_kind == "inject":
                 inj_steps += both
             else:
                 rem_steps += both
