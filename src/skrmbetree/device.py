@@ -357,8 +357,7 @@ class Device:
         self.write_words(track, ((slot, value, width),), "pw")
 
     def write_batch_bcw(self, track, writes) -> None:
-        """Batched compare-write of (word_slot, value, width) words on one
-        track: the parallel bcw :meth:`write_words`."""
+        """The batched compare-write: the parallel bcw :meth:`write_words`."""
         self.write_words(track, writes, "bcw", parallel=True)
 
     def read_word(self, track, slot: int, width: int) -> int:

@@ -262,6 +262,8 @@ class DeviceStore:
                   payload_width: int) -> tuple[int, int]:
         wb = self.word_bits
         if self.mapping == "word":
+            if pair_slot not in self._pair_slots:
+                raise self._slot_error((pair_slot,))
             # word slot w is the track's segment w + 1
             cells = self.homes[node_id].cells
             key = cells[pair_slot + 1]

@@ -129,8 +129,8 @@ def test_word_layout_keys_then_payloads(node_pairs, strategy):
 @pytest.mark.parametrize("bad", (-1, 4))
 def test_word_store_refuses_a_pair_slot_that_would_alias(bad):
     # pair slots 4..7 are word slots of pairs 0..3's payloads, and -1 is
-    # pair 3's key: every word-mapping access refuses them before any
-    # cell, offset or counter changes
+    # pair 3's key: every word-mapping access, the uncharged peek too,
+    # refuses them before any cell, offset or counter changes
     store = make_store("word")
     store.add_node(0, KIND_LEAF)
     store.write_pairs(0, [(s, 100 + s, s, 16) for s in range(4)])
@@ -142,7 +142,8 @@ def test_word_store_refuses_a_pair_slot_that_would_alias(bad):
                    lambda: store.scan_keys(0, [1], [101, 0], (bad, 16)),
                    lambda: store.write_pairs(0, [(1, 7, None, 16),
                                                  (bad, 7, None, 16)]),
-                   lambda: store.write_pairs(0, [(bad, None, 7, 16)])):
+                   lambda: store.write_pairs(0, [(bad, None, 7, 16)]),
+                   lambda: store.peek_pair(0, bad, 16)):
         with pytest.raises(PortRangeError, match=f"pair slot {bad} "):
             access()
         assert before == (track.cells, track.offset,
