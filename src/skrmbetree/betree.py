@@ -117,9 +117,10 @@ class InternalNode:
         # newest-first (slots, keys, messages) of the buffer, built by the
         # first scan after a change; None until then
         self.scan_order: tuple[list, list, list] | None = None
-        self.buffer_slots = range(pivot_pairs, node_pairs)
+        # bit s set: s is a buffer slot
+        self.span = (1 << node_pairs) - (1 << pivot_pairs)
         # bit s set: buffer slot s is free
-        self._free = (1 << node_pairs) - (1 << pivot_pairs)
+        self._free = self.span
 
     def splice(self, lo: int, hi: int, msgs=()) -> None:
         """Replace buffer[lo:hi] with msgs. Every other change to the
@@ -138,9 +139,6 @@ class InternalNode:
             keys.insert(0, msg.key)
             newest.insert(0, msg)
 
-    def free_slots(self) -> int:
-        return self._free.bit_count()
-
     def take_slot(self) -> int:
         """The lowest free buffer slot."""
         free = self._free
@@ -151,13 +149,36 @@ class InternalNode:
         return low.bit_length() - 1
 
     def give_slot(self, slot: int) -> None:
-        if slot not in self.buffer_slots:
+        if slot < 0 or not self.span >> slot & 1:
             raise StructureError(
                 f"node {self.node_id} has no buffer slot {slot}")
         bit = 1 << slot
         if self._free & bit:
             raise StructureError(f"slot {slot} freed twice")
         self._free |= bit
+
+    def held_mask(self, msgs) -> int:
+        """The mask of the buffer slots `msgs` hold, one each. Changes
+        nothing; refuses a slot outside the buffer span, a free one, or one
+        that two of the messages share."""
+        slots = [m.slot for m in msgs]
+        if min(slots, default=0) < 0:
+            raise StructureError(
+                f"node {self.node_id} has no buffer slot {min(slots)}")
+        mask = 0
+        for s in slots:
+            mask |= 1 << s
+        if mask & ~self.span:
+            raise StructureError(f"node {self.node_id} has no buffer slot "
+                                 f"{(mask & ~self.span).bit_length() - 1}")
+        if mask & self._free:
+            raise StructureError(
+                f"node {self.node_id} slot "
+                f"{(mask & self._free).bit_length() - 1} is already free")
+        if mask.bit_count() != len(slots):
+            raise StructureError(
+                f"node {self.node_id} holds two messages in one slot")
+        return mask
 
 
 class BeTree:
@@ -214,16 +235,28 @@ class BeTree:
                 writes.append((i, kw, vw, self.word_bits))
         return writes
 
-    def _move(self, msgs, src: InternalNode, dst: InternalNode,
-              writes: list) -> None:
-        """Move buffered messages from `src`'s slots to `dst`'s: each frees
-        its slot in `src`, takes the lowest free one in `dst`, and appends
-        its pair write there to `writes`, in message order."""
-        width = self.payload_width
+    def _move(self, msgs, src: InternalNode, dst: InternalNode) -> None:
+        """Move buffered messages from `src`'s slots to `dst`'s: the batch
+        frees its slots in `src` in one step, and the messages take `dst`'s
+        lowest free slots in message order. A batch that `src` does not
+        hold one slot per message, or that `dst` has no room for, is
+        refused before anything changes."""
+        freed = src.held_mask(msgs)
+        free = dst._free
+        if free.bit_count() < len(msgs):
+            raise StructureError(f"node {dst.node_id} has {free.bit_count()} "
+                                 f"free slots for {len(msgs)} messages")
+        src._free |= freed
         for m in msgs:
-            src.give_slot(m.slot)
-            m.slot = dst.take_slot()
-            writes.append((m.slot, m.key, m.payload, width))
+            low = free & -free
+            free ^= low
+            m.slot = low.bit_length() - 1
+        dst._free = free
+
+    def _slot_writes(self, msgs) -> list:
+        """The pair writes that put `msgs` in their slots."""
+        width = self.payload_width
+        return [(m.slot, m.key, m.payload, width) for m in msgs]
 
     def _release(self, node: InternalNode, msg: Message) -> None:
         # shadowed upsert dies in place: no device traffic, the slot and
@@ -249,7 +282,7 @@ class BeTree:
             payload = value
         while True:
             root = self.nodes[self.root_id]
-            if root.free_slots() > 0:
+            if root._free:
                 break
             self._flush(root)
         slot = root.take_slot()
@@ -287,7 +320,7 @@ class BeTree:
             child = self.nodes[pivots[ci][1]]
             if child.kind == KIND_INTERNAL:
                 self._shadow_kill_in_child(child, batch)
-                if child.free_slots() < len(batch):
+                if child._free.bit_count() < len(batch):
                     # the choice stands while the runs that made it do. A
                     # dedupe drop shrank this run, and a split of this node
                     # shows in its pivots or its buffer (the slack rule can
@@ -297,23 +330,26 @@ class BeTree:
                     if len(batch) < hi - lo:
                         continue
                     while (node.pivots == before and len(node.buffer) == size
-                           and child.free_slots() < len(batch)):
+                           and child._free.bit_count() < len(batch)):
                         self._flush(child)
                     if node.pivots != before or len(node.buffer) != size:
                         continue
             node.splice(lo, lo + len(batch))
             if child.kind == KIND_INTERNAL:
-                writes = []
-                self._move(batch, node, child, writes)
-                # two sorted runs: the merge sort is linear
+                self._move(batch, node, child)
+                self.kv_writes += len(batch)
+                # two sorted runs, and no batch key is left in the child:
+                # a stable key sort keeps the child's own ties in seq order,
+                # and merges in linear time
                 child.splice(0, len(child.buffer),
-                             sorted(child.buffer + batch, key=_ORDER))
-                self.store.write_pairs(child.node_id, writes)
-                self.kv_writes += len(writes)
+                             sorted(child.buffer + batch, key=_KEY))
+                if self.store.has_device:
+                    self.store.write_pairs(child.node_id,
+                                           self._slot_writes(batch))
             else:
+                node._free |= node.held_mask(batch)
                 arrivals = []
                 for m in batch:
-                    node.give_slot(m.slot)
                     if self.arena is not None:
                         value = self.store.arena_read(
                             m.payload, self.word_bits,
@@ -329,6 +365,8 @@ class BeTree:
         # buffer[lo:hi] is (key, seq)-sorted; only the newest of each key
         # survives, and the survivors stay in place as buffer[lo:lo + n]
         run = node.buffer[lo:hi]
+        if len(set(map(_KEY, run))) == len(run):
+            return run
         survivors = []
         for m in run:
             if survivors and survivors[-1].key == m.key:
@@ -342,7 +380,7 @@ class BeTree:
         # both runs are key-sorted and the batch holds one message per key,
         # so one walk in step finds every child message the batch overtakes
         buf = child.buffer
-        if not buf:
+        if not buf or set(map(_KEY, buf)).isdisjoint(map(_KEY, batch)):
             return
         dead = []
         i, n = 0, len(buf)
@@ -457,8 +495,10 @@ class BeTree:
         cut = bisect.bisect_left(node.buffer, sep2, key=_KEY)
         moved = node.buffer[cut:]
         node.splice(cut, len(node.buffer))
-        self._move(moved, node, sibling, writes)
+        self._move(moved, node, sibling)
         sibling.splice(0, 0, moved)
+        if self.store.has_device:
+            writes += self._slot_writes(moved)
         self.store.write_pairs(sibling.node_id, writes)
         self.kv_writes += len(moved)
         self.store.write_pairs(node.node_id,

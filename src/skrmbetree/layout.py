@@ -272,6 +272,9 @@ class DeviceStore:
             # cells never move; a node's column for port p is the fixed
             # index slot_start(p) + offset whatever the alignment
             group, offset = self.homes[node_id]
+            if not 0 <= pair_slot < group.n_ports:
+                raise PortRangeError(f"port {pair_slot} outside "
+                                     f"0..{group.n_ports - 1}")
             col = group.cells[group.slot_start(pair_slot) + offset]
             key, payload = col, col >> wb
         return key & ((1 << wb) - 1), payload & ((1 << payload_width) - 1)

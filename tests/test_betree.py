@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellimage import cell_image, load_image
+from refbetree import RefBeTree
 from refquery import reference_query
-from skrmbetree.betree import (BeTree, InternalNode, ValueArena,
+from skrmbetree.betree import (BeTree, InternalNode, Message, ValueArena,
                                encoding_overhead_bytes)
 from skrmbetree.config import (CostModel, Geometry, TreeConfig,
                                index_bits_for, next_pow2)
@@ -130,6 +131,50 @@ def test_slot_pool_misuse_fails_typed_and_changes_nothing():
         node.give_slot(3)
     assert node._free == 1 << 3
     assert node.take_slot() == 3
+
+
+@pytest.mark.parametrize("slots,dst_taken,message", [
+    ([2, 1], 0, "node 1 has no buffer slot 1"),
+    ([2, 9], 0, "node 1 has no buffer slot 9"),
+    ([2, -1], 0, "node 1 has no buffer slot -1"),
+    ([2, 5], 0, "node 1 slot 5 is already free"),
+    ([2, 2], 0, "node 1 holds two messages in one slot"),
+    ([2, 3], 3, "node 2 has 1 free slots for 2 messages"),
+])
+def test_move_refuses_a_bad_batch_and_changes_nothing(slots, dst_taken,
+                                                      message):
+    # src holds slots 2, 3 and 4 of its buffer span 2..5; the bad message
+    # comes last, so a move that went message by message would already
+    # have moved the first one
+    tree = make_null_tree()
+    src = InternalNode(1, pivot_pairs=2, node_pairs=6)
+    dst = InternalNode(2, pivot_pairs=2, node_pairs=6)
+    for _ in range(3):
+        src.take_slot()
+    for _ in range(dst_taken):
+        dst.take_slot()
+    batch = [Message(10 + i, i, i, s) for i, s in enumerate(slots)]
+    before = src._free, dst._free
+    with pytest.raises(StructureError, match=message):
+        tree._move(batch, src, dst)
+    assert (src._free, dst._free) == before
+    assert [m.slot for m in batch] == slots
+
+
+def test_move_takes_the_lowest_free_slots_in_message_order():
+    tree = make_null_tree()
+    src = InternalNode(1, pivot_pairs=2, node_pairs=6)
+    dst = InternalNode(2, pivot_pairs=2, node_pairs=6)
+    for _ in range(3):
+        src.take_slot()
+    dst.take_slot()
+    batch = [Message(10, 0, 1, 4), Message(11, 0, 2, 2)]
+    tree._move(batch, src, dst)
+    assert [m.slot for m in batch] == [3, 4]
+    assert src._free == 1 << 2 | 1 << 4 | 1 << 5
+    assert dst._free == 1 << 5
+    tree._move([], src, dst)
+    assert (src._free, dst._free) == (1 << 2 | 1 << 4 | 1 << 5, 1 << 5)
 
 
 def test_full_pool_over_an_empty_buffer_fails_typed():
@@ -583,14 +628,65 @@ def test_out_of_range_words_are_rejected():
         tree.query(-1)
 
 
-def _byte_tree(store, cfg, planned):
+def _byte_tree(store, cfg, planned, tree_cls=BeTree):
     """A tree of 8-bit words on NullStore or on a device of either mapping."""
     if store == "null":
-        return BeTree(NullStore(), cfg, 8, planned_upserts=planned)
+        return tree_cls(NullStore(), cfg, 8, planned_upserts=planned)
     ports = cfg.node_pairs * (2 if store == "word" else 1)
     geom = Geometry(word_bits=8, interport_bits=8, ports_per_track=ports)
-    return BeTree(DeviceStore(Device(geom, CostModel()), store, cfg, 8),
-                  cfg, 8, planned_upserts=planned)
+    return tree_cls(DeviceStore(Device(geom, CostModel()), store, cfg, 8),
+                    cfg, 8, planned_upserts=planned)
+
+
+def _tree_state(tree):
+    """Every node's pairs, messages (with their slots, in buffer order) and
+    free mask, the write count, and the device's counters if it has one."""
+    nodes = []
+    for nid, node in tree.nodes.items():
+        if node.kind == KIND_LEAF:
+            nodes.append((nid, node.parent, node.elements))
+        else:
+            nodes.append((nid, node.parent, node.pivots, node._free,
+                          [(m.key, m.seq, m.payload, m.slot)
+                           for m in node.buffer]))
+    counters = (tree.store.device.counters.as_flat_dict()
+                if tree.store.has_device else None)
+    return nodes, tree.kv_writes, tree.height, counters
+
+
+@settings(max_examples=200, deadline=None)
+@given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
+       encoding=st.booleans(), parallel=st.booleans(),
+       pivot_pairs=st.integers(2, 3), buffer_pairs=st.integers(1, 6),
+       element_pairs=st.integers(1, 3),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 63),
+                              st.integers(0, 255)),
+                    min_size=30, max_size=150))
+def test_bulk_moves_match_the_per_message_reference(
+        store, encoding, parallel, pivot_pairs, buffer_pairs, element_pairs,
+        ops):
+    # the same stream through the bulk flush path and the per-message one:
+    # after every op each message sits in the same slot, in the same buffer
+    # order, every free mask and write count agrees, and so does every
+    # device counter
+    cfg = TreeConfig(node_pairs=pivot_pairs + buffer_pairs,
+                     pivot_pairs=pivot_pairs, buffer_pairs=buffer_pairs,
+                     element_pairs=element_pairs,
+                     strategy="bcw" if parallel else "dcw",
+                     parallel_ports=parallel, encoding=encoding)
+    bulk = _byte_tree(store, cfg, len(ops))
+    ref = _byte_tree(store, cfg, len(ops), RefBeTree)
+    for upsert, key, value in ops:
+        for tree in (bulk, ref):
+            if upsert:
+                tree.upsert(key, value)
+            else:
+                tree.query(key)
+        assert _tree_state(bulk) == _tree_state(ref)
+    bulk.flush_all()
+    ref.flush_all()
+    assert _tree_state(bulk) == _tree_state(ref)
+    bulk.audit()
 
 
 @settings(max_examples=300, deadline=None)

@@ -96,6 +96,14 @@ def test_write_count_series_deterministic_and_monotone():
         assert r["ratio"] == r["betree_writes"] / r["btree_writes"]
 
 
+def test_write_count_series_rows_are_pinned():
+    # the write_count_series counts before the bulk pair moves; any change
+    # to how a flush or a split moves messages must leave them as they are
+    rows = write_count_series([10**3, 10**4], seed=7)
+    assert [(r["n_inserts"], r["btree_writes"], r["betree_writes"])
+            for r in rows] == [(1000, 1828, 5987), (10000, 18091, 108691)]
+
+
 def test_write_count_series_rejects_bad_samples():
     with pytest.raises(ConfigError):
         write_count_series([], seed=1)

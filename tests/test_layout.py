@@ -126,15 +126,15 @@ def test_word_layout_keys_then_payloads(node_pairs, strategy):
     assert store.scan_keys(0, slots, words, (1, wb)) == words
 
 
-@pytest.mark.parametrize("bad", (-1, 4))
-def test_word_store_refuses_a_pair_slot_that_would_alias(bad):
-    # pair slots 4..7 are word slots of pairs 0..3's payloads, and -1 is
-    # pair 3's key: every word-mapping access, the uncharged peek too,
-    # refuses them before any cell, offset or counter changes
-    store = make_store("word")
+def _assert_refuses_every_access(mapping, ports, bad):
+    """Every access to pair slot `bad` of a 4-pair node, the uncharged
+    peek too, raises PortRangeError before any cell, offset or counter
+    changes."""
+    store = make_store(mapping, ports=ports)
     store.add_node(0, KIND_LEAF)
     store.write_pairs(0, [(s, 100 + s, s, 16) for s in range(4)])
-    track, dev = store.homes[0], store.device
+    home, dev = store.homes[0], store.device
+    track = home if mapping == "word" else home[0]
     before = list(track.cells), track.offset, dev.counters.as_flat_dict()
     for access in (lambda: store.read_key(0, bad),
                    lambda: store.read_payload(0, bad, 16),
@@ -144,10 +144,25 @@ def test_word_store_refuses_a_pair_slot_that_would_alias(bad):
                                                  (bad, 7, None, 16)]),
                    lambda: store.write_pairs(0, [(bad, None, 7, 16)]),
                    lambda: store.peek_pair(0, bad, 16)):
-        with pytest.raises(PortRangeError, match=f"pair slot {bad} "):
+        with pytest.raises(PortRangeError,
+                           match=f"(pair slot|port) {bad} outside"):
             access()
         assert before == (track.cells, track.offset,
                           dev.counters.as_flat_dict())
+
+
+@pytest.mark.parametrize("bad", (-1, 4))
+def test_word_store_refuses_a_pair_slot_that_would_alias(bad):
+    # pair slots 4..7 are word slots of pairs 0..3's payloads, and -1 is
+    # pair 3's key
+    _assert_refuses_every_access("word", 8, bad)
+
+
+@pytest.mark.parametrize("bad", (-1, 4))
+def test_bit_interleaved_store_refuses_a_port_outside_the_group(bad):
+    # on a 4-port group, port 4 would read the right overflow column and
+    # -1 is no port at all
+    _assert_refuses_every_access("bit_interleaved", 4, bad)
 
 
 def test_bit_interleaved_placement_pins_every_home():
