@@ -316,19 +316,19 @@ class BeTree:
                 start = end
             if len(buf) - start > hi - lo:
                 ci, lo, hi = len(pivots) - 1, start, len(buf)
+            size = len(buf)
             batch = self._dedupe_batch(node, lo, hi)
             child = self.nodes[pivots[ci][1]]
             if child.kind == KIND_INTERNAL:
                 self._shadow_kill_in_child(child, batch)
                 if child._free.bit_count() < len(batch):
                     # the choice stands while the runs that made it do. A
-                    # dedupe drop shrank this run, and a split of this node
-                    # shows in its pivots or its buffer (the slack rule can
-                    # keep the pivots); after either, pick again
-                    before, size = list(pivots), len(node.buffer)
+                    # dedupe drop shortens this buffer, and a split of this
+                    # node shows in its pivots or its buffer (the slack rule
+                    # can keep the pivots); after either, pick again once
+                    # the child has been flushed
+                    before = list(pivots)
                     self._flush(child)
-                    if len(batch) < hi - lo:
-                        continue
                     while (node.pivots == before and len(node.buffer) == size
                            and child._free.bit_count() < len(batch)):
                         self._flush(child)

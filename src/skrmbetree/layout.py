@@ -88,6 +88,9 @@ class DeviceStore:
     def add_node(self, node_id: int, kind: str) -> None:
         if node_id in self.homes:
             raise ConfigError(f"node {node_id} already placed")
+        if kind not in (KIND_INTERNAL, KIND_LEAF):
+            raise ConfigError(f"node kind must be {KIND_INTERNAL!r} or "
+                              f"{KIND_LEAF!r}, not {kind!r}")
         if self.mapping == "word":
             self._budget(1)
             self.homes[node_id] = self.device.new_track()
@@ -103,6 +106,9 @@ class DeviceStore:
     def _arena_at(self, index: int):
         """Home of arena slot `index` as (track or group, port, column
         offset); on the word mapping the offset is always 0."""
+        if index < 0:
+            # -1 would alias the last slot of the last arena track
+            raise PortRangeError(f"arena slot {index} is negative")
         n, cell = divmod(index, self._arena_slots)
         while n >= len(self.arena):
             if self.mapping == "word":

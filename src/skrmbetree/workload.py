@@ -11,6 +11,7 @@ draws a zipf rank and counts it back from the most recent insert.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,70 +119,53 @@ def zipf_head_probability(n: int, theta: float = ZIPF_THETA) -> float:
     return float(1.0 / np.sum(ranks ** -theta))
 
 
-def _zipf_cdf(n: int, theta: float) -> np.ndarray:
+def _zipf_cdf(n: int, theta: float) -> list[float]:
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    return np.cumsum(ranks ** -theta)
+    return np.cumsum(ranks ** -theta).tolist()
 
 
 def generate(spec: WorkloadSpec, word_bits: int = 64) -> OpStream:
-    """Build the full deterministic stream for one workload."""
+    """Build the full deterministic stream for one workload in one pass:
+    every key is drawn once, a load key when the load phase is built and
+    an inserted key when its insert is drawn."""
     rng = np.random.default_rng(spec.seed)
-    n_load = spec.load_count
+    seed, n_load, n_ops = spec.seed, spec.load_count, spec.op_count
     words = np.uint64 if word_bits <= 64 else object
-    load_keys = np.array([make_key(spec.seed, i, word_bits)
-                          for i in range(n_load)], dtype=words)
-    load_values = np.array([make_value(spec.seed, i, word_bits)
+    keyspace = [make_key(seed, i, word_bits) for i in range(n_load)]
+    load_keys = np.array(keyspace, dtype=words)
+    load_values = np.array([make_value(seed, i, word_bits)
                             for i in range(n_load)], dtype=words)
 
-    n_ops = spec.op_count
     ops = np.empty(n_ops, dtype=np.uint8)
     keys = np.empty(n_ops, dtype=words)
     values = np.zeros(n_ops, dtype=words)
 
     # one cdf sized for the final keyspace; sampling over the current size n
-    # just rescales into its prefix
-    max_n = n_load + n_ops
-    cdf = _zipf_cdf(max_n, ZIPF_THETA)
-
-    mix_draw = rng.random(n_ops)
-    rank_draw = rng.random(n_ops)
+    # rescales into its prefix: bisect over cdf[:n] makes the same float64
+    # comparisons as np.searchsorted(cdf[:n], ..., side="right")
+    cdf = _zipf_cdf(n_load + n_ops, ZIPF_THETA)
+    mix_draw = rng.random(n_ops).tolist()
+    rank_draw = rng.random(n_ops).tolist()
     read_cut = spec.read_pct / 100.0
     update_cut = read_cut + spec.update_pct / 100.0
+    latest = spec.distribution == "latest"
 
-    key_index: list[int] = []          # op -> keyspace index, filled below
-    n_current = n_load
-    n_inserts = 0
-    n_updates = 0
-    for i in range(n_ops):
-        d = mix_draw[i]
-        if d < read_cut:
-            op = OP_READ
-        elif d < update_cut:
-            op = OP_UPDATE
-        else:
-            op = OP_INSERT
+    counter = n_load                   # next value's draw index
+    for i, (d, r) in enumerate(zip(mix_draw, rank_draw)):
+        op = (OP_READ if d < read_cut else
+              OP_UPDATE if d < update_cut else OP_INSERT)
         ops[i] = op
+        n = len(keyspace)
         if op == OP_INSERT:
-            key_index.append(n_current)
-            values[i] = make_value(spec.seed, n_load + n_inserts + n_updates,
-                                   word_bits)
-            n_current += 1
-            n_inserts += 1
-            continue
-        rank = int(np.searchsorted(cdf[:n_current],
-                                   rank_draw[i] * cdf[n_current - 1],
-                                   side="right"))
-        if rank >= n_current:
-            rank = n_current - 1
-        if spec.distribution == "latest":
-            idx = n_current - 1 - rank
+            key = make_key(seed, n, word_bits)
+            keyspace.append(key)
         else:
-            idx = rank
-        key_index.append(idx)
-        if op == OP_UPDATE:
-            values[i] = make_value(spec.seed, n_load + n_inserts + n_updates,
-                                   word_bits)
-            n_updates += 1
-    for i, idx in enumerate(key_index):
-        keys[i] = make_key(spec.seed, idx, word_bits)
+            rank = bisect_right(cdf, r * cdf[n - 1], 0, n)
+            if rank >= n:
+                rank = n - 1
+            key = keyspace[n - 1 - rank if latest else rank]
+        keys[i] = key
+        if op != OP_READ:
+            values[i] = make_value(seed, counter, word_bits)
+            counter += 1
     return OpStream(load_keys, load_values, ops, keys, values)

@@ -14,7 +14,7 @@ from skrmbetree.config import (CostModel, Geometry, TreeConfig,
                                index_bits_for, next_pow2)
 from skrmbetree.device import Device
 from skrmbetree.errors import ArenaFullError, ConfigError, StructureError
-from skrmbetree.layout import KIND_LEAF, DeviceStore, NullStore
+from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore, NullStore
 
 
 def make_cfg(node_pairs=4, pivot_pairs=2, element_pairs=4, strategy="dcw",
@@ -580,6 +580,225 @@ def test_audit_flags_unsorted_leaf():
                 if n.kind == KIND_LEAF and len(n.elements) >= 2)
     leaf.elements.reverse()
     with pytest.raises(StructureError):
+        tree.audit()
+
+
+def _audit_tree(store):
+    """A 4-level tree with encoding on, its root buffer full and pivot_pairs
+    3, so a non-root internal node can be underfull. The same upserts give
+    the same tree on every store."""
+    shape = dict(node_pairs=8, pivot_pairs=3, element_pairs=4, encoding=True,
+                 planned=60)
+    tree = (make_null_tree(**shape) if store == "null"
+            else make_device_tree(store, **shape)[0])
+    for i in range(60):
+        key = i * 7919 % 509
+        tree.upsert(key, (key * 31 + i) % 2**16)
+    tree.audit()
+    return tree
+
+
+def _pick(tree, kind, test=lambda node: True):
+    """The first non-root node of `kind` that passes `test`."""
+    return next(n for n in tree.nodes.values() if n.kind == kind
+                and n.node_id != tree.root_id and test(n))
+
+
+def _buffered(tree):
+    return _pick(tree, KIND_INTERNAL, lambda n: len(n.buffer) >= 2)
+
+
+def _wrong_parent(tree):
+    leaf = _pick(tree, KIND_LEAF)
+    leaf.parent = leaf.node_id
+    return f"node {leaf.node_id} parent pointer wrong"
+
+
+def _child_twice(tree):
+    # pivot 1 names pivot 0's child, on the device too
+    root = tree.nodes[tree.root_id]
+    key, _child = root.pivots[1]
+    first = root.pivots[0][1]
+    root.pivots[1] = (key, first)
+    tree.store.write_pairs(root.node_id, [(1, None, first, tree.word_bits)])
+    return f"node {first} reached twice"
+
+
+def _no_pivots(tree):
+    node = _pick(tree, KIND_INTERNAL)
+    node.pivots = []
+    return f"internal node {node.node_id} has no pivots"
+
+
+def _one_pivot(tree):
+    node = _pick(tree, KIND_INTERNAL)
+    del node.pivots[1:]
+    return f"internal node {node.node_id} underfull"
+
+
+def _pivot_overflow(tree):
+    node = _pick(tree, KIND_INTERNAL)
+    while len(node.pivots) <= tree.cfg.pivot_pairs:
+        key, child = node.pivots[-1]
+        node.pivots.append((key + 1, child))
+    return f"internal node {node.node_id} pivot overflow"
+
+
+def _pivots_reversed(tree):
+    node = _pick(tree, KIND_INTERNAL)
+    node.pivots.reverse()
+    return f"node {node.node_id} pivots unsorted"
+
+
+def _pivot_past_range(tree):
+    root = tree.nodes[tree.root_id]
+    root.pivots[-1] = (1 << tree.word_bits, root.pivots[-1][1])
+    return f"node {root.node_id} pivots out of range"
+
+
+def _buffer_overflow(tree):
+    node = _buffered(tree)
+    node.buffer += [node.buffer[-1]] * (tree.cfg.buffer_pairs + 1
+                                        - len(node.buffer))
+    return f"node {node.node_id} buffer overflow"
+
+
+def _buffer_reversed(tree):
+    node = _buffered(tree)
+    node.buffer.reverse()
+    return f"node {node.node_id} buffer unsorted"
+
+
+def _shared_slot(tree):
+    node = _buffered(tree)
+    node.buffer[1].slot = node.buffer[0].slot
+    return f"node {node.node_id} buffer slots corrupt"
+
+
+def _pivot_slot_buffered(tree):
+    node = _buffered(tree)
+    node.buffer[0].slot = 0
+    return f"node {node.node_id} buffer slots corrupt"
+
+
+def _foreign_key(tree):
+    root = tree.nodes[tree.root_id]
+    root.buffer[-1].key = 1 << tree.word_bits
+    return f"node {root.node_id} buffers a foreign key"
+
+
+def _shared_arena_index(tree):
+    node = _buffered(tree)
+    node.buffer[1].payload = node.buffer[0].payload
+    return "arena index shared by two messages"
+
+
+def _arena_index_freed(tree):
+    tree.arena.free(_buffered(tree).buffer[0].payload)
+    return "message points at a dead arena slot"
+
+
+def _subtree_dropped(tree):
+    # the root's last pivot, and with it a subtree, is lost; the pivots
+    # left keep their device slots
+    tree.nodes[tree.root_id].pivots.pop()
+    return "unreachable nodes exist"
+
+
+def _arena_index_leaked(tree):
+    tree.arena.alloc(1)
+    return "arena live set out of sync with buffers"
+
+
+def _arena_shrunk(tree):
+    tree.arena.capacity = tree.arena.occupancy - 1
+    return "arena over capacity"
+
+
+def _leaf_reversed(tree):
+    leaf = _pick(tree, KIND_LEAF)
+    leaf.elements.reverse()
+    return f"leaf {leaf.node_id} unsorted or duplicated"
+
+
+def _leaf_overflow(tree):
+    leaf = _pick(tree, KIND_LEAF)
+    while len(leaf.elements) <= tree.cfg.element_pairs:
+        leaf.elements.append((leaf.elements[-1][0] + 1, 0))
+    return f"leaf {leaf.node_id} over capacity"
+
+
+def _leaf_key_past_range(tree):
+    # the leaf holding the largest key is the rightmost one
+    leaf = max((n for n in tree.nodes.values() if n.kind == KIND_LEAF),
+               key=lambda n: n.elements[-1])
+    leaf.elements[-1] = (1 << tree.word_bits, 0)
+    return f"leaf {leaf.node_id} keys out of range"
+
+
+def _leaf_underfull(tree):
+    leaf = _pick(tree, KIND_LEAF)
+    del leaf.elements[1:]
+    return f"leaf {leaf.node_id} underfull"
+
+
+def _pivot_cell_flipped(tree):
+    root = tree.root_id
+    _flip_bit(tree.store, root, 1, "key")
+    return f"node {root} pivot 1 device mismatch"
+
+
+def _buffered_cell_flipped(tree):
+    node = _buffered(tree)
+    slot = node.buffer[0].slot
+    _flip_bit(tree.store, node.node_id, slot, "key")
+    return f"node {node.node_id} slot {slot} device mismatch"
+
+
+def _leaf_cell_flipped(tree):
+    leaf = _pick(tree, KIND_LEAF)
+    _flip_bit(tree.store, leaf.node_id, 0, "key")
+    return f"leaf {leaf.node_id} slot 0 device mismatch"
+
+
+def _arena_cell_flipped(tree):
+    # bit 0 of the value: arena slot i is word slot `port` of a track, or
+    # row 0 of a group's column `offset` past port `port`
+    index = next(iter(tree.arena.values))
+    home, port, offset = tree.store._arena_at(index)
+    cells = cell_image(home)
+    if tree.store.mapping == "word":
+        cells[home.slot_start(port)] ^= 1
+    else:
+        cells[0, home.slot_start(port) + offset] ^= 1
+    load_image(home, cells)
+    return f"arena slot {index} holds"
+
+
+# every raise site of BeTree.audit, _audit_node and _audit_leaf but the
+# free-mask ones, which test_audit_checks_the_free_slot_mask reaches; the
+# flipped cells need a device
+_AUDIT_CORRUPTIONS = [_wrong_parent, _child_twice, _no_pivots, _one_pivot,
+                      _pivot_overflow, _pivots_reversed, _pivot_past_range,
+                      _buffer_overflow, _buffer_reversed, _shared_slot,
+                      _pivot_slot_buffered, _foreign_key, _shared_arena_index,
+                      _arena_index_freed, _subtree_dropped,
+                      _arena_index_leaked, _arena_shrunk, _leaf_reversed,
+                      _leaf_overflow, _leaf_key_past_range, _leaf_underfull]
+_CELL_FLIPS = [_pivot_cell_flipped, _buffered_cell_flipped,
+               _leaf_cell_flipped, _arena_cell_flipped]
+
+
+@pytest.mark.parametrize("store,corrupt", [
+    *((store, corrupt) for corrupt in _AUDIT_CORRUPTIONS
+      for store in ("null", "word", "bit_interleaved")),
+    *((store, corrupt) for corrupt in _CELL_FLIPS
+      for store in ("word", "bit_interleaved")),
+], ids=lambda p: p if isinstance(p, str) else p.__name__.strip("_"))
+def test_audit_names_each_broken_invariant(store, corrupt):
+    tree = _audit_tree(store)
+    message = corrupt(tree)
+    with pytest.raises(StructureError, match=f"^{message}"):
         tree.audit()
 
 

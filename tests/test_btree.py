@@ -67,6 +67,64 @@ def test_audit_accepts_keys_past_64_bits():
         t.audit()
 
 
+def _leftmost(tree):
+    """The leftmost leaf and its parent."""
+    parent, node = None, tree.root
+    while node.children is not None:
+        parent, node = node, node.children[0]
+    return node, parent
+
+
+def _pairs_reversed(tree):
+    _leftmost(tree)[0].pairs.reverse()
+    return "pairs unsorted"
+
+
+def _key_at_separator(tree):
+    leaf, parent = _leftmost(tree)
+    leaf.pairs[-1] = (parent.pairs[0][0], 0)
+    return "keys escape their range"
+
+
+def _leaf_overflow(tree):
+    # the leftmost leaf's range is open below
+    leaf = _leftmost(tree)[0]
+    while len(leaf.pairs) <= tree.capacity:
+        leaf.pairs.insert(0, (leaf.pairs[0][0] - 1, 0))
+    return "node over capacity"
+
+
+def _leaf_underfull(tree):
+    del _leftmost(tree)[0].pairs[1:]
+    return "node underfull"
+
+
+def _child_lost(tree):
+    tree.root.children.pop()
+    return "child count mismatch"
+
+
+def _grandchild_lifted(tree):
+    # the leftmost leaf takes its parent's place: its keys stay in range
+    tree.root.children[0] = tree.root.children[0].children[0]
+    return "leaves at unequal depth"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _pairs_reversed, _key_at_separator, _leaf_overflow, _leaf_underfull,
+    _child_lost, _grandchild_lifted], ids=lambda f: f.__name__.strip("_"))
+def test_audit_names_each_broken_invariant(corrupt):
+    # capacity 4 and 60 keys give three levels
+    t = BTree(4)
+    for i in range(60):
+        t.insert(i * 7919 % 509, i)
+    t.audit()
+    assert t.root.children[0].children[0].children is None
+    message = corrupt(t)
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        t.audit()
+
+
 def test_capacity_floor():
     with pytest.raises(ConfigError):
         BTree(3)

@@ -216,6 +216,41 @@ def test_placement_errors_are_typed_and_place_nothing(mapping):
     assert store.homes == homes
 
 
+def _store_state(store):
+    dev = store.device
+    return (dev.counters.as_flat_dict(), len(store.arena),
+            dict(dev.tracks), dict(dev.groups), dict(store.homes),
+            dict(store._pools),
+            [list(t.cells) for t in (*dev.tracks.values(),
+                                     *dev.groups.values())])
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+def test_store_refuses_a_negative_arena_slot_and_a_bad_kind(mapping):
+    # -1 would index past the end of an empty arena list, and once an
+    # arena track exists it would alias that track's last slot
+    store = make_store(mapping)
+    store.add_node(0, KIND_LEAF)
+    wb = store.word_bits
+    for arena_in_use in (False, True):
+        if arena_in_use:
+            store.arena_write(0, 3, wb)
+        before = _store_state(store)
+        for access in (lambda: store.arena_write(-1, 5, wb),
+                       lambda: store.arena_read(-1, wb),
+                       lambda: store.peek_arena(-1, wb)):
+            with pytest.raises(PortRangeError, match="arena slot -1"):
+                access()
+            assert _store_state(store) == before
+        # a misspelt kind would open a pool of its own
+        for kind in ("lef", None, KIND_LEAF.upper()):
+            with pytest.raises(ConfigError, match="node kind"):
+                store.add_node(1, kind)
+            assert _store_state(store) == before
+    assert store.peek_arena(0, wb) == 3
+    assert len(store.arena) == 1
+
+
 def test_group_align_moves_every_track_equally():
     store = make_store("bit_interleaved")
     store.add_node(0, KIND_INTERNAL)
