@@ -20,16 +20,18 @@ word stored down a column is ``column >> row_start & mask``.
 A node visit of a query is one charged pass: ``scan_words`` and
 ``bi_scan_words`` read every key word they are given and then, as a final
 word of its own width, the payload the search chose, billed exactly as the
-same reads made one at a time. A scan judges nothing it reads; the store
-compares the words with the tree's. A node write is one call too:
-``write_words`` is the one word-mapping write loop, diffing and writing
-back each word once; serial, it bills the words as written one at a time,
-and parallel (bcw only) as one shared pass whose ports detect and flip
-together. ``bi_write_node`` takes the store's pair writes and diffs each
-pair's key and payload rows against its column in one read, billed as the
-key word and then the payload word written one at a time. No caller
-aligns: a pass positions its own track, or brings its node's column under
-the ports with one ``group_align`` shift set.
+same reads made one at a time. On the word mapping the store hands a
+payload as wide as the keys over as one more read of the key pass, which
+bills the same. A full-width word read is its segment as it stands. A scan
+judges nothing it reads; the store compares the words with the tree's. A
+node write is one call too: ``write_words`` is the one word-mapping write
+loop, diffing and writing back each word once; serial, it bills the words
+as written one at a time, and parallel (bcw only) as one shared pass whose
+ports detect and flip together. ``bi_write_node`` takes the store's pair
+writes and diffs each pair's key and payload rows against its column in
+one read, billed as the key word and then the payload word written one at
+a time. No caller aligns: a pass positions its own track, or brings its
+node's column under the ports with one ``group_align`` shift set.
 
 All primitives and passes bump the device's OpCounters. Aggregated passes
 charge identical totals to a primitive-by-primitive replay; the test suite
@@ -396,17 +398,17 @@ class Device:
             if not 0 <= then_width <= ip:
                 raise ConfigError(f"width {then_width} outside one interport "
                                   f"segment (0..{ip})")
-        cells, mask = tr.cells, (1 << width) - 1
-        words = [cells[slot + 1] & mask for slot in slots]
-        n = len(words)
-        if then is None:
-            self._bill_reads(tr, n, width)
-            return words
-        words.append(cells[then_slot + 1] & (1 << then_width) - 1)
-        if then_width == width:
-            self._bill_reads(tr, n + 1, width)
+        cells = tr.cells
+        if width == ip:
+            # a segment holds exactly interport bits: a full-width word is
+            # its segment as it stands
+            words = [cells[slot + 1] for slot in slots]
         else:
-            self._bill_reads(tr, n, width)
+            mask = (1 << width) - 1
+            words = [cells[slot + 1] & mask for slot in slots]
+        self._bill_reads(tr, len(words), width)
+        if then is not None:
+            words.append(cells[then_slot + 1] & (1 << then_width) - 1)
             self._bill_reads(tr, 1, then_width)
         return words
 
@@ -420,9 +422,11 @@ class Device:
             return
         # the first read sweeps from the end nearer the current offset;
         # every later one starts where the last left off (lazy) or at home
-        # (eager), so it sweeps width - 1 and, eager, returns width - 1
+        # (eager), so it sweeps width - 1 and, eager, returns width - 1.
+        # Home (0) is nearer unless the offset lies left of the ends'
+        # midpoint lo / 2; a tie goes home
         offset, lo = tr.offset, 1 - width
-        near, far = (0, lo) if abs(offset) <= abs(offset - lo) else (lo, 0)
+        near, far = (0, lo) if 2 * offset >= lo else (lo, 0)
         sweep = abs(near - offset) + width - 1
         if self._eager:
             home, back, tr.offset = -far, width - 1, 0
@@ -506,10 +510,14 @@ class Device:
         self.group_align(group, node_offset)
         ip = group.interport
         # port p's word is rows row_start.. of the column at
-        # (p + 1) * interport + node_offset; width 0 reads 0
-        cols, mask = group.cells, (1 << width) - 1
-        words = [cols[(port + 1) * ip + node_offset] >> row_start & mask
-                 for port in ports]
+        # p * interport + base; width 0 reads 0. A key read starts at row
+        # 0, where the row shift would be a no-op on a many-row column
+        cols, base, mask = group.cells, ip + node_offset, (1 << width) - 1
+        if row_start:
+            words = [cols[port * ip + base] >> row_start & mask
+                     for port in ports]
+        else:
+            words = [cols[port * ip + base] & mask for port in ports]
         c = self.counters
         n = len(words)
         if width and n:
@@ -518,7 +526,7 @@ class Device:
             if c.trace is not None:
                 c.trace.extend([("detect", width)] * n)
         if then is not None:
-            words.append(cols[(then_port + 1) * ip + node_offset] >> then_row
+            words.append(cols[then_port * ip + base] >> then_row
                          & (1 << then_width) - 1)
             if then_width:
                 c.detect += then_width

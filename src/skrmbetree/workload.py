@@ -53,12 +53,22 @@ def _draw(state: int, word_bits: int) -> int:
     return word & ((1 << word_bits) - 1)
 
 
+# the per-seed bases: key i of a seed is drawn from _key_base(seed) + i,
+# value i from _value_base(seed) + i
+def _key_base(seed: int) -> int:
+    return splitmix64(seed)
+
+
+def _value_base(seed: int) -> int:
+    return splitmix64(~seed & MASK64)
+
+
 def make_key(seed: int, index: int, word_bits: int) -> int:
-    return _draw(splitmix64(seed) + index, word_bits)
+    return _draw(_key_base(seed) + index, word_bits)
 
 
 def make_value(seed: int, counter: int, word_bits: int) -> int:
-    return _draw(splitmix64(~seed & MASK64) + counter, word_bits)
+    return _draw(_value_base(seed) + counter, word_bits)
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,12 @@ class WorkloadSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("read_pct", "update_pct", "insert_pct"):
+            pct = getattr(self, name)
+            # a bool is an int to Python, but not a percentage
+            if type(pct) is not int or not 0 <= pct <= 100:
+                raise ConfigError(f"{name} must be an int in 0..100, "
+                                  f"not {pct!r}")
         if self.read_pct + self.update_pct + self.insert_pct != 100:
             raise ConfigError("operation mix must sum to 100")
         if self.distribution not in ("zipfian", "latest"):
@@ -129,11 +145,13 @@ def generate(spec: WorkloadSpec, word_bits: int = 64) -> OpStream:
     every key is drawn once, a load key when the load phase is built and
     an inserted key when its insert is drawn."""
     rng = np.random.default_rng(spec.seed)
-    seed, n_load, n_ops = spec.seed, spec.load_count, spec.op_count
+    n_load, n_ops = spec.load_count, spec.op_count
+    # make_key and make_value with the seed hashed once
+    key_base, value_base = _key_base(spec.seed), _value_base(spec.seed)
     words = np.uint64 if word_bits <= 64 else object
-    keyspace = [make_key(seed, i, word_bits) for i in range(n_load)]
+    keyspace = [_draw(key_base + i, word_bits) for i in range(n_load)]
     load_keys = np.array(keyspace, dtype=words)
-    load_values = np.array([make_value(seed, i, word_bits)
+    load_values = np.array([_draw(value_base + i, word_bits)
                             for i in range(n_load)], dtype=words)
 
     ops = np.empty(n_ops, dtype=np.uint8)
@@ -157,7 +175,7 @@ def generate(spec: WorkloadSpec, word_bits: int = 64) -> OpStream:
         ops[i] = op
         n = len(keyspace)
         if op == OP_INSERT:
-            key = make_key(seed, n, word_bits)
+            key = _draw(key_base + n, word_bits)
             keyspace.append(key)
         else:
             rank = bisect_right(cdf, r * cdf[n - 1], 0, n)
@@ -166,6 +184,6 @@ def generate(spec: WorkloadSpec, word_bits: int = 64) -> OpStream:
             key = keyspace[n - 1 - rank if latest else rank]
         keys[i] = key
         if op != OP_READ:
-            values[i] = make_value(seed, counter, word_bits)
+            values[i] = _draw(value_base + counter, word_bits)
             counter += 1
     return OpStream(load_keys, load_values, ops, keys, values)

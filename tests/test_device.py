@@ -791,6 +791,16 @@ _LONG_SCAN = [0, 1, 2, 3, 0, 1, 2]
          composed=True, slots=_LONG_SCAN)
 @example(policy="eager", record=True, image=0xF0E1D2C3, start=-7, width=4,
          composed=True, slots=[3, 2, 1])
+# an odd width from the midpoint -(width - 1) // 2 of its two sweep ends,
+# where both ends are equally near, under both policies
+@example(policy="lazy", record=True, image=0xF0E1D2C3, start=-2, width=5,
+         composed=True, slots=_LONG_SCAN)
+@example(policy="eager", record=True, image=0xF0E1D2C3, start=-2, width=5,
+         composed=True, slots=_LONG_SCAN)
+@example(policy="lazy", record=True, image=0x5A3C, start=-3, width=7,
+         composed=True, slots=[2])
+@example(policy="eager", record=True, image=0x5A3C, start=-1, width=3,
+         composed=True, slots=[1, 3])
 def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
                                                 width, composed, slots):
     # the reference reads one slot at a time through read_word (the
@@ -809,6 +819,45 @@ def test_scan_words_bills_like_sequential_reads(policy, record, image, start,
     assert trs[0].offset == trs[1].offset
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
     assert devs[0].counters.trace == devs[1].counters.trace
+
+
+_WORD_WRITE = st.tuples(st.integers(0, _SLOTS - 1), st.integers(0, 8),
+                        st.integers(0, 255))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(
+        [("naive", False), ("dcw", False), ("bcw", False), ("bcw", True),
+         ("pw", False)]),
+        st.lists(_WORD_WRITE, max_size=_SLOTS, unique_by=lambda w: w[0])),
+    st.tuples(st.just("flip"), st.integers(0, _SLOTS - 1)),
+    st.tuples(st.just("align"), st.integers(-8, 8))), max_size=30))
+def test_segments_stay_one_interport_wide(ops):
+    # scan_words returns a full-width word as its segment, unmasked: that
+    # holds while no write, inject or remove sets a bit past the segment
+    dev = small_device(word_bits=8, ports=_SLOTS)
+    tr = dev.new_track()
+    full = (1 << tr.interport) - 1
+    for op in ops:
+        if op[0] == "write":
+            (mode, parallel), words = op[1], op[2]
+            dev.write_words(tr, [(slot, value & (1 << width) - 1, width)
+                                 for slot, width, value in words],
+                            mode, parallel)
+        elif op[0] == "flip":
+            # inject or remove whatever cell the offset put under the port,
+            # overflow regions included
+            if dev.detect(tr, op[1]):
+                dev.remove(tr, op[1])
+            else:
+                dev.inject(tr, op[1])
+        else:
+            dev.align(tr, op[1])
+        assert all(0 <= seg <= full for seg in tr.cells)
+        for slot in range(_SLOTS):
+            masked = tr.cells[slot + 1] & full
+            assert dev.scan_words(tr, [slot], tr.interport) == [masked]
 
 
 def _column_value(group, port, node_offset, row_start, width):
@@ -905,6 +954,32 @@ def test_bi_scan_words_final_read_bills_like_a_bi_read_word_after_the_scan(
                                           then_width)]
     assert groups[0].offset == groups[1].offset == -2
     assert np.array_equal(cell_image(groups[0]), cells)
+    assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
+    assert devs[0].counters.trace == devs[1].counters.trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(record=st.booleans(), width=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1), slots=_SCAN_SLOTS)
+def test_bi_scan_words_key_read_ignores_the_payload_rows(record, width, seed,
+                                                          slots):
+    # a key read starts at row 0 and takes no row shift; on a 16-track
+    # group whose payload rows 8..15 are all set, only the key rows 0..7
+    # may reach the words
+    devs = [small_device(word_bits=8, ports=4, record_steps=record)
+            for _ in range(2)]
+    groups = [d.new_group(16) for d in devs]
+    cells = np.random.default_rng(seed).integers(
+        0, 2, size=cell_image(groups[0]).shape, dtype=np.uint8)
+    cells[8:] = 1
+    for dev, g in zip(devs, groups):
+        load_image(g, cells)
+        dev.group_align(g, 1)
+    values = [_column_value(groups[0], p, 1, 0, width) for p in slots]
+    got = devs[0].bi_scan_words(groups[0], slots, 1, 0, width)
+    want = [_composed_bi_read(devs[1], groups[1], p, 1, 0, width)
+            for p in slots]
+    assert got == want == values
     assert devs[0].counters.as_flat_dict() == devs[1].counters.as_flat_dict()
     assert devs[0].counters.trace == devs[1].counters.trace
 

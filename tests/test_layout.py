@@ -12,10 +12,10 @@ from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore
 
 
 def make_store(mapping, word_bits=16, strategy="bcw", parallel=True,
-               ports=8, max_tracks=None):
+               ports=8, max_tracks=None, policy="lazy", record_steps=False):
     geom = Geometry(word_bits=word_bits, interport_bits=word_bits,
-                    ports_per_track=ports)
-    dev = Device(geom, CostModel())
+                    ports_per_track=ports, shift_policy=policy)
+    dev = Device(geom, CostModel(), record_steps=record_steps)
     cfg = TreeConfig(node_pairs=4, pivot_pairs=2, buffer_pairs=2,
                      element_pairs=4, strategy=strategy,
                      parallel_ports=parallel, max_tracks=max_tracks)
@@ -402,3 +402,42 @@ def test_scan_keys_payload_read_bills_like_read_payload_after_the_keys(
     # an expectation list of the wrong length is refused
     with pytest.raises(ConfigError, match="3 expected words for a pass of 4"):
         scan.scan_keys(0, slots, keys, (0, 5))
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+@pytest.mark.parametrize("policy", ("lazy", "eager"))
+def test_scan_keys_full_width_payload_bills_like_read_payload_after_the_keys(
+        mapping, policy):
+    # a payload as wide as the keys (an internal miss's child id, or a
+    # buffer hit without encoding) is, on the word mapping, one more read
+    # of the key pass; pair slot s holds key 100 + s and payload 0xA000 + s
+    stores = [make_store(mapping, policy=policy, record_steps=True)
+              for _ in range(2)]
+    for store in stores:
+        store.add_node(0, KIND_INTERNAL)
+        store.write_pairs(0, [(s, 100 + s, 0xA000 + s, 16) for s in range(4)])
+    scan, ref = stores
+    home = scan.homes[0] if mapping == "word" else scan.homes[0][0]
+    ref_home = ref.homes[0] if mapping == "word" else ref.homes[0][0]
+    # visits chained so each starts where the last left the track: both
+    # sweep ends, a payload only, a payload slot that is also a key slot
+    visits = [([3, 1, 2], 0), ([0], 2), ([], 1), ([2, 0, 3, 1], 3),
+              ([1, 1], 1), ([], 0), ([3], 3)]
+    for pair_slots, pay_slot in visits:
+        keys = [100 + s for s in pair_slots]
+        want = keys + [0xA000 + pay_slot]
+        assert scan.scan_keys(0, pair_slots, want, (pay_slot, 16)) == want
+        got = [ref.read_key(0, s, expect=100 + s) for s in pair_slots]
+        got.append(ref.read_payload(0, pay_slot, 16, expect=0xA000 + pay_slot))
+        assert got == want
+        assert home.offset == ref_home.offset
+        assert (scan.device.counters.as_flat_dict()
+                == ref.device.counters.as_flat_dict())
+        assert scan.device.counters.trace == ref.device.counters.trace
+    # a wrong folded payload is named as a payload, even where its pair
+    # slot is also one of the pass's key slots
+    with pytest.raises(StructureError, match="node 0 slot 1 payload: device "
+                       "holds 0xa001, tree expected 0xa002"):
+        scan.scan_keys(0, [1, 2], [101, 102, 0xA002], (1, 16))
+    with pytest.raises(StructureError, match="node 0 slot 3 payload"):
+        scan.scan_keys(0, [], [0xA000], (3, 16))

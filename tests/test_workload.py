@@ -34,6 +34,20 @@ def test_mix_table():
         WorkloadSpec("x", 100, 0, 0, "zipfian", 100, 0, 1)
 
 
+@pytest.mark.parametrize("pcts,field", [
+    ((60, -20, 60), "update_pct"),     # sums to 100, one share negative
+    ((-1, 101, 0), "read_pct"),
+    ((0, 0, 101), "insert_pct"),
+    ((50.0, 50, 0), "read_pct"),       # not an int
+    ((99, True, 0), "update_pct"),     # a bool is no percentage
+    ((100, 0, False), "insert_pct"),
+])
+def test_spec_refuses_a_share_outside_0_to_100(pcts, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be an int in "
+                                          f"0..100"):
+        WorkloadSpec("x", *pcts, "zipfian", 1000, 50, 1)
+
+
 def test_stream_shape_and_load_phase():
     stream = generate(spec_for("a", 200, 120), 64)
     assert len(stream) == 200
