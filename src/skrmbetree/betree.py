@@ -148,15 +148,6 @@ class InternalNode:
         self._free = free ^ low
         return low.bit_length() - 1
 
-    def give_slot(self, slot: int) -> None:
-        if slot < 0 or not self.span >> slot & 1:
-            raise StructureError(
-                f"node {self.node_id} has no buffer slot {slot}")
-        bit = 1 << slot
-        if self._free & bit:
-            raise StructureError(f"slot {slot} freed twice")
-        self._free |= bit
-
     def held_mask(self, msgs) -> int:
         """The mask of the buffer slots `msgs` hold, one each. Changes
         nothing; refuses a slot outside the buffer span, a free one, or one
@@ -235,35 +226,55 @@ class BeTree:
                 writes.append((i, kw, vw, self.word_bits))
         return writes
 
-    def _move(self, msgs, src: InternalNode, dst: InternalNode) -> None:
-        """Move buffered messages from `src`'s slots to `dst`'s: the batch
-        frees its slots in `src` in one step, and the messages take `dst`'s
-        lowest free slots in message order. A batch that `src` does not
-        hold one slot per message, or that `dst` has no room for, is
-        refused before anything changes."""
-        freed = src.held_mask(msgs)
-        free = dst._free
-        if free.bit_count() < len(msgs):
-            raise StructureError(f"node {dst.node_id} has {free.bit_count()} "
-                                 f"free slots for {len(msgs)} messages")
-        src._free |= freed
-        for m in msgs:
-            low = free & -free
-            free ^= low
-            m.slot = low.bit_length() - 1
-        dst._free = free
-
     def _slot_writes(self, msgs) -> list:
         """The pair writes that put `msgs` in their slots."""
         width = self.payload_width
         return [(m.slot, m.key, m.payload, width) for m in msgs]
 
-    def _release(self, node: InternalNode, msg: Message) -> None:
-        # shadowed upsert dies in place: no device traffic, the slot and
-        # arena index just return to their pools
-        node.give_slot(msg.slot)
+    def _hand_over(self, src: InternalNode, lo: int, hi: int, dst=None,
+                   writes=()) -> list:
+        """Take the batch `src.buffer[lo:hi]` out of `src`, freeing its
+        slots with one OR, and return it. With `dst` the batch takes dst's
+        lowest free slots in message order, merges into its buffer and is
+        written there after `writes`. A batch that `src` does not hold one
+        slot per message, or that `dst` has no room for, is refused before
+        anything changes."""
+        batch = src.buffer[lo:hi]
+        freed = src.held_mask(batch)
+        if dst is not None:
+            free = dst._free
+            if free.bit_count() < len(batch):
+                raise StructureError(
+                    f"node {dst.node_id} has {free.bit_count()} free slots "
+                    f"for {len(batch)} messages")
+        src.splice(lo, hi)
+        src._free |= freed
+        if dst is None:
+            return batch
+        for m in batch:
+            low = free & -free
+            free ^= low
+            m.slot = low.bit_length() - 1
+        dst._free = free
+        self.kv_writes += len(batch)
+        # two sorted runs, and no batch key is left in dst: a stable key
+        # sort keeps dst's own ties in seq order, and merges in linear time
+        dst.splice(0, len(dst.buffer), sorted(dst.buffer + batch, key=_KEY))
+        # on NullStore the moved pairs' writes would be thrown away
+        if self.store.has_device:
+            writes = [*writes, *self._slot_writes(batch)]
+        if writes:
+            self.store.write_pairs(dst.node_id, writes)
+        return batch
+
+    def _release(self, node: InternalNode, msgs) -> None:
+        # shadowed upserts die in place: no device traffic, the slots and
+        # arena indices just return to their pools
+        freed = node.held_mask(msgs)
         if self.arena is not None:
-            self.arena.free(msg.payload)
+            for m in msgs:
+                self.arena.free(m.payload)
+        node._free |= freed
 
     # ---------------------------------------------------------------- upsert
 
@@ -334,22 +345,12 @@ class BeTree:
                         self._flush(child)
                     if node.pivots != before or len(node.buffer) != size:
                         continue
-            node.splice(lo, lo + len(batch))
+            hi = lo + len(batch)
             if child.kind == KIND_INTERNAL:
-                self._move(batch, node, child)
-                self.kv_writes += len(batch)
-                # two sorted runs, and no batch key is left in the child:
-                # a stable key sort keeps the child's own ties in seq order,
-                # and merges in linear time
-                child.splice(0, len(child.buffer),
-                             sorted(child.buffer + batch, key=_KEY))
-                if self.store.has_device:
-                    self.store.write_pairs(child.node_id,
-                                           self._slot_writes(batch))
+                self._hand_over(node, lo, hi, child)
             else:
-                node._free |= node.held_mask(batch)
                 arrivals = []
-                for m in batch:
+                for m in self._hand_over(node, lo, hi):
                     if self.arena is not None:
                         value = self.store.arena_read(
                             m.payload, self.word_bits,
@@ -367,13 +368,13 @@ class BeTree:
         run = node.buffer[lo:hi]
         if len(set(map(_KEY, run))) == len(run):
             return run
-        survivors = []
+        survivors, dropped = [], []
         for m in run:
             if survivors and survivors[-1].key == m.key:
-                self._release(node, survivors.pop())
+                dropped.append(survivors.pop())
             survivors.append(m)
-        if len(survivors) < len(run):
-            node.splice(lo, hi, survivors)
+        self._release(node, dropped)
+        node.splice(lo, hi, survivors)
         return survivors
 
     def _shadow_kill_in_child(self, child: InternalNode, batch) -> None:
@@ -399,9 +400,8 @@ class BeTree:
         if dead:
             # by identity: Message equality compares every field
             gone = set(map(id, dead))
+            self._release(child, dead)
             child.splice(0, n, [m for m in buf if id(m) not in gone])
-            for old in dead:
-                self._release(child, old)
 
     # ------------------------------------------------------------ leaf merge
 
@@ -490,17 +490,10 @@ class BeTree:
         node.pivots = node.pivots[:mid]
         for _k, cid in sibling.pivots:
             self.nodes[cid].parent = sibling.node_id
-        writes = self._pair_writes([], sibling.pivots)
         # keys at or above sep2 are a suffix of the key-sorted buffer
         cut = bisect.bisect_left(node.buffer, sep2, key=_KEY)
-        moved = node.buffer[cut:]
-        node.splice(cut, len(node.buffer))
-        self._move(moved, node, sibling)
-        sibling.splice(0, 0, moved)
-        if self.store.has_device:
-            writes += self._slot_writes(moved)
-        self.store.write_pairs(sibling.node_id, writes)
-        self.kv_writes += len(moved)
+        self._hand_over(node, cut, len(node.buffer), sibling,
+                        self._pair_writes([], sibling.pivots))
         self.store.write_pairs(node.node_id,
                                self._pair_writes(old_pivots, node.pivots))
         self._on_split(node, sep2, sibling)
@@ -666,18 +659,12 @@ class BeTree:
         order = [_ORDER(m) for m in node.buffer]
         if order != sorted(order):
             raise StructureError(f"node {nid} buffer unsorted")
-        slots = [m.slot for m in node.buffer]
-        span = range(self.cfg.pivot_pairs, self.cfg.node_pairs)
-        if len(set(slots)) != len(slots) or any(s not in span for s in slots):
-            raise StructureError(f"node {nid} buffer slots corrupt")
-        used = sum(1 << s for s in slots)
-        span_mask = (1 << span.stop) - (1 << span.start)
         free = node._free
-        if free < 0 or free & ~span_mask:
+        if free & ~node.span:
             raise StructureError(f"node {nid} frees a slot outside its buffer")
-        if used & free:
-            raise StructureError(f"node {nid} slot both used and free")
-        if used | free != span_mask:
+        # the messages hold distinct, non-free slots of the span, and with
+        # the free ones they cover it
+        if node.held_mask(node.buffer) | free != node.span:
             raise StructureError(f"node {nid} slot bookkeeping leaks")
         for m in node.buffer:
             if not (lo <= m.key < hi):

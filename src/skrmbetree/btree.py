@@ -21,7 +21,7 @@ from .betree import BeTree
 from .config import TreeConfig
 from .errors import ConfigError, StructureError
 from .layout import NullStore
-from .workload import make_key, make_value
+from .workload import _draw, _key_base, _value_base
 
 _FIRST = itemgetter(0)
 
@@ -158,12 +158,14 @@ def write_count_series(samples, seed: int, node_capacity: int = 16):
     btree = BTree(node_capacity)
     betree = BeTree(NullStore(), betree_config_for_capacity(node_capacity),
                     word_bits=64)
+    # make_key and make_value with the seed hashed once
+    key_base, value_base = _key_base(seed), _value_base(seed)
     rows = []
     done = 0
     for target in samples:
         for i in range(done, target):
-            key = make_key(seed, i, 64)
-            value = make_value(seed, i, 64)
+            key = _draw(key_base + i, 64)
+            value = _draw(value_base + i, 64)
             btree.insert(key, value)
             betree.upsert(key, value)
         done = target

@@ -8,7 +8,7 @@ word mapping
     slots are the track's key slots as they stand, and a track carries
     2 * node_pairs ports. Arena slot i is word slot i % ports_per_track of
     arena track i // ports_per_track; arena tracks are added when a slot
-    on them is first used.
+    on them is first written.
 
 bit_interleaved mapping
     Nodes share groups of 2 * word_bits tracks that shift in lockstep. Key
@@ -106,13 +106,17 @@ class DeviceStore:
         self._pools[kind] = (group, used + 1)
         self.homes[node_id] = (group, used)
 
-    def _arena_at(self, index: int):
+    def _arena_at(self, index: int, place: bool = False):
         """Home of arena slot `index` as (track or group, port, column
-        offset); on the word mapping the offset is always 0."""
+        offset); on the word mapping the offset is always 0. Only a write
+        (`place`) adds arena tracks or groups, up to the slot's; any other
+        access to a slot on one never placed is refused."""
         if index < 0:
             # -1 would alias the last slot of the last arena track
             raise PortRangeError(f"arena slot {index} is negative")
         n, cell = divmod(index, self._arena_slots)
+        if n >= len(self.arena) and not place:
+            raise PortRangeError(f"arena slot {index} was never written")
         while n >= len(self.arena):
             if self._word:
                 self._budget(1)
@@ -166,6 +170,9 @@ class DeviceStore:
         payload, and raises on the first that differs. Returns the words
         read, the payload last."""
         if not pair_slots and payload is None:
+            if expect:
+                raise ConfigError(f"{len(expect)} expected words for a pass "
+                                  f"of 0 reads")
             return []
         device, wb = self.device, self.word_bits
         if self._word:
@@ -259,7 +266,7 @@ class DeviceStore:
 
     def arena_write(self, index: int, value: int, width: int) -> None:
         # values are spilled once per upsert; compare-write keeps that cheap
-        home, port, offset = self._arena_at(index)
+        home, port, offset = self._arena_at(index, place=True)
         if self._word:
             self.device.write_serial(home, port, value, width, "dcw")
         else:

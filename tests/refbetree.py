@@ -1,13 +1,16 @@
 """The buffered tree with per-message pair moves: the flush-path reference.
 
-`BeTree` moves a batch's slots in bulk: one mask frees them, one loop over
-ints hands out the destination's lowest free slots, the merged child buffer
-is a stable key sort, and a NullStore tree builds no moved-pair writes.
-`RefBeTree` keeps the per-message form it replaced: each message gives its
-slot back and takes the lowest free one, the child buffer is sorted by
-(key, seq), the dedupe and the shadow kill always walk their runs, and
-every flushed pair's write goes to the store. A test replays one stream through both and holds the
-bulk path to exactly the slots, orders, masks and counts of this one.
+`BeTree` moves a batch's slots in bulk: `_hand_over` frees a batch leaving
+a node with one mask and hands out the destination's lowest free slots in
+one loop over ints, `_release` frees the drops of a dedupe or shadow-kill
+walk with one mask, the merged child buffer is a stable key sort, and a
+NullStore tree builds no moved-pair writes. `RefBeTree` keeps the
+per-message form they replaced: each message gives its slot back and takes
+the lowest free one, the child buffer is sorted by (key, seq), the dedupe
+and the shadow kill always walk their runs, and every moved pair's write
+goes to the store. Flushes, splits and drops all take these paths, so a
+test that replays one stream through both trees holds the bulk path to
+exactly the slots, orders, masks and counts of this one.
 """
 
 import bisect
@@ -21,19 +24,49 @@ _KEY = attrgetter("key")
 _ORDER = attrgetter("key", "seq")
 
 
+def give_slot(node, slot):
+    """Return one buffer slot to `node`'s pool."""
+    if slot < 0 or not node.span >> slot & 1:
+        raise StructureError(f"node {node.node_id} has no buffer slot {slot}")
+    bit = 1 << slot
+    if node._free & bit:
+        raise StructureError(f"slot {slot} freed twice")
+    node._free |= bit
+
+
 class RefBeTree(BeTree):
 
     def _move(self, msgs, src, dst):
         for m in msgs:
-            src.give_slot(m.slot)
+            give_slot(src, m.slot)
             m.slot = dst.take_slot()
+
+    def _release(self, node, msgs):
+        for m in msgs:
+            give_slot(node, m.slot)
+            if self.arena is not None:
+                self.arena.free(m.payload)
+
+    def _hand_over(self, src, lo, hi, dst=None, writes=()):
+        batch = src.buffer[lo:hi]
+        src.splice(lo, hi)
+        if dst is None:
+            for m in batch:
+                give_slot(src, m.slot)
+            return batch
+        self._move(batch, src, dst)
+        dst.splice(0, len(dst.buffer), sorted(dst.buffer + batch, key=_ORDER))
+        self.store.write_pairs(dst.node_id,
+                               [*writes, *self._slot_writes(batch)])
+        self.kv_writes += len(batch)
+        return batch
 
     def _dedupe_batch(self, node, lo, hi):
         run = node.buffer[lo:hi]
         survivors = []
         for m in run:
             if survivors and survivors[-1].key == m.key:
-                self._release(node, survivors.pop())
+                self._release(node, [survivors.pop()])
             survivors.append(m)
         if len(survivors) < len(run):
             node.splice(lo, hi, survivors)
@@ -61,7 +94,7 @@ class RefBeTree(BeTree):
             gone = set(map(id, dead))
             child.splice(0, n, [m for m in buf if id(m) not in gone])
             for old in dead:
-                self._release(child, old)
+                self._release(child, [old])
 
     def _flush(self, node):
         if not node.buffer:
@@ -92,18 +125,11 @@ class RefBeTree(BeTree):
                         self._flush(child)
                     if node.pivots != before or len(node.buffer) != size:
                         continue
-            node.splice(lo, lo + len(batch))
             if child.kind == KIND_INTERNAL:
-                self._move(batch, node, child)
-                child.splice(0, len(child.buffer),
-                             sorted(child.buffer + batch, key=_ORDER))
-                writes = self._slot_writes(batch)
-                self.store.write_pairs(child.node_id, writes)
-                self.kv_writes += len(writes)
+                self._hand_over(node, lo, lo + len(batch), child)
             else:
                 arrivals = []
-                for m in batch:
-                    node.give_slot(m.slot)
+                for m in self._hand_over(node, lo, lo + len(batch)):
                     if self.arena is not None:
                         value = self.store.arena_read(
                             m.payload, self.word_bits,

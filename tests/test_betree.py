@@ -117,20 +117,31 @@ def test_arena_sized_from_planned_upserts():
 # --------------------------------------------------------------- slot pool
 
 def test_slot_pool_misuse_fails_typed_and_changes_nothing():
+    # a bad message comes after a good one, so a release that went message
+    # by message would already have freed the first slot and arena index
+    tree = make_null_tree(encoding=True)
     node = InternalNode(7, pivot_pairs=2, node_pairs=4)
     assert [node.take_slot(), node.take_slot()] == [2, 3]
     with pytest.raises(StructureError, match="node 7 has no free slot"):
         node.take_slot()
     assert node._free == 0
-    node.give_slot(3)
-    for bad in (0, 1, 4, 99, -1):
-        with pytest.raises(StructureError, match=f"no buffer slot {bad}"):
-            node.give_slot(bad)
-        assert node._free == 1 << 3
-    with pytest.raises(StructureError, match="freed twice"):
-        node.give_slot(3)
+    held = [Message(1, tree.arena.alloc(10), 1, 2),
+            Message(2, tree.arena.alloc(20), 2, 3)]
+    tree._release(node, held[1:])
     assert node._free == 1 << 3
+    assert tree.arena.values == {0: 10}
+    bad_batches = [([held[0], Message(3, 0, 3, bad)], f"no buffer slot {bad}")
+                   for bad in (0, 1, 4, 99, -1)]
+    bad_batches += [(held, "node 7 slot 3 is already free"),
+                    ([held[0], held[0]], "node 7 holds two messages in one "
+                                         "slot")]
+    for batch, message in bad_batches:
+        with pytest.raises(StructureError, match=message):
+            tree._release(node, batch)
+        assert node._free == 1 << 3
+        assert tree.arena.values == {0: 10}
     assert node.take_slot() == 3
+    assert node.held_mask(held) == 1 << 2 | 1 << 3
 
 
 @pytest.mark.parametrize("slots,dst_taken,message", [
@@ -143,21 +154,32 @@ def test_slot_pool_misuse_fails_typed_and_changes_nothing():
 ])
 def test_move_refuses_a_bad_batch_and_changes_nothing(slots, dst_taken,
                                                       message):
-    # src holds slots 2, 3 and 4 of its buffer span 2..5; the bad message
-    # comes last, so a move that went message by message would already
-    # have moved the first one
-    tree = make_null_tree()
+    # src holds slots 2, 3 and 4 of its buffer span 2..5 and buffers the
+    # batch after a message of its own; the bad message comes last, so a
+    # hand-over that went message by message would already have moved the
+    # first one. A refused batch stays in src's buffer, and neither
+    # buffer, mask, write count nor device counter moves
+    tree, device = make_device_tree("word", node_pairs=6)
     src = InternalNode(1, pivot_pairs=2, node_pairs=6)
     dst = InternalNode(2, pivot_pairs=2, node_pairs=6)
     for _ in range(3):
         src.take_slot()
-    for _ in range(dst_taken):
-        dst.take_slot()
+    held = [dst.take_slot() for _ in range(dst_taken)]
+    dst.splice(0, 0, [Message(20 + s, 0, s, s) for s in held])
     batch = [Message(10 + i, i, i, s) for i, s in enumerate(slots)]
-    before = src._free, dst._free
-    with pytest.raises(StructureError, match=message):
-        tree._move(batch, src, dst)
-    assert (src._free, dst._free) == before
+    src.splice(0, 0, [Message(5, 0, 0, 4), *batch])
+
+    def state():
+        return ([(m.key, m.slot) for m in src.buffer], src._free,
+                [(m.key, m.slot) for m in dst.buffer], dst._free,
+                tree.kv_writes, device.counters.as_flat_dict())
+
+    before = state()
+    # a flush into a leaf hands over to no node, so only src can refuse
+    for target in (dst,) if dst_taken else (dst, None):
+        with pytest.raises(StructureError, match=message):
+            tree._hand_over(src, 1, 1 + len(batch), target)
+        assert state() == before
     assert [m.slot for m in batch] == slots
 
 
@@ -168,13 +190,23 @@ def test_move_takes_the_lowest_free_slots_in_message_order():
     for _ in range(3):
         src.take_slot()
     dst.take_slot()
+    own = Message(5, 0, 0, 3)
     batch = [Message(10, 0, 1, 4), Message(11, 0, 2, 2)]
-    tree._move(batch, src, dst)
+    src.splice(0, 0, [own, *batch])
+    dst.splice(0, 0, [Message(12, 0, 0, 2)])
+    assert tree._hand_over(src, 1, 3, dst) == batch
     assert [m.slot for m in batch] == [3, 4]
+    assert src.buffer == [own]
+    assert [m.key for m in dst.buffer] == [10, 11, 12]
     assert src._free == 1 << 2 | 1 << 4 | 1 << 5
     assert dst._free == 1 << 5
-    tree._move([], src, dst)
+    assert tree.kv_writes == 2
+    assert tree._hand_over(src, 1, 1, dst) == []
     assert (src._free, dst._free) == (1 << 2 | 1 << 4 | 1 << 5, 1 << 5)
+    assert tree.kv_writes == 2
+    # with no destination the batch only leaves src
+    assert tree._hand_over(src, 0, 1) == [own]
+    assert (src.buffer, src._free, tree.kv_writes) == ([], src.span, 2)
 
 
 def test_full_pool_over_an_empty_buffer_fails_typed():
@@ -556,7 +588,7 @@ def test_audit_cross_checks_the_device_image():
 @pytest.mark.parametrize("corrupt,message", [
     (lambda free, used: free | 1, "frees a slot outside its buffer"),
     (lambda free, used: free | 1 << 8, "frees a slot outside its buffer"),
-    (lambda free, used: free | 1 << used, "slot both used and free"),
+    (lambda free, used: free | 1 << used, "slot {used} is already free"),
     (lambda free, used: free & (free - 1), "slot bookkeeping leaks"),
 ])
 def test_audit_checks_the_free_slot_mask(corrupt, message):
@@ -566,8 +598,10 @@ def test_audit_checks_the_free_slot_mask(corrupt, message):
     root = tree.nodes[tree.root_id]
     assert root.kind != KIND_LEAF and root.buffer and root._free
     tree.audit()
-    root._free = corrupt(root._free, root.buffer[0].slot)
-    with pytest.raises(StructureError, match=f"node {root.node_id} {message}"):
+    used = root.buffer[0].slot
+    root._free = corrupt(root._free, used)
+    with pytest.raises(StructureError, match=f"node {root.node_id} "
+                       f"{message.format(used=used)}"):
         tree.audit()
 
 
@@ -672,13 +706,13 @@ def _buffer_reversed(tree):
 def _shared_slot(tree):
     node = _buffered(tree)
     node.buffer[1].slot = node.buffer[0].slot
-    return f"node {node.node_id} buffer slots corrupt"
+    return f"node {node.node_id} holds two messages in one slot"
 
 
 def _pivot_slot_buffered(tree):
     node = _buffered(tree)
     node.buffer[0].slot = 0
-    return f"node {node.node_id} buffer slots corrupt"
+    return f"node {node.node_id} has no buffer slot 0"
 
 
 def _foreign_key(tree):
@@ -775,9 +809,10 @@ def _arena_cell_flipped(tree):
     return f"arena slot {index} holds"
 
 
-# every raise site of BeTree.audit, _audit_node and _audit_leaf but the
-# free-mask ones, which test_audit_checks_the_free_slot_mask reaches; the
-# flipped cells need a device
+# every raise site of BeTree.audit, _audit_node and _audit_leaf, with the
+# span and shared-slot ones of the held_mask it calls, but the free-mask
+# ones, which test_audit_checks_the_free_slot_mask reaches; the flipped
+# cells need a device
 _AUDIT_CORRUPTIONS = [_wrong_parent, _child_twice, _no_pivots, _one_pivot,
                       _pivot_overflow, _pivots_reversed, _pivot_past_range,
                       _buffer_overflow, _buffer_reversed, _shared_slot,

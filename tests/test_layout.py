@@ -228,7 +228,9 @@ def _store_state(store):
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
 def test_store_refuses_a_negative_arena_slot_and_a_bad_kind(mapping):
     # -1 would index past the end of an empty arena list, and once an
-    # arena track exists it would alias that track's last slot
+    # arena track exists it would alias that track's last slot. Only a
+    # write places arena tracks: a read or peek of slot 5000, on a track
+    # or group never written, would place every one up to it
     store = make_store(mapping)
     store.add_node(0, KIND_LEAF)
     wb = store.word_bits
@@ -236,10 +238,12 @@ def test_store_refuses_a_negative_arena_slot_and_a_bad_kind(mapping):
         if arena_in_use:
             store.arena_write(0, 3, wb)
         before = _store_state(store)
-        for access in (lambda: store.arena_write(-1, 5, wb),
-                       lambda: store.arena_read(-1, wb),
-                       lambda: store.peek_arena(-1, wb)):
-            with pytest.raises(PortRangeError, match="arena slot -1"):
+        for index, access in ((-1, lambda: store.arena_write(-1, 5, wb)),
+                              (-1, lambda: store.arena_read(-1, wb)),
+                              (-1, lambda: store.peek_arena(-1, wb)),
+                              (5000, lambda: store.arena_read(5000, wb)),
+                              (5000, lambda: store.peek_arena(5000, wb))):
+            with pytest.raises(PortRangeError, match=f"arena slot {index} "):
                 access()
             assert _store_state(store) == before
         # a misspelt kind would open a pool of its own
@@ -356,8 +360,11 @@ def test_scan_keys_bills_like_read_key_and_names_a_wrong_key(mapping):
     keys = [100 + s for s in slots]
     scan, ref = stores
     before = scan.device.counters.as_flat_dict()
-    # an empty scan reads nothing and moves nothing, not even an align
+    # an empty scan reads nothing and moves nothing, not even an align,
+    # and refuses an expected word it cannot read
     assert scan.scan_keys(0, [], []) == []
+    with pytest.raises(ConfigError, match="1 expected words for a pass of 0"):
+        scan.scan_keys(0, [], [5])
     assert scan.device.counters.as_flat_dict() == before
     assert scan.scan_keys(0, slots, keys) == [103, 101, 102, 100]
     assert [ref.read_key(0, s, expect=100 + s) for s in slots] == \
