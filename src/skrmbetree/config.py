@@ -1,8 +1,10 @@
 """Run configuration: unit costs, track geometry, tree shape, experiment knobs.
 
 Everything here can be set from code, from CLI flags, or from a plain
-``key = value`` text file whose keys mirror the dataclass field names
-(see :func:`read_config_file`).
+``key = value`` text file (see :func:`read_config_file`). A settings key is
+the name of an ExperimentConfig, TreeConfig or CostModel field, or
+``word_bits``, the one alias: a multiple of 8 that sets ``word_bytes``. The
+track geometry follows from the tree shape and word size; no key sets it.
 """
 
 from __future__ import annotations
@@ -193,8 +195,10 @@ class ExperimentConfig:
         Bit-interleaved tracks hold one bit column of many nodes: one port
         per pair slot.
         """
-        return _geometry(self.mapping, self.tree.node_pairs, self.word_bits,
-                         self.shift_policy)
+        ports = self.tree.node_pairs * (2 if self.mapping == "word" else 1)
+        return Geometry(word_bits=self.word_bits,
+                        interport_bits=self.word_bits, ports_per_track=ports,
+                        shift_policy=self.shift_policy)
 
     def baseline(self) -> "ExperimentConfig":
         """The naive reference configuration on the same mapping."""
@@ -209,11 +213,12 @@ class ExperimentConfig:
 BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
                "0": False, "false": False, "off": False, "no": False}
 
-# settings key -> the annotated type of the field it sets; word_bits and
-# the two derived geometry keys take their Geometry types
-_KEY_TYPES = {f.name: f.type
-              for cls in (Geometry, ExperimentConfig, TreeConfig, CostModel)
-              for f in fields(cls) if f.name not in ("tree", "cost")}
+# settings key -> the annotated type of the field it sets; word_bits, the
+# one alias, sets word_bytes
+_KEY_TYPES = {"word_bits": "int",
+              **{f.name: f.type
+                 for cls in (ExperimentConfig, TreeConfig, CostModel)
+                 for f in fields(cls) if f.name not in ("tree", "cost")}}
 
 def _parse(key: str, value):
     """`value` as the type of the field `key` sets: text from a settings
@@ -280,17 +285,8 @@ def read_config_file(path) -> dict:
     return out
 
 
-_COST_KEYS = [f.name for f in fields(CostModel)]
-_TREE_KEYS = [f.name for f in fields(TreeConfig)]
-_EXP_KEYS = [f.name for f in fields(ExperimentConfig)
-             if f.name not in ("tree", "cost")]
-
-
-def _geometry(mapping: str, node_pairs: int, word_bits: int,
-              shift_policy: str) -> Geometry:
-    ports = 2 * node_pairs if mapping == "word" else node_pairs
-    return Geometry(word_bits=word_bits, interport_bits=word_bits,
-                    ports_per_track=ports, shift_policy=shift_policy)
+_COST_KEYS = {f.name for f in fields(CostModel)}
+_TREE_KEYS = {f.name for f in fields(TreeConfig)}
 
 
 def apply_file_settings(cfg: ExperimentConfig, *layers: dict) -> ExperimentConfig:
@@ -300,44 +296,22 @@ def apply_file_settings(cfg: ExperimentConfig, *layers: dict) -> ExperimentConfi
     the cross-field checks see only the finished config, never a
     half-applied one.
 
-    Geometry keys (word_bits, ...) adjust the experiment-level fields they
-    derive from; ports_per_track and interport_bits are derived from the
-    tree shape and word size, so they must agree with what their own layer
-    and the ones before it give (a later layer may change the word size).
-    Unknown keys raise, so typos do not pass silently.
+    A key is a config field name or word_bits, a multiple of 8 that sets
+    word_bytes; one layer may not give both. Unknown keys raise, so typos
+    do not pass silently.
     """
     cost_kw, tree_kw, exp_kw = {}, {}, {}
-    derived = []    # (key, value, the geometry its layer gives)
     for settings in layers:
-        layer_derived = []
+        if "word_bits" in settings and "word_bytes" in settings:
+            raise ConfigError("word_bits and word_bytes both set the word "
+                              "size; give one of them")
         for key, value in settings.items():
             value = _parse(key, value)
-            if key in _COST_KEYS:
-                cost_kw[key] = value
-            elif key in _TREE_KEYS:
-                tree_kw[key] = value
-            elif key in _EXP_KEYS:
-                exp_kw[key] = value
-            elif key == "word_bits":
+            if key == "word_bits":
                 if value % 8:
-                    raise ConfigError("word_bits from file must be a multiple of 8")
-                exp_kw["word_bytes"] = value // 8
-            else:
-                # ports_per_track or interport_bits: accepted so a
-                # device-level settings file can be shared
-                layer_derived.append((key, value))
-        at = (exp_kw.get("mapping", cfg.mapping),
-              tree_kw.get("node_pairs", cfg.tree.node_pairs),
-              8 * exp_kw.get("word_bytes", cfg.word_bytes),
-              exp_kw.get("shift_policy", cfg.shift_policy))
-        derived += [(key, value, at) for key, value in layer_derived]
-    cfg = replace(cfg, cost=replace(cfg.cost, **cost_kw),
-                  tree=replace(cfg.tree, **tree_kw), **exp_kw)
-    # checked once the finished config stands, so a bad field is named first
-    for key, value, at in derived:
-        want = getattr(_geometry(*at), key)
-        if value != want:
-            raise ConfigError(
-                f"{key} = {value} from file disagrees with the geometry this "
-                f"run derives ({key} = {want})")
-    return cfg
+                    raise ConfigError("word_bits must be a multiple of 8")
+                key, value = "word_bytes", value // 8
+            (cost_kw if key in _COST_KEYS else
+             tree_kw if key in _TREE_KEYS else exp_kw)[key] = value
+    return replace(cfg, cost=replace(cfg.cost, **cost_kw),
+                   tree=replace(cfg.tree, **tree_kw), **exp_kw)

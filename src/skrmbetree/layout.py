@@ -115,15 +115,16 @@ class DeviceStore:
             # -1 would alias the last slot of the last arena track
             raise PortRangeError(f"arena slot {index} is negative")
         n, cell = divmod(index, self._arena_slots)
-        if n >= len(self.arena) and not place:
-            raise PortRangeError(f"arena slot {index} was never written")
-        while n >= len(self.arena):
-            if self._word:
-                self._budget(1)
-                self.arena.append(self.device.new_track())
-            else:
-                self._budget(self.word_bits)
-                self.arena.append(self.device.new_group(self.word_bits))
+        missing = n + 1 - len(self.arena)
+        if missing > 0:
+            if not place:
+                raise PortRangeError(f"arena slot {index} was never written")
+            # the budget covers every missing track or group, so a refused
+            # write places none of them
+            self._budget(missing * (1 if self._word else self.word_bits))
+            for _ in range(missing):
+                self.arena.append(self.device.new_track() if self._word
+                                  else self.device.new_group(self.word_bits))
         if self._word:
             return self.arena[n], cell, 0
         port, offset = divmod(cell, self.device.geom.interport_bits)

@@ -318,12 +318,11 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
      "encoding = on\nword_bits = 8\n", [(50, 1)]),
     (["sweep", "--word-bytes", "1", "--entries-grid", "50,60",
       "--word-bytes-grid", "2"], "encoding = on\n", [(50, 2), (60, 2)]),
-    # the derived keys agree with the file's own geometry; flags change it
-    (["run", "--word-bytes", "8", "--mapping", "bit"],
-     "word_bits = 32\ninterport_bits = 32\nports_per_track = 32\n",
+    # a flag's word size wins over the file's
+    (["run", "--word-bytes", "8", "--mapping", "bit"], "word_bits = 32\n",
      [(10_000, 8)]),
 ), ids=["run-file-word", "sweep-file-word", "sweep-flag-word",
-        "run-derived-keys"])
+        "run-flag-word"])
 def test_cli_checks_only_the_finished_config(argv, conf, want, tmp_path,
                                              monkeypatch):
     # the file, the flags and the grid apply as one config, so a check that

@@ -1128,7 +1128,7 @@ def _dict_leaf_merge(tree, leaf, arrivals):
         left = sibling
 
 
-def _tree_state(tree):
+def _merge_state(tree):
     nodes = {}
     for nid, node in tree.nodes.items():
         body = (node.elements if node.kind == KIND_LEAF
@@ -1174,7 +1174,7 @@ def test_leaf_merge_walk_matches_the_dict_merge(store, strategy,
                   sorted(second.items())):
         for tree in trees:
             tree._leaf_merge(leaf[id(tree)], list(batch))
-        assert _tree_state(walk) == _tree_state(ref)
+        assert _merge_state(walk) == _merge_state(ref)
         if devices:
             assert (devices[0].counters.as_flat_dict()
                     == devices[1].counters.as_flat_dict())

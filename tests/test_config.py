@@ -181,30 +181,51 @@ def test_experiment_seed_must_be_non_negative(tmp_path):
         apply_file_settings(ExperimentConfig(), read_config_file(path))
 
 
-def test_settings_file_geometry_keys_must_agree():
-    # word mapping: two word slots per pair, interport = word size
-    agree = {"word_bits": 16, "node_pairs": 8, "pivot_pairs": 2,
-             "buffer_pairs": 6, "element_pairs": 8, "ports_per_track": 16,
-             "interport_bits": 16}
-    cfg = apply_file_settings(ExperimentConfig(), agree)
-    assert cfg.geometry().ports_per_track == 16
-    assert cfg.geometry().interport_bits == 16
-    for key, bad, derived in (("ports_per_track", 8, 16),
-                              ("interport_bits", 32, 16)):
-        with pytest.raises(ConfigError) as err:
-            apply_file_settings(ExperimentConfig(), {**agree, key: bad})
-        assert f"{key} = {bad}" in str(err.value)
-        assert f"{key} = {derived}" in str(err.value)
-    # the bit-interleaved mapping derives one port per pair
-    bit = apply_file_settings(ExperimentConfig(),
-                              {"mapping": "bit_interleaved",
-                               "ports_per_track": 16})
-    assert bit.geometry().ports_per_track == 16
-    with pytest.raises(ConfigError):
-        apply_file_settings(ExperimentConfig(),
-                            {"mapping": "bit_interleaved",
-                             "ports_per_track": 32})
+@pytest.mark.parametrize("key", ("ports_per_track", "interport_bits"))
+def test_settings_refuse_a_geometry_key(tmp_path, key):
+    # the track geometry follows from the tree shape and word size: a key
+    # that restates it is as unknown as a typo, from a file or from code
+    path = tmp_path / "run.conf"
+    path.write_text(f"entries = 500\n{key} = 64\n")
+    with pytest.raises(ConfigError, match=f"run.conf:2: unknown config key "
+                                          f"'{key}'"):
+        read_config_file(path)
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        apply_file_settings(ExperimentConfig(), {"entries": 500}, {key: 64})
 
+
+def test_one_layer_sets_the_word_size_once(tmp_path):
+    # one layer giving both keys is refused whatever their order, even
+    # when they agree, rather than keeping whichever line comes last
+    path = tmp_path / "run.conf"
+    for lines in ("word_bytes = 4\nword_bits = 64\n",
+                  "word_bits = 64\nword_bytes = 4\n",
+                  "word_bits = 32\nword_bytes = 4\n"):
+        path.write_text(lines)
+        with pytest.raises(ConfigError) as err:
+            apply_file_settings(ExperimentConfig(), read_config_file(path))
+        assert "word_bits" in str(err.value) and "word_bytes" in str(err.value)
+    # a later layer still overrides an earlier one's word size
+    for file_key, value in (("word_bits", 64), ("word_bytes", 8)):
+        for flag_key, flag in (("word_bytes", 2), ("word_bits", 16)):
+            cfg = apply_file_settings(ExperimentConfig(word_bytes=4),
+                                      {file_key: value}, {flag_key: flag})
+            assert cfg.word_bytes == 2
+
+
+@pytest.mark.parametrize("conf", ("ports_per_track = 32\n",
+                                  "interport_bits = 64\n",
+                                  "word_bits = 16\nword_bytes = 2\n"))
+def test_cli_refuses_a_key_the_config_refuses_before_out(tmp_path, capsys,
+                                                         conf):
+    from skrmbetree.cli import main
+    path = tmp_path / "run.conf"
+    path.write_text("entries = 40\n" + conf)
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "kept\n"
 
 
 # each settings-file line parses by the type of the field it sets

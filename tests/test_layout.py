@@ -253,6 +253,13 @@ def test_store_refuses_a_negative_arena_slot_and_a_bad_kind(mapping):
             assert _store_state(store) == before
     assert store.peek_arena(0, wb) == 3
     assert len(store.arena) == 1
+    # a write past the track budget places no arena track or group: 21
+    # arena tracks of 8 slots, or 5 groups of 16 tracks, are refused whole
+    store = make_store(mapping, max_tracks=5 if mapping == "word" else 40)
+    before = _store_state(store)
+    with pytest.raises(CapacityError):
+        store.arena_write(160 if mapping == "word" else 600, 1, 16)
+    assert _store_state(store) == before
 
 
 def test_group_align_moves_every_track_equally():
