@@ -69,9 +69,10 @@ class ValueArena:
         else:
             raise ArenaFullError(
                 f"all {self.capacity} arena slots hold in-flight values")
-        self.values[idx] = value
-        if self.occupancy > self.high_water:
-            self.high_water = self.occupancy
+        values = self.values
+        values[idx] = value
+        if len(values) > self.high_water:
+            self.high_water = len(values)
         return idx
 
     def free(self, idx: int) -> None:
@@ -279,28 +280,37 @@ class BeTree:
     # ---------------------------------------------------------------- upsert
 
     def upsert(self, key: int, value: int) -> None:
-        self._check_word(key, "key")
-        self._check_word(value, "value")
+        """Drop one message into the root buffer, flushing the root first
+        while it has no free slot. The new message is newer than every
+        buffered one, so it goes right after the last message of its key:
+        the buffer stays (key, seq)-sorted. A key or value that does not
+        fit in word_bits is refused before anything changes."""
+        wb = self.word_bits
+        if not 0 <= key < 1 << wb:
+            raise ConfigError(f"key does not fit in {wb} bits")
+        if not 0 <= value < 1 << wb:
+            raise ConfigError(f"value does not fit in {wb} bits")
         self.seq += 1
         root = self.nodes[self.root_id]
         if root.kind == KIND_LEAF:
             self._leaf_merge(root, [(key, value)])
             return
-        if self.arena is not None:
-            payload = self.arena.alloc(value)
-            self.store.arena_write(payload, value, self.word_bits)
+        store, arena = self.store, self.arena
+        if arena is not None:
+            payload = arena.alloc(value)
+            store.arena_write(payload, value, wb)
+            width = arena.index_bits
         else:
-            payload = value
-        while True:
-            root = self.nodes[self.root_id]
-            if root._free:
-                break
+            payload, width = value, wb
+        while not root._free:
             self._flush(root)
+            root = self.nodes[self.root_id]
         slot = root.take_slot()
-        at = bisect.bisect(root.buffer, (key, self.seq), key=_ORDER)
-        root.add_newest(at, Message(key, payload, self.seq, slot))
-        self.store.write_pairs(root.node_id,
-                               [(slot, key, payload, self.payload_width)])
+        root.add_newest(bisect.bisect_right(root.buffer, key, key=_KEY),
+                        Message(key, payload, self.seq, slot))
+        # on NullStore the pair's write would be thrown away
+        if store.has_device:
+            store.write_pairs(root.node_id, [(slot, key, payload, width)])
         self.kv_writes += 1
 
     # ---------------------------------------------------------------- flush

@@ -226,7 +226,7 @@ class Device:
         value below 2**width and no slot twice. Return the values as Python
         ints, whatever integer type carried them."""
         n_ports, ip = tr.n_ports, tr.interport
-        seen = set()
+        seen = 0    # bit s set: slot s is written
         values = []
         for slot, value, width in writes:
             value = index(value)
@@ -237,9 +237,9 @@ class Device:
                                   f"segment (0..{ip})")
             if value < 0 or value >> width:
                 raise ConfigError(f"value {value} does not fit in {width} bits")
-            if slot in seen:
+            if seen >> slot & 1:
                 raise ConfigError(f"slot {slot} written twice in one batch")
-            seen.add(slot)
+            seen |= 1 << slot
             values.append(value)
         return values
 
@@ -272,7 +272,7 @@ class Device:
         traced once. A parallel write in another mode, and any bad word,
         is refused before any change; no words cost nothing.
         """
-        tr = self._single(track)
+        tr = track if isinstance(track, Racetrack) else self._single(track)
         if mode not in _WORD_MODES:
             raise ConfigError(f"unknown write mode {mode!r}")
         if parallel and mode != "bcw":
@@ -286,6 +286,7 @@ class Device:
         # a bcw detect step fires every doubled detect of its bit together
         step_bit = 1 if mode == "bcw" else per_bit
         c = self.counters
+        # serial words log their own steps; a parallel pass logs once, after
         trace = None if parallel else c.trace
         cells = tr.cells
         stream = 2 * tr.interport
@@ -328,7 +329,6 @@ class Device:
                 c.log_steps("inject", i, i)
                 c.log_steps("remove", r, r)
             step = stream
-        det_steps, inj_steps, rem_steps = step_bit * det, inj, rem
         if parallel:
             shifts = home + stream
             # a position that both injects and removes is one mixed fire
@@ -339,16 +339,18 @@ class Device:
                 inj_steps += both
             else:
                 rem_steps += both
-            det_steps = widest
             if c.trace is not None:
                 c.log_steps("shift", shifts, shifts)
-                c.log_steps("detect", per_bit * det, det_steps)
+                c.log_steps("detect", per_bit * det, widest)
                 c.log_steps("inject", inj, inj_steps)
                 c.log_steps("remove", rem, rem_steps)
+            c.detect_steps += widest
+        else:
+            c.detect_steps += step_bit * det
+            inj_steps, rem_steps = inj, rem
         c.shift += shifts
         c.shift_steps += shifts
         c.detect += per_bit * det
-        c.detect_steps += det_steps
         c.inject += inj
         c.inject_steps += inj_steps
         c.remove += rem
@@ -591,15 +593,15 @@ class Device:
         # naive: a removal wherever the span held a 1, an inject wherever
         # the new word has one; compare: only the bits that differ
         keep = 0 if naive else -1
-        seen = set()
+        seen = 0    # bit p set: port p is written
         plan = []
         det = det_steps = 0
         for port, key, payload, width in pairs:
             if not (0 <= port < n_ports):
                 raise PortRangeError(f"port {port} outside 0..{n_ports - 1}")
-            if port in seen:
+            if seen >> port & 1:
                 raise ConfigError(f"port {port} written twice in one batch")
-            seen.add(port)
+            seen |= 1 << port
             # m: the rows the pair's words own; v: the new words in place
             m = v = kd = pd = 0
             if key is not None:

@@ -27,7 +27,6 @@ budget (max_tracks) is checked before every new track or group.
 
 from __future__ import annotations
 
-from . import strategies
 from .errors import (CapacityError, ConfigError, PortRangeError,
                      StructureError)
 
@@ -250,8 +249,13 @@ class DeviceStore:
                 word_writes.append((pair_slot, key, wb))
             if payload is not None:
                 word_writes.append((base + pair_slot, payload, pwidth))
-        strategies.apply_strategy(self.device, self.homes[node_id],
-                                  word_writes, self.strategy, self.parallel)
+        # the config allows parallel ports only with bcw: a parallel write
+        # is the shared bcw pass, any other one word at a time
+        if self.parallel:
+            self.device.write_batch_bcw(self.homes[node_id], word_writes)
+        else:
+            self.device.write_words(self.homes[node_id], word_writes,
+                                    self.strategy)
 
     def _write_pairs_bi(self, node_id, writes):
         # pair slot s is the column under port s, the key on rows
@@ -269,7 +273,7 @@ class DeviceStore:
         # values are spilled once per upsert; compare-write keeps that cheap
         home, port, offset = self._arena_at(index, place=True)
         if self._word:
-            self.device.write_serial(home, port, value, width, "dcw")
+            self.device.write_words(home, ((port, value, width),), "dcw")
         else:
             # the value is the key word of a width-row pair on the
             # word_bits-row arena group

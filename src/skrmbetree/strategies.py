@@ -14,7 +14,8 @@ The charging rules and the one word-mapping write loop live on
 :class:`~skrmbetree.device.Device`; this module only routes a batch of
 (word_slot, value, width) writes, each value an int below 2**width, to the
 serial passes of ``Device.write_words`` or to the shared bcw pass of
-``Device.write_batch_bcw``.
+``Device.write_batch_bcw``. ``DeviceStore`` makes the same routing itself,
+so no simulation calls this module; the tests and the tracer still do.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ import sys
 import pytest
 
 import skrmbetree
-from skrmbetree import bench, cli
+from skrmbetree import bench, cli, strategies
 from skrmbetree.bench import (MetricsReport, emit, parse_csv, run_experiment,
                               run_single, run_sweep, with_reductions)
 from skrmbetree.betree import BeTree
 from skrmbetree.cli import main
 from skrmbetree.config import ExperimentConfig, TreeConfig
+from skrmbetree.device import Device
 from skrmbetree.errors import ConfigError, StructureError
 
 UNIT_ENERGY = {"detect": 2.0, "shift": 20.0, "remove": 20.0, "inject": 200.0}
@@ -516,6 +517,33 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     rc = main(["run", "--mapping", "bit", "--strategy", "pw"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+@pytest.mark.parametrize("full", (False, True), ids=("naive", "full"))
+def test_a_simulation_bypasses_the_strategy_dispatch(monkeypatch, mapping,
+                                                      full):
+    # the store hands its word writes to the device passes itself: no run
+    # needs strategies.apply_strategy or the one-word write_serial, and
+    # with ports on a word node write is still the shared bcw pass
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulated path took the old route")
+
+    monkeypatch.setattr(strategies, "apply_strategy", refuse)
+    monkeypatch.setattr(Device, "write_serial", refuse)
+    bcw = []
+    batch = Device.write_batch_bcw
+
+    def counted(self, track, writes):
+        bcw.append(len(writes))
+        return batch(self, track, writes)
+
+    monkeypatch.setattr(Device, "write_batch_bcw", counted)
+    tree = (TreeConfig(strategy="bcw", encoding=True, parallel_ports=True)
+            if full else TreeConfig())
+    run_single(ExperimentConfig(mapping=mapping, entries=60, op_count=60,
+                                word_bytes=2, tree=tree), check_oracle=True)
+    assert bool(bcw) == (full and mapping == "word")
 
 
 def test_a_simulation_loads_no_kernel():

@@ -291,6 +291,10 @@ class RecordingStore(NullStore):
     """Logical store that remembers node kinds and every write it is asked
     to perform, so tests can check widths without a device."""
 
+    # the tree skips the pair writes a NullStore would throw away; this
+    # store keeps them, so it asks for every write a device would get
+    has_device = True
+
     def __init__(self):
         self.kinds = {}
         self.pair_writes = []
@@ -930,17 +934,120 @@ def test_bulk_moves_match_the_per_message_reference(
                      parallel_ports=parallel, encoding=encoding)
     bulk = _byte_tree(store, cfg, len(ops))
     ref = _byte_tree(store, cfg, len(ops), RefBeTree)
-    for upsert, key, value in ops:
+    __tracebackhide__ = _hide_mismatch
+    for i, (upsert, key, value) in enumerate(ops):
         for tree in (bulk, ref):
             if upsert:
                 tree.upsert(key, value)
             else:
                 tree.query(key)
-        assert _tree_state(bulk) == _tree_state(ref)
+        _assert_same_state(bulk, ref, f"op {i}")
     bulk.flush_all()
     ref.flush_all()
-    assert _tree_state(bulk) == _tree_state(ref)
+    _assert_same_state(bulk, ref, "flush_all")
     bulk.audit()
+
+
+class _StateMismatch(AssertionError):
+    """The bulk and the reference tree's `_tree_state`s differ."""
+
+
+def _hide_mismatch(excinfo):
+    # pytest drops a frame naming this as its __tracebackhide__ from a
+    # mismatch's report. Hypothesis has pytest render every failing example
+    # it shrinks through, and rendering a frame of this long module parses
+    # the whole file again each time; the message says where the trees
+    # differ
+    return excinfo.errisinstance(_StateMismatch)
+
+
+def _assert_same_state(bulk, ref, after):
+    """Raise `_StateMismatch` naming `after` and the first node and field,
+    or the first other part, in which the two trees' `_tree_state`s
+    differ."""
+    __tracebackhide__ = _hide_mismatch
+    got, want = _tree_state(bulk), _tree_state(ref)
+    if got == want:
+        return
+    (got_nodes, *got_rest), (want_nodes, *want_rest) = got, want
+    for a, b in zip(got_nodes, want_nodes):
+        if a == b:
+            continue
+        if len(a) != len(b):
+            raise _StateMismatch(f"after {after}: node {a[0]} is a leaf in "
+                                 f"one tree and internal in the other")
+        fields = (("id", "parent", "elements") if len(a) == 3 else
+                  ("id", "parent", "pivots", "free mask", "buffer"))
+        name, x, y = next((f, x, y) for f, x, y in zip(fields, a, b) if x != y)
+        raise _StateMismatch(f"after {after}: node {a[0]} {name}: bulk {x!r}, "
+                             f"reference {y!r}")
+    if len(got_nodes) != len(want_nodes):
+        raise _StateMismatch(f"after {after}: bulk has {len(got_nodes)} "
+                             f"nodes, reference {len(want_nodes)}")
+    for name, x, y in zip(("kv_writes", "height", "counters"), got_rest,
+                          want_rest):
+        if x != y:
+            if name == "counters":
+                x, y = ({k: v for k, v in c.items() if x[k] != y[k]}
+                        for c in (x, y))
+            raise _StateMismatch(f"after {after}: {name}: bulk {x!r}, "
+                                 f"reference {y!r}")
+
+
+def _upsert_state(tree):
+    """What a refused upsert must leave as it was: `_tree_state` (every
+    buffer and free mask, the device counters), the sequence number and
+    the value arena."""
+    arena = tree.arena
+    return (_tree_state(tree), tree.seq,
+            None if arena is None else (dict(arena.values), list(arena._free),
+                                        arena._next, arena.high_water))
+
+
+@settings(max_examples=200, deadline=None)
+@given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
+       encoding=st.booleans(), parallel=st.booleans(),
+       buffer_pairs=st.integers(1, 4), element_pairs=st.integers(1, 3),
+       ops=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 255),
+                              st.sampled_from([None, "key", "value"]),
+                              st.sampled_from([-1, 256])),
+                    min_size=10, max_size=100))
+def test_upsert_places_after_its_key_and_refuses_bad_words_unchanged(
+        store, encoding, parallel, buffer_pairs, element_pairs, ops):
+    # `RefBeTree` inherits upsert, so the bulk-moves test cannot catch a
+    # misplaced root message: after each upsert into an internal root the
+    # new message sits right after the last buffered one of its key, and
+    # the buffer stays (key, seq)-sorted. Sixteen keys repeat, and the
+    # small nodes flush and split the root. Before an upsert, a key or
+    # value of -1 or 2**8 is refused with the word check's error and
+    # changes nothing
+    cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
+                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     strategy="bcw" if parallel else "dcw",
+                     parallel_ports=parallel, encoding=encoding)
+    tree = _byte_tree(store, cfg, len(ops))
+    for key, value, bad, word in ops:
+        if bad is not None:
+            before = _upsert_state(tree)
+            args = (word, value) if bad == "key" else (key, word)
+            with pytest.raises(ConfigError,
+                               match=f"^{bad} does not fit in 8 bits$"):
+                tree.upsert(*args)
+            assert _upsert_state(tree) == before
+        # a leaf root takes the pair itself, and may split into an
+        # internal root that buffers nothing yet
+        leaf_root = tree.nodes[tree.root_id].kind == KIND_LEAF
+        tree.upsert(key, value)
+        if leaf_root:
+            continue
+        buf = tree.nodes[tree.root_id].buffer
+        at = next(i for i, m in enumerate(buf) if m.seq == tree.seq)
+        assert buf[at].key == key
+        assert all(m.key <= key for m in buf[:at])
+        assert all(m.key > key for m in buf[at + 1:])
+        order = [(m.key, m.seq) for m in buf]
+        assert order == sorted(order)
+    tree.audit()
 
 
 @settings(max_examples=300, deadline=None)
