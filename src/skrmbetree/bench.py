@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 
 from .betree import BeTree
-from .config import ExperimentConfig
+from .config import ExperimentConfig, as_int
 from .device import Device
 from .errors import ConfigError, StructureError
 from .layout import DeviceStore
@@ -157,7 +157,8 @@ def run_experiment(cfg: ExperimentConfig, check_oracle: bool = False,
 def sweep_points(cfg: ExperimentConfig, entries_grid,
                  word_bytes_grid) -> list[ExperimentConfig]:
     """Every point of a sweep grid, each built, and so checked."""
-    return [replace(cfg, entries=int(entries), word_bytes=int(wb))
+    return [replace(cfg, entries=as_int(entries, "entries"),
+                    word_bytes=as_int(wb, "word_bytes"))
             for entries in entries_grid for wb in word_bytes_grid]
 
 
@@ -195,14 +196,3 @@ def format_rows(rows: list[dict], fmt: str, columns) -> str:
 def emit(reports, fmt: str) -> str:
     """Serialize reports as CSV (the CSV_COLUMNS) or JSON (whole records)."""
     return format_rows([r.json_record() for r in reports], fmt, CSV_COLUMNS)
-
-
-# emitted column -> its type, from the annotation of its MetricsReport field
-_COLUMN_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str)
-                 for f in fields(MetricsReport)}
-
-
-def parse_csv(text: str) -> list[dict]:
-    """Read an emitted CSV back into typed dicts (round-trip check)."""
-    return [{name: _COLUMN_TYPES[name](value) for name, value in raw.items()}
-            for raw in csv.DictReader(text.splitlines())]

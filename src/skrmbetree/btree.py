@@ -18,7 +18,7 @@ import bisect
 from operator import itemgetter
 
 from .betree import BeTree
-from .config import TreeConfig
+from .config import TreeConfig, as_int
 from .errors import ConfigError, StructureError
 from .layout import NullStore
 from .workload import _draw, _key_base, _value_base
@@ -146,13 +146,13 @@ def betree_config_for_capacity(capacity: int) -> TreeConfig:
     descend through many shallow-fanout levels."""
     pivots = max(2, capacity // 8)
     return TreeConfig(node_pairs=capacity, pivot_pairs=pivots,
-                      buffer_pairs=capacity - pivots, element_pairs=capacity)
+                      element_pairs=capacity)
 
 
 def write_count_series(samples, seed: int, node_capacity: int = 16):
     """Stream one insert sequence through both trees, recording the pair
     write counters at each sampled size. Returns a list of dicts."""
-    samples = sorted(set(int(s) for s in samples))
+    samples = sorted({as_int(s, "sample size") for s in samples})
     if not samples or samples[0] < 1:
         raise ConfigError("sample sizes must be >= 1")
     btree = BTree(node_capacity)

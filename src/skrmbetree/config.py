@@ -2,15 +2,16 @@
 
 Everything here can be set from code, from CLI flags, or from a plain
 ``key = value`` text file (see :func:`read_config_file`). A settings key is
-the name of an ExperimentConfig, TreeConfig or CostModel field, or
-``word_bits``, the one alias: a multiple of 8 that sets ``word_bytes``. The
-track geometry follows from the tree shape and word size; no key sets it.
+the name of an ExperimentConfig, TreeConfig or CostModel field. A value
+that follows from others has no key: the track geometry follows from the
+tree shape and word size, and a node's buffer slots from its shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from operator import index
 from pathlib import Path
 
 from .errors import ConfigError
@@ -32,6 +33,17 @@ def index_bits_for(capacity: int) -> int:
 
 def next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
+
+
+def as_int(value, what: str) -> int:
+    """`value` as a Python int: an int or a numpy int passes; a bool, a
+    float or text is refused rather than rounded or parsed."""
+    try:
+        if not isinstance(value, bool):
+            return index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{what} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,19 +89,18 @@ class Geometry:
     A track has ``ports_per_track`` access ports spaced ``interport_bits``
     cells apart, so the data region holds ports_per_track * interport_bits
     cells, plus one interport-sized overflow region at each end so a full
-    write pass can shift out without losing skyrmions.
+    write pass can shift out without losing skyrmions. The geometry holds
+    no word size: a word slot is one interport, and the store that lays
+    words out refuses a word wider than that.
     """
 
-    word_bits: int = 64
     interport_bits: int = 64
     ports_per_track: int = 32
     shift_policy: str = "lazy"
 
     def __post_init__(self):
-        if self.word_bits < 1:
-            raise ConfigError("word_bits must be >= 1")
-        if self.interport_bits < self.word_bits:
-            raise ConfigError("interport_bits must be >= word_bits")
+        if self.interport_bits < 1:
+            raise ConfigError("interport_bits must be >= 1")
         if self.ports_per_track < 1:
             raise ConfigError("ports_per_track must be >= 1")
         if self.shift_policy not in SHIFT_POLICIES:
@@ -102,7 +113,6 @@ class TreeConfig:
 
     node_pairs: int = 16        # key-value slots per node (B)
     pivot_pairs: int = 4        # pivot slots in an internal node
-    buffer_pairs: int = 12      # message slots in an internal node
     element_pairs: int = 16     # element slots in a leaf
     encoding: bool = False      # buffer payloads hold arena indices, not values
     parallel_ports: bool = False
@@ -114,10 +124,11 @@ class TreeConfig:
     def __post_init__(self):
         if self.pivot_pairs < 2:
             raise ConfigError("pivot_pairs must be >= 2")
-        if self.buffer_pairs < 1 or self.element_pairs < 1:
-            raise ConfigError("buffer and element capacities must be >= 1")
-        if self.pivot_pairs + self.buffer_pairs != self.node_pairs:
-            raise ConfigError("pivot_pairs + buffer_pairs must equal node_pairs")
+        if self.pivot_pairs >= self.node_pairs:
+            raise ConfigError("pivot_pairs must be < node_pairs: an internal "
+                              "node needs a buffer slot")
+        if self.element_pairs < 1:
+            raise ConfigError("element_pairs must be >= 1")
         if self.element_pairs > self.node_pairs:
             # a leaf's elements sit in the node's pair slots (its ports)
             raise ConfigError("element_pairs must be <= node_pairs")
@@ -130,6 +141,11 @@ class TreeConfig:
             raise ConfigError("arena_capacity must be >= 1")
         if self.max_tracks is not None and self.max_tracks < 1:
             raise ConfigError("max_tracks must be >= 1")
+
+    @property
+    def buffer_pairs(self) -> int:
+        """Message slots in an internal node: the slots its pivots leave."""
+        return self.node_pairs - self.pivot_pairs
 
     def arena_slots(self, planned: int, word_bits: int) -> int:
         """Value-arena slots for `planned` upserts: arena_capacity, else
@@ -196,8 +212,7 @@ class ExperimentConfig:
         per pair slot.
         """
         ports = self.tree.node_pairs * (2 if self.mapping == "word" else 1)
-        return Geometry(word_bits=self.word_bits,
-                        interport_bits=self.word_bits, ports_per_track=ports,
+        return Geometry(interport_bits=self.word_bits, ports_per_track=ports,
                         shift_policy=self.shift_policy)
 
     def baseline(self) -> "ExperimentConfig":
@@ -213,12 +228,10 @@ class ExperimentConfig:
 BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
                "0": False, "false": False, "off": False, "no": False}
 
-# settings key -> the annotated type of the field it sets; word_bits, the
-# one alias, sets word_bytes
-_KEY_TYPES = {"word_bits": "int",
-              **{f.name: f.type
-                 for cls in (ExperimentConfig, TreeConfig, CostModel)
-                 for f in fields(cls) if f.name not in ("tree", "cost")}}
+# settings key -> the annotated type of the field it sets
+_KEY_TYPES = {f.name: f.type
+              for cls in (ExperimentConfig, TreeConfig, CostModel)
+              for f in fields(cls) if f.name not in ("tree", "cost")}
 
 def _parse(key: str, value):
     """`value` as the type of the field `key` sets: text from a settings
@@ -296,21 +309,13 @@ def apply_file_settings(cfg: ExperimentConfig, *layers: dict) -> ExperimentConfi
     the cross-field checks see only the finished config, never a
     half-applied one.
 
-    A key is a config field name or word_bits, a multiple of 8 that sets
-    word_bytes; one layer may not give both. Unknown keys raise, so typos
-    do not pass silently.
+    A key is a config field name. Unknown keys raise, so typos do not pass
+    silently.
     """
     cost_kw, tree_kw, exp_kw = {}, {}, {}
     for settings in layers:
-        if "word_bits" in settings and "word_bytes" in settings:
-            raise ConfigError("word_bits and word_bytes both set the word "
-                              "size; give one of them")
         for key, value in settings.items():
             value = _parse(key, value)
-            if key == "word_bits":
-                if value % 8:
-                    raise ConfigError("word_bits must be a multiple of 8")
-                key, value = "word_bytes", value // 8
             (cost_kw if key in _COST_KEYS else
              tree_kw if key in _TREE_KEYS else exp_kw)[key] = value
     return replace(cfg, cost=replace(cfg.cost, **cost_kw),

@@ -73,9 +73,6 @@ class Racetrack:
         """Track-local index of the cell currently under `port`."""
         return (port + 1) * self.interport - self.offset
 
-    def popcount(self) -> int:
-        return sum(seg.bit_count() for seg in self.cells)
-
 
 class TrackGroup:
     """A bundle of tracks shifted in lockstep (bit-interleaved mapping).
@@ -98,9 +95,6 @@ class TrackGroup:
 
     def slot_start(self, port: int) -> int:
         return (port + 1) * self.interport
-
-    def popcount(self) -> int:
-        return sum(col.bit_count() for col in self.cells)
 
 
 _MODES = ("naive", "dcw")
@@ -142,10 +136,6 @@ class Device:
         self.groups[g.group_id] = g
         self._next_group += 1
         return g
-
-    def total_skyrmions(self) -> int:
-        return (sum(t.popcount() for t in self.tracks.values())
-                + sum(g.popcount() for g in self.groups.values()))
 
     # ------------------------------------------------------------ primitives
 

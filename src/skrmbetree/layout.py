@@ -58,6 +58,10 @@ class DeviceStore:
         self._pair_slots = frozenset(range(tree_cfg.node_pairs))
         self.strategy = tree_cfg.strategy
         geom = device.geom
+        if not 1 <= word_bits <= geom.interport_bits:
+            # a word slot is one interport of cells
+            raise ConfigError(f"word_bits must be in [1, interport_bits = "
+                              f"{geom.interport_bits}], not {word_bits}")
         if mapping == "word":
             self._arena_slots = geom.ports_per_track
         elif mapping == "bit_interleaved":

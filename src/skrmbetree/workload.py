@@ -129,12 +129,6 @@ class OpStream:
                    self.values.tolist())
 
 
-def zipf_head_probability(n: int, theta: float = ZIPF_THETA) -> float:
-    """Analytic probability of the most popular rank under zipf(theta)."""
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    return float(1.0 / np.sum(ranks ** -theta))
-
-
 def _zipf_cdf(n: int, theta: float) -> list[float]:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     return np.cumsum(ranks ** -theta).tolist()

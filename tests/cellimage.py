@@ -4,7 +4,8 @@ The device stores a track as one int per interport segment (bit j of
 segment k is cell k * interport + j) and a group as one int per column
 (bit r is row r). Tests that index single cells, or run the per-bit
 loops of ``skrmbetree.kernels`` as oracles, work on this image instead:
-cell i of a track, and ``[row, column]`` of a group.
+cell i of a track, and ``[row, column]`` of a group. ``total_skyrmions``
+counts the set cells of a whole device.
 """
 
 import numpy as np
@@ -34,6 +35,13 @@ def cell_image(handle) -> np.ndarray:
                                for seg in handle.cells])
     return np.stack([_unpack(col, handle.n_tracks) for col in handle.cells],
                     axis=1)
+
+
+def total_skyrmions(device) -> int:
+    """Skyrmions on every track and group of `device`: its set cells."""
+    return sum(cell.bit_count()
+               for handle in (*device.tracks.values(), *device.groups.values())
+               for cell in handle.cells)
 
 
 def load_image(handle, image) -> None:

@@ -93,8 +93,7 @@ def test_batch_flush_shift_step_formula():
     rng = np.random.default_rng(SEED)
     for word_bits in (8, 64):
         for n_words in (1, 2, 4, 8, 16):
-            geom = Geometry(word_bits=word_bits, interport_bits=word_bits,
-                            ports_per_track=32)
+            geom = Geometry(interport_bits=word_bits, ports_per_track=32)
             words = [bits_to_int(rng.integers(0, 2, size=word_bits,
                                               dtype=np.uint8))
                      for _ in range(n_words)]
@@ -141,8 +140,7 @@ def test_strategy_count_oracles():
     # counts order pw <= dcw <= naive on every trial
     rng = np.random.default_rng(7)
     for width in (4, 8, 16, 64):
-        geom = Geometry(word_bits=width, interport_bits=width,
-                        ports_per_track=2)
+        geom = Geometry(interport_bits=width, ports_per_track=2)
         devices = {name: Device(geom, CostModel())
                    for name in ("naive", "dcw", "pw", "bcw")}
         tracks = {name: dev.new_track() for name, dev in devices.items()}

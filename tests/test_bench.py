@@ -1,21 +1,35 @@
 """Benchmark harness: comparison sets, emission formats, CLI."""
 
+import csv
 import json
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import skrmbetree
 from skrmbetree import bench, cli, strategies
-from skrmbetree.bench import (MetricsReport, emit, parse_csv, run_experiment,
-                              run_single, run_sweep, with_reductions)
+from skrmbetree.bench import (MetricsReport, emit, run_experiment, run_single,
+                              run_sweep, sweep_points, with_reductions)
 from skrmbetree.betree import BeTree
 from skrmbetree.cli import main
 from skrmbetree.config import ExperimentConfig, TreeConfig
 from skrmbetree.device import Device
 from skrmbetree.errors import ConfigError, StructureError
+
+# emitted column -> its type, from the annotation of its MetricsReport field
+_COLUMN_TYPES = {f.name: {"int": int, "float": float}.get(f.type, str)
+                 for f in fields(MetricsReport)}
+
+
+def parse_csv(text: str) -> list[dict]:
+    """Read an emitted CSV back into typed dicts (round-trip check)."""
+    return [{name: _COLUMN_TYPES[name](value) for name, value in raw.items()}
+            for raw in csv.DictReader(text.splitlines())]
+
 
 UNIT_ENERGY = {"detect": 2.0, "shift": 20.0, "remove": 20.0, "inject": 200.0}
 UNIT_LATENCY = {"detect": 0.1, "shift": 0.5, "remove": 0.8, "inject": 1.0}
@@ -240,6 +254,21 @@ def test_sweep_covers_the_grid():
         assert tuned.latency_reduction_pct != 0.0
 
 
+@pytest.mark.parametrize("entries_grid, word_bytes_grid, field", (
+    ([1500.7], [8], "entries"), ([True], [8], "entries"),
+    (["40"], [8], "entries"), ([40], [8.9], "word_bytes"),
+    ([40], [False], "word_bytes"), ([40], [np.float32(2)], "word_bytes")))
+def test_sweep_points_refuse_a_size_that_is_no_int(entries_grid,
+                                                   word_bytes_grid, field):
+    # a grid point is not rounded, truncated or parsed: 1500.7 would run
+    # 1500 entries and True one
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        sweep_points(tiny_cfg(), entries_grid, word_bytes_grid)
+    points = sweep_points(tiny_cfg(), [np.int64(40)], [np.uint8(2)])
+    assert [(p.entries, p.word_bytes) for p in points] == [(40, 2)]
+    assert type(points[0].entries) is type(points[0].word_bytes) is int
+
+
 def test_checked_run_carries_tree_stats():
     rep = run_single(tiny_cfg(strategy="bcw", encoding=True, parallel=True),
                      check_oracle=True, audit=True)
@@ -296,7 +325,7 @@ def test_cli_accepts_bit_mapping_alias(tmp_path):
 
 def test_cli_config_file_and_flag_precedence(tmp_path):
     conf = tmp_path / "point.conf"
-    conf.write_text("workload = b\nentries = 50\nword_bits = 16\n"
+    conf.write_text("workload = b\nentries = 50\nword_bytes = 2\n"
                     "strategy = bcw\nparallel_ports = on\nseed = 9\n")
     out = tmp_path / "run.json"
     rc = main(["run", "--config", str(conf), "--workload", "c",
@@ -313,14 +342,14 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
 
 @pytest.mark.parametrize("argv, conf, want", (
     # the file alone plans 20000 upserts, 15 index bits; with the flag, 100
-    (["run", "--entries", "50"], "encoding = on\nword_bits = 8\n", [(50, 1)]),
+    (["run", "--entries", "50"], "encoding = on\nword_bytes = 1\n", [(50, 1)]),
     # the grid sets every point's entries and word size
     (["sweep", "--entries-grid", "50", "--word-bytes-grid", "1"],
-     "encoding = on\nword_bits = 8\n", [(50, 1)]),
+     "encoding = on\nword_bytes = 1\n", [(50, 1)]),
     (["sweep", "--word-bytes", "1", "--entries-grid", "50,60",
       "--word-bytes-grid", "2"], "encoding = on\n", [(50, 2), (60, 2)]),
     # a flag's word size wins over the file's
-    (["run", "--word-bytes", "8", "--mapping", "bit"], "word_bits = 32\n",
+    (["run", "--word-bytes", "8", "--mapping", "bit"], "word_bytes = 4\n",
      [(10_000, 8)]),
 ), ids=["run-file-word", "sweep-file-word", "sweep-flag-word",
         "run-flag-word"])
@@ -455,7 +484,7 @@ def test_cli_refuses_bad_settings_before_opening_out(argv, conf, fragment,
       "on", "--entries-grid", "100,2000", "--word-bytes-grid", "1"], None,
      "arena index wider than a payload word"),
     (["run", "--entries", "50", "--config"],
-     "encoding = on\nstrategy = dcw\narena_capacity = 512\nword_bits = 8\n",
+     "encoding = on\nstrategy = dcw\narena_capacity = 512\nword_bytes = 1\n",
      "arena index wider than a payload word"),
 ), ids=["run-ops", "sweep-ops", "file-workload", "file-ops", "wc-n-0",
         "wc-n-negative", "wc-capacity", "sweep-entries-grid",

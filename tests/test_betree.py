@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellimage import cell_image, load_image
+from cellimage import cell_image, load_image, total_skyrmions
 from refbetree import RefBeTree
 from refquery import reference_query
 from skrmbetree.betree import (BeTree, InternalNode, Message, ValueArena,
@@ -20,7 +20,6 @@ from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore, NullStore
 def make_cfg(node_pairs=4, pivot_pairs=2, element_pairs=4, strategy="dcw",
              parallel=False, encoding=False, arena_capacity=None):
     return TreeConfig(node_pairs=node_pairs, pivot_pairs=pivot_pairs,
-                      buffer_pairs=node_pairs - pivot_pairs,
                       element_pairs=element_pairs, strategy=strategy,
                       parallel_ports=parallel, encoding=encoding,
                       arena_capacity=arena_capacity)
@@ -31,8 +30,7 @@ def make_device_tree(mapping, strategy="dcw", parallel=False, encoding=False,
     cfg = make_cfg(strategy=strategy, parallel=parallel, encoding=encoding,
                    **cfg_kw)
     ports = 2 * cfg.node_pairs if mapping == "word" else cfg.node_pairs
-    geom = Geometry(word_bits=word_bits, interport_bits=word_bits,
-                    ports_per_track=ports)
+    geom = Geometry(interport_bits=word_bits, ports_per_track=ports)
     device = Device(geom, CostModel())
     store = DeviceStore(device, mapping, cfg, word_bits)
     return BeTree(store, cfg, word_bits, planned_upserts=planned), device
@@ -370,7 +368,7 @@ def test_arena_exhaustion_fails_typed_and_harmless(mapping, policy, strategy):
                    parallel=strategy == "bcw+ports", encoding=True,
                    arena_capacity=6)
     ports = 2 * cfg.node_pairs if mapping == "word" else cfg.node_pairs
-    geom = Geometry(word_bits=16, interport_bits=16, ports_per_track=ports,
+    geom = Geometry(interport_bits=16, ports_per_track=ports,
                     shift_policy=policy)
     device = Device(geom, CostModel())
     tree = BeTree(DeviceStore(device, mapping, cfg, 16), cfg, 16)
@@ -533,7 +531,7 @@ def test_one_pass_query_matches_the_per_read_reference(
     # 0..15 in two-pivot nodes with tiny buffers and leaves give hits and
     # misses in buffers, on pivot keys and in leaves, and empty buffers
     cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
-                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     element_pairs=element_pairs,
                      encoding=encoding)
     trees, devices = [], []
     for _ in range(2):
@@ -541,8 +539,7 @@ def test_one_pass_query_matches_the_per_read_reference(
             tree = BeTree(NullStore(), cfg, 8, planned_upserts=len(ops))
         else:
             ports = cfg.node_pairs * (2 if store == "word" else 1)
-            device = Device(Geometry(word_bits=8, interport_bits=8,
-                                     ports_per_track=ports,
+            device = Device(Geometry(interport_bits=8, ports_per_track=ports,
                                      shift_policy=policy),
                             CostModel(), record_steps=True)
             devices.append(device)
@@ -891,7 +888,7 @@ def _byte_tree(store, cfg, planned, tree_cls=BeTree):
     if store == "null":
         return tree_cls(NullStore(), cfg, 8, planned_upserts=planned)
     ports = cfg.node_pairs * (2 if store == "word" else 1)
-    geom = Geometry(word_bits=8, interport_bits=8, ports_per_track=ports)
+    geom = Geometry(interport_bits=8, ports_per_track=ports)
     return tree_cls(DeviceStore(Device(geom, CostModel()), store, cfg, 8),
                     cfg, 8, planned_upserts=planned)
 
@@ -928,8 +925,7 @@ def test_bulk_moves_match_the_per_message_reference(
     # order, every free mask and write count agrees, and so does every
     # device counter
     cfg = TreeConfig(node_pairs=pivot_pairs + buffer_pairs,
-                     pivot_pairs=pivot_pairs, buffer_pairs=buffer_pairs,
-                     element_pairs=element_pairs,
+                     pivot_pairs=pivot_pairs, element_pairs=element_pairs,
                      strategy="bcw" if parallel else "dcw",
                      parallel_ports=parallel, encoding=encoding)
     bulk = _byte_tree(store, cfg, len(ops))
@@ -1022,7 +1018,7 @@ def test_upsert_places_after_its_key_and_refuses_bad_words_unchanged(
     # value of -1 or 2**8 is refused with the word check's error and
     # changes nothing
     cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
-                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     element_pairs=element_pairs,
                      strategy="bcw" if parallel else "dcw",
                      parallel_ports=parallel, encoding=encoding)
     tree = _byte_tree(store, cfg, len(ops))
@@ -1063,7 +1059,7 @@ def test_degenerate_shapes_match_the_oracle(store, buffer_pairs, element_pairs,
     # flush moves a whole child run and most merges split
     parallel = strategy == "bcw+ports"
     cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
-                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     element_pairs=element_pairs,
                      strategy=strategy.split("+")[0], parallel_ports=parallel,
                      encoding=encoding)
     tree = _byte_tree(store, cfg, len(ops))
@@ -1113,7 +1109,7 @@ def test_scan_order_and_slot_masks_follow_every_buffer_change(
     # so a buffer change that keeps a stale one shows after that op; the
     # wide key range grows the internal levels whose splits move messages
     cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
-                     buffer_pairs=buffer_pairs, element_pairs=element_pairs,
+                     element_pairs=element_pairs,
                      encoding=encoding)
     tree = _byte_tree(store, cfg, len(ops))
     for upsert, key, value in ops:
@@ -1172,11 +1168,11 @@ def test_skyrmions_are_conserved_against_a_shadow_image(config, encoding,
     # last written to each slot, so no write loses or strands a skyrmion
     mapping, strategy = config
     cfg = TreeConfig(node_pairs=2 + buffer_pairs, pivot_pairs=2,
-                     buffer_pairs=buffer_pairs, element_pairs=2,
+                     element_pairs=2,
                      strategy=strategy.split("+")[0],
                      parallel_ports=strategy == "bcw+ports", encoding=encoding)
     ports = cfg.node_pairs * (2 if mapping == "word" else 1)
-    device = _ShadowDevice(Geometry(word_bits=8, interport_bits=8,
+    device = _ShadowDevice(Geometry(interport_bits=8,
                                     ports_per_track=ports), CostModel())
     tree = BeTree(DeviceStore(device, mapping, cfg, 8), cfg, 8,
                   planned_upserts=len(ops))
@@ -1185,10 +1181,10 @@ def test_skyrmions_are_conserved_against_a_shadow_image(config, encoding,
             tree.upsert(key, value)
         else:
             tree.query(key)
-        assert device.total_skyrmions() == sum(
+        assert total_skyrmions(device) == sum(
             v.bit_count() for v in device.shadow.values())
     tree.flush_all()
-    assert device.total_skyrmions() == sum(
+    assert total_skyrmions(device) == sum(
         v.bit_count() for v in device.shadow.values())
 
 
@@ -1259,7 +1255,7 @@ def test_leaf_merge_walk_matches_the_dict_merge(store, strategy,
     # at and above element_pairs, so it splits into up to 21 chunks and
     # grows the tree. Both trees must agree on every node, the height, the
     # kv_writes, and on a device on every counter and cell
-    cfg = TreeConfig(node_pairs=6, pivot_pairs=2, buffer_pairs=4,
+    cfg = TreeConfig(node_pairs=6, pivot_pairs=2,
                      element_pairs=element_pairs, strategy=strategy)
     trees, devices = [], []
     for _ in range(2):
@@ -1267,8 +1263,7 @@ def test_leaf_merge_walk_matches_the_dict_merge(store, strategy,
             tree = BeTree(NullStore(), cfg, 8)
         else:
             ports = cfg.node_pairs * (2 if store == "word" else 1)
-            device = Device(Geometry(word_bits=8, interport_bits=8,
-                                     ports_per_track=ports),
+            device = Device(Geometry(interport_bits=8, ports_per_track=ports),
                             CostModel(), record_steps=True)
             devices.append(device)
             tree = BeTree(DeviceStore(device, store, cfg, 8), cfg, 8)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from skrmbetree.btree import (BTree, betree_config_for_capacity,
@@ -167,3 +168,14 @@ def test_write_count_series_rejects_bad_samples():
         write_count_series([], seed=1)
     with pytest.raises(ConfigError):
         write_count_series([0, 10], seed=1)
+
+
+@pytest.mark.parametrize("bad", (2.9, 3.0, True, "40", np.float64(2)))
+def test_write_count_series_refuses_a_size_that_is_no_int(bad):
+    # a size is not rounded, truncated or parsed: 2.9 would be 2 inserts
+    # and True one
+    with pytest.raises(ConfigError, match="sample size must be an integer"):
+        write_count_series([3, bad], seed=1)
+    rows = write_count_series([np.int64(3), np.uint8(2)], seed=1)
+    assert [r["n_inserts"] for r in rows] == [2, 3]
+    assert all(type(r["n_inserts"]) is int for r in rows)

@@ -28,16 +28,20 @@ def test_cost_model_rejects_nonpositive_units():
 
 
 def test_geometry_validation_and_shape():
-    Geometry(word_bits=16, interport_bits=32, ports_per_track=4)
-    with pytest.raises(ConfigError):
-        Geometry(word_bits=32, interport_bits=16)
+    Geometry(interport_bits=32, ports_per_track=4)
+    with pytest.raises(ConfigError, match="interport_bits must be >= 1"):
+        Geometry(interport_bits=0)
     with pytest.raises(ConfigError):
         Geometry(shift_policy="sideways")
 
 
 def test_tree_config_validation():
-    with pytest.raises(ConfigError):
-        TreeConfig(node_pairs=16, pivot_pairs=4, buffer_pairs=4)
+    # the buffer takes the slots the pivots leave, and gets at least one
+    assert TreeConfig(node_pairs=16, pivot_pairs=4).buffer_pairs == 12
+    for node_pairs in (16, 15):
+        with pytest.raises(ConfigError, match="pivot_pairs must be < "
+                                              "node_pairs"):
+            TreeConfig(node_pairs=node_pairs, pivot_pairs=16)
     with pytest.raises(ConfigError):
         TreeConfig(strategy="xor")
     # parallel port updates only exist for the batched compare write
@@ -52,8 +56,7 @@ def test_tree_config_validation():
     assert TreeConfig(max_tracks=1).max_tracks == 1
     # a leaf's elements sit in the node's pair slots
     with pytest.raises(ConfigError):
-        TreeConfig(node_pairs=6, pivot_pairs=2, buffer_pairs=4,
-                   element_pairs=7)
+        TreeConfig(node_pairs=6, pivot_pairs=2, element_pairs=7)
 
 
 def test_experiment_geometry_follows_mapping():
@@ -102,7 +105,7 @@ def test_settings_file_round_trip(tmp_path):
         "# comparison point\n"
         "workload = d\n"
         "entries = 500   # desk scale\n"
-        "word_bits = 16\n"
+        "word_bytes = 2\n"
         "strategy = bcw\n"
         "parallel_ports = on\n"
         "encoding = yes\n"
@@ -148,8 +151,6 @@ def test_settings_file_rejects_garbage(tmp_path):
     with pytest.raises(ConfigError):
         apply_file_settings(ExperimentConfig(), {"entires": 5})
     with pytest.raises(ConfigError):
-        apply_file_settings(ExperimentConfig(), {"word_bits": 12})
-    with pytest.raises(ConfigError):
         read_config_file(tmp_path / "missing.conf")
 
 
@@ -181,10 +182,12 @@ def test_experiment_seed_must_be_non_negative(tmp_path):
         apply_file_settings(ExperimentConfig(), read_config_file(path))
 
 
-@pytest.mark.parametrize("key", ("ports_per_track", "interport_bits"))
+@pytest.mark.parametrize("key", ("ports_per_track", "interport_bits",
+                                 "buffer_pairs", "word_bits"))
 def test_settings_refuse_a_geometry_key(tmp_path, key):
-    # the track geometry follows from the tree shape and word size: a key
-    # that restates it is as unknown as a typo, from a file or from code
+    # the track geometry follows from the tree shape and word size, the
+    # buffer from the node's shape, and word_bits from word_bytes: a key
+    # that restates one is as unknown as a typo, from a file or from code
     path = tmp_path / "run.conf"
     path.write_text(f"entries = 500\n{key} = 64\n")
     with pytest.raises(ConfigError, match=f"run.conf:2: unknown config key "
@@ -194,28 +197,18 @@ def test_settings_refuse_a_geometry_key(tmp_path, key):
         apply_file_settings(ExperimentConfig(), {"entries": 500}, {key: 64})
 
 
-def test_one_layer_sets_the_word_size_once(tmp_path):
-    # one layer giving both keys is refused whatever their order, even
-    # when they agree, rather than keeping whichever line comes last
+def test_a_later_layer_overrides_the_word_size(tmp_path):
     path = tmp_path / "run.conf"
-    for lines in ("word_bytes = 4\nword_bits = 64\n",
-                  "word_bits = 64\nword_bytes = 4\n",
-                  "word_bits = 32\nword_bytes = 4\n"):
-        path.write_text(lines)
-        with pytest.raises(ConfigError) as err:
-            apply_file_settings(ExperimentConfig(), read_config_file(path))
-        assert "word_bits" in str(err.value) and "word_bytes" in str(err.value)
-    # a later layer still overrides an earlier one's word size
-    for file_key, value in (("word_bits", 64), ("word_bytes", 8)):
-        for flag_key, flag in (("word_bytes", 2), ("word_bits", 16)):
-            cfg = apply_file_settings(ExperimentConfig(word_bytes=4),
-                                      {file_key: value}, {flag_key: flag})
-            assert cfg.word_bytes == 2
+    path.write_text("word_bytes = 8\n")
+    cfg = apply_file_settings(ExperimentConfig(word_bytes=4),
+                              read_config_file(path), {"word_bytes": 2})
+    assert cfg.word_bytes == 2
 
 
 @pytest.mark.parametrize("conf", ("ports_per_track = 32\n",
                                   "interport_bits = 64\n",
-                                  "word_bits = 16\nword_bytes = 2\n"))
+                                  "word_bits = 16\nword_bytes = 2\n",
+                                  "buffer_pairs = 12\n"))
 def test_cli_refuses_a_key_the_config_refuses_before_out(tmp_path, capsys,
                                                          conf):
     from skrmbetree.cli import main
@@ -257,7 +250,7 @@ def test_settings_file_parses_by_field_type(tmp_path, line, key, want):
     "node_pairs = 16.0",
     "seed = true",
     "op_count = -",
-    "word_bits = sixteen",
+    "word_bytes = sixteen",
 ])
 def test_settings_file_rejects_values_of_the_wrong_type(tmp_path, line):
     path = tmp_path / "run.conf"

@@ -13,7 +13,7 @@ import pytest
 from skrmbetree.bench import run_single
 from skrmbetree.config import ExperimentConfig, TreeConfig
 
-SMALL = dict(node_pairs=5, pivot_pairs=2, buffer_pairs=3, element_pairs=4)
+SMALL = dict(node_pairs=5, pivot_pairs=2, element_pairs=4)
 
 # (workload, mapping, strategy, encoding, parallel ports, shift policy,
 #  word bytes, entries, small nodes) ->

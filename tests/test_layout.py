@@ -13,12 +13,12 @@ from skrmbetree.layout import KIND_INTERNAL, KIND_LEAF, DeviceStore
 
 def make_store(mapping, word_bits=16, strategy="bcw", parallel=True,
                ports=8, max_tracks=None, policy="lazy", record_steps=False):
-    geom = Geometry(word_bits=word_bits, interport_bits=word_bits,
+    geom = Geometry(interport_bits=word_bits,
                     ports_per_track=ports, shift_policy=policy)
     dev = Device(geom, CostModel(), record_steps=record_steps)
-    cfg = TreeConfig(node_pairs=4, pivot_pairs=2, buffer_pairs=2,
-                     element_pairs=4, strategy=strategy,
-                     parallel_ports=parallel, max_tracks=max_tracks)
+    cfg = TreeConfig(node_pairs=4, pivot_pairs=2, element_pairs=4,
+                     strategy=strategy, parallel_ports=parallel,
+                     max_tracks=max_tracks)
     return DeviceStore(dev, mapping, cfg, word_bits)
 
 
@@ -30,7 +30,8 @@ def test_port_density_parity_between_mappings():
     bit_bits_stored = bit.ports_per_track * bit.interport_bits
     assert word.ports_per_track / word_bits_stored == \
         bit.ports_per_track / bit_bits_stored
-    assert word.interport_bits == bit.interport_bits == word.word_bits
+    assert (word.interport_bits == bit.interport_bits
+            == ExperimentConfig().word_bits)
 
 
 @pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
@@ -106,10 +107,9 @@ def test_word_layout_keys_then_payloads(node_pairs, strategy):
     # payload in word slot node_pairs + s (segment node_pairs + s + 1);
     # the peek and a charged node visit read the same words
     wb = 16
-    geom = Geometry(word_bits=wb, interport_bits=wb,
-                    ports_per_track=2 * node_pairs)
+    geom = Geometry(interport_bits=wb, ports_per_track=2 * node_pairs)
     cfg = TreeConfig(node_pairs=node_pairs, pivot_pairs=2,
-                     buffer_pairs=node_pairs - 2, element_pairs=node_pairs,
+                     element_pairs=node_pairs,
                      strategy=strategy.split("+")[0],
                      parallel_ports=strategy == "bcw+ports")
     store = DeviceStore(Device(geom, CostModel()), "word", cfg, wb)
@@ -214,6 +214,19 @@ def test_placement_errors_are_typed_and_place_nothing(mapping):
     assert dev.tracks == tracks
     assert dev.groups == groups
     assert store.homes == homes
+
+
+@pytest.mark.parametrize("mapping", ["word", "bit_interleaved"])
+def test_a_store_refuses_a_word_wider_than_the_interport(mapping):
+    # a word slot is one interport of cells: the geometry holds no word
+    # size, so the store checks its own against the geometry
+    dev = make_store(mapping, word_bits=16).device
+    cfg = make_store(mapping).cfg
+    for wb in (1, 8, 16):
+        assert DeviceStore(dev, mapping, cfg, wb).word_bits == wb
+    for wb in (17, 64, 0):
+        with pytest.raises(ConfigError, match="word_bits must be in"):
+            DeviceStore(dev, mapping, cfg, wb)
 
 
 def _store_state(store):

@@ -1,6 +1,8 @@
 """Checks on the source text itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,3 +33,31 @@ def test_no_module_defines_a_top_level_name_twice():
     found = {str(path.relative_to(ROOT)): twice for path in modules
              if (twice := _redefined(path.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def _unused(defining: dict[str, str], texts: list[str]) -> list[str]:
+    """Top-level function and class names of the `defining` sources
+    ({path: text}) that no word of `texts` but their own definition
+    spells: code only the tests call."""
+    words = Counter(w for text in texts for w in re.findall(r"\w+", text))
+    return [f"{path}: {node.name}" for path, source in defining.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and words[node.name] <= 1]
+
+
+def test_the_check_finds_a_name_only_its_definition_spells():
+    main = "def used():\n    pass\nclass Lone:\n    pass\n"
+    assert _unused({"m.py": main}, [main, "used()\n"]) == ["m.py: Lone"]
+
+
+def test_every_top_level_name_under_src_is_used_outside_the_tests():
+    # a helper only the tests call lives with the tests; the perfbench
+    # harness and tracer count as users, since they look names up
+    src = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+           for path in sorted(ROOT.glob("src/**/*.py"))}
+    bench = [path.read_text(encoding="utf-8")
+             for path in sorted(ROOT.glob("perfbench/**/*.py"))]
+    assert src and bench
+    assert _unused(src, [*src.values(), *bench]) == []

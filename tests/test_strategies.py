@@ -22,8 +22,7 @@ TRIALS = 1000
 
 
 def fresh_track(width, ports=4):
-    geom = Geometry(word_bits=width, interport_bits=width,
-                    ports_per_track=ports)
+    geom = Geometry(interport_bits=width, ports_per_track=ports)
     dev = Device(geom, CostModel())
     return dev, dev.new_track()
 

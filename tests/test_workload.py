@@ -7,8 +7,14 @@ import pytest
 
 from skrmbetree.errors import ConfigError
 from skrmbetree.workload import (MASK64, MIXES, OP_INSERT, OP_READ, OP_UPDATE,
-                                 WorkloadSpec, generate, make_key, make_value,
-                                 zipf_head_probability)
+                                 ZIPF_THETA, WorkloadSpec, generate, make_key,
+                                 make_value)
+
+
+def zipf_head_probability(n: int, theta: float = ZIPF_THETA) -> float:
+    """Analytic probability of the most popular rank under zipf(theta)."""
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    return float(1.0 / np.sum(ranks ** -theta))
 
 
 def spec_for(workload, ops, load, seed=42):
