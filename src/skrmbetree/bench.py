@@ -108,15 +108,11 @@ def run_single(cfg: ExperimentConfig, check_oracle: bool = False,
             tree.upsert(key, value)
             if check_oracle:
                 oracle[key] = value
-    if audit:
-        tree.audit()
-        tree.flush_all()
-        tree.audit()
-        if tree.arena is not None and tree.arena.occupancy != 0:
-            raise StructureError("arena slots leaked after full flush")
 
+    # the report is the run's own, taken before the audit's flush adds
+    # its counts, so a checked run reports what an unchecked one does
     t = cfg.tree
-    return MetricsReport(
+    report = MetricsReport(
         workload=cfg.workload, mapping=cfg.mapping, strategy=t.strategy,
         encoding=t.encoding, parallel_updates=t.parallel_ports,
         word_bytes=cfg.word_bytes, entries=cfg.entries,
@@ -124,6 +120,13 @@ def run_single(cfg: ExperimentConfig, check_oracle: bool = False,
         extra={"seed": cfg.seed, "ops": cfg.ops, "reads": reads,
                "read_misses": misses, **tree.stats()},
     )
+    if audit:
+        tree.audit()
+        tree.flush_all()
+        tree.audit()
+        if tree.arena is not None and tree.arena.occupancy != 0:
+            raise StructureError("arena slots leaked after full flush")
+    return report
 
 
 def _reduction(base: float, value: float) -> float:

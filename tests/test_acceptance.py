@@ -190,14 +190,13 @@ def test_write_amplification_trend():
 @pytest.mark.slow
 def test_reads_match_in_memory_oracle_with_audit():
     # every read of every workload checked against a dict oracle, plus a
-    # full structural audit before and after a forced flush
+    # full structural audit before and after a forced flush, which raises
+    # on an arena slot the flush leaves
     for mapping in ("word", "bit_interleaved"):
         for workload in "abcdef":
             cfg = config_for(workload, mapping, "bcw", True, True)
             report = run_single(cfg, check_oracle=True, audit=True)
-            record = report.json_record()
-            assert record["read_misses"] == 0
-            assert record["arena_occupancy"] == 0
+            assert report.json_record()["read_misses"] == 0
 
 
 def test_emitted_costs_recompute_exactly():
