@@ -220,8 +220,8 @@ def test_placement_errors_are_typed_and_place_nothing(mapping):
 def test_a_store_refuses_a_word_wider_than_the_interport(mapping):
     # a word slot is one interport of cells: the geometry holds no word
     # size, so the store checks its own against the geometry
-    dev = make_store(mapping, word_bits=16).device
-    cfg = make_store(mapping).cfg
+    store = make_store(mapping, word_bits=16)
+    dev, cfg = store.device, store.cfg
     for wb in (1, 8, 16):
         assert DeviceStore(dev, mapping, cfg, wb).word_bits == wb
     for wb in (17, 64, 0):
