@@ -46,6 +46,15 @@ def as_int(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, not {value!r}")
 
 
+def _typed_ints(cfg) -> None:
+    """Route every int field of the frozen dataclass `cfg` through as_int
+    and keep the Python int; an ``int | None`` field may also be None."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            object.__setattr__(cfg, f.name, as_int(value, f.name))
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Per-primitive unit costs.
@@ -99,6 +108,7 @@ class Geometry:
     shift_policy: str = "lazy"
 
     def __post_init__(self):
+        _typed_ints(self)
         if self.interport_bits < 1:
             raise ConfigError("interport_bits must be >= 1")
         if self.ports_per_track < 1:
@@ -122,6 +132,7 @@ class TreeConfig:
     max_tracks: int | None = None       # None: unbounded pool
 
     def __post_init__(self):
+        _typed_ints(self)
         if self.pivot_pairs < 2:
             raise ConfigError("pivot_pairs must be >= 2")
         if self.pivot_pairs >= self.node_pairs:
@@ -174,6 +185,7 @@ class ExperimentConfig:
     shift_policy: str = "lazy"
 
     def __post_init__(self):
+        _typed_ints(self)
         if self.workload not in MIXES:
             raise ConfigError(f"workload must be one of {sorted(MIXES)}")
         if self.mapping not in MAPPINGS:

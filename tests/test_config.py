@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
@@ -286,3 +287,33 @@ def test_cli_rejects_a_mistyped_settings_file(tmp_path, capsys):
     assert main(["run", "--config", str(conf), "--format", "json",
                  "--out", str(out)]) == 0
     assert '"seed": 1,' in out.read_text()
+
+
+# every int field of the configs built from code, with a value each passes
+_INT_FIELDS = {(cls, f.name): value
+               for cls, valid in ((ExperimentConfig, {"op_count": 10}),
+                                  (TreeConfig, {"arena_capacity": 64,
+                                                "max_tracks": 4}),
+                                  (Geometry, {}))
+               for f in fields(cls) if f.type in ("int", "int | None")
+               for value in [valid.get(f.name, f.default)]}
+
+
+def test_the_int_field_list_is_complete():
+    assert sorted(name for _cls, name in _INT_FIELDS) == sorted([
+        "entries", "op_count", "word_bytes", "seed", "node_pairs",
+        "pivot_pairs", "element_pairs", "arena_capacity", "max_tracks",
+        "interport_bits", "ports_per_track"])
+
+
+@pytest.mark.parametrize("cls,name", list(_INT_FIELDS),
+                         ids=[f"{c.__name__}.{n}" for c, n in _INT_FIELDS])
+def test_int_fields_built_from_code_are_type_checked(cls, name):
+    # a bool, a float or text is refused naming the field, even where its
+    # value would pass as a number; a numpy int passes as a Python int
+    good = _INT_FIELDS[cls, name]
+    for bad in (True, float(good), good + 0.5, str(good)):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            cls(**{name: bad})
+    cfg = cls(**{name: np.int64(good)})
+    assert getattr(cfg, name) == good and type(getattr(cfg, name)) is int
