@@ -149,17 +149,18 @@ class InternalNode:
         self._free = free ^ low
         return low.bit_length() - 1
 
-    def held_mask(self, msgs) -> int:
-        """The mask of the buffer slots `msgs` hold, one each. Changes
-        nothing; refuses a slot outside the buffer span, a free one, or one
-        that two of the messages share."""
-        slots = [m.slot for m in msgs]
-        if min(slots, default=0) < 0:
-            raise StructureError(
-                f"node {self.node_id} has no buffer slot {min(slots)}")
+    def held_mask(self, msgs: list) -> int:
+        """The mask of the buffer slots `msgs` hold, one each, built in one
+        loop over the messages. Changes nothing; refuses a slot outside the
+        buffer span, a free one, or one that two of the messages share."""
         mask = 0
-        for s in slots:
-            mask |= 1 << s
+        try:
+            for m in msgs:
+                mask |= 1 << m.slot
+        except ValueError:
+            # a negative shift count: the lowest slot is below the span
+            raise StructureError(f"node {self.node_id} has no buffer slot "
+                                 f"{min(m.slot for m in msgs)}") from None
         if mask & ~self.span:
             raise StructureError(f"node {self.node_id} has no buffer slot "
                                  f"{(mask & ~self.span).bit_length() - 1}")
@@ -167,7 +168,7 @@ class InternalNode:
             raise StructureError(
                 f"node {self.node_id} slot "
                 f"{(mask & self._free).bit_length() - 1} is already free")
-        if mask.bit_count() != len(slots):
+        if mask.bit_count() != len(msgs):
             raise StructureError(
                 f"node {self.node_id} holds two messages in one slot")
         return mask
@@ -236,10 +237,11 @@ class BeTree:
                    writes=()) -> list:
         """Take the batch `src.buffer[lo:hi]` out of `src`, freeing its
         slots with one OR, and return it. With `dst` the batch takes dst's
-        lowest free slots in message order, merges into its buffer and is
-        written there after `writes`. A batch that `src` does not hold one
-        slot per message, or that `dst` has no room for, is refused before
-        anything changes."""
+        lowest free slots in message order, merges into its buffer in place
+        and is written there after `writes`. A batch that `src` does not
+        hold one slot per message, or that `dst` has no room for, is refused
+        before anything changes. Both buffers change in place, and both drop
+        their scan orders."""
         batch = src.buffer[lo:hi]
         freed = src.held_mask(batch)
         if dst is not None:
@@ -248,7 +250,8 @@ class BeTree:
                 raise StructureError(
                     f"node {dst.node_id} has {free.bit_count()} free slots "
                     f"for {len(batch)} messages")
-        src.splice(lo, hi)
+        del src.buffer[lo:hi]
+        src.scan_order = None
         src._free |= freed
         if dst is None:
             return batch
@@ -260,7 +263,9 @@ class BeTree:
         self.kv_writes += len(batch)
         # two sorted runs, and no batch key is left in dst: a stable key
         # sort keeps dst's own ties in seq order, and merges in linear time
-        dst.splice(0, len(dst.buffer), sorted(dst.buffer + batch, key=_KEY))
+        dst.buffer += batch
+        dst.buffer.sort(key=_KEY)
+        dst.scan_order = None
         # on NullStore the moved pairs' writes would be thrown away
         if self.store.has_device:
             writes = [*writes, *self._slot_writes(batch)]
@@ -317,7 +322,10 @@ class BeTree:
 
     def _flush(self, node: InternalNode) -> None:
         """Move the largest same-child batch of buffered messages one level
-        down (or into the leaf), possibly recursing to make room."""
+        down (or into the leaf), possibly recursing to make room. Each
+        level is one pass: the run is found with one bisect per pivot, and
+        one key set of it decides whether the dedupe walk and whether the
+        shadow-kill walk run; each runs only when it will drop something."""
         if not node.buffer:
             # a node is flushed for lack of free slots, which a sound slot
             # pool never reports for an empty buffer; looping would hang
@@ -335,30 +343,16 @@ class BeTree:
                 if end - start > hi - lo:
                     ci, lo, hi = i - 1, start, end
                 start = end
-            if len(buf) - start > hi - lo:
-                ci, lo, hi = len(pivots) - 1, start, len(buf)
             size = len(buf)
-            batch = self._dedupe_batch(node, lo, hi)
+            if size - start > hi - lo:
+                ci, lo, hi = len(pivots) - 1, start, size
+            batch = buf[lo:hi]
+            keys = set(map(_KEY, batch))
+            if len(keys) < len(batch):
+                batch = self._dedupe_batch(node, lo, hi)
+                hi = lo + len(batch)
             child = self.nodes[pivots[ci][1]]
-            if child.kind == KIND_INTERNAL:
-                self._shadow_kill_in_child(child, batch)
-                if child._free.bit_count() < len(batch):
-                    # the choice stands while the runs that made it do. A
-                    # dedupe drop shortens this buffer, and a split of this
-                    # node shows in its pivots or its buffer (the slack rule
-                    # can keep the pivots); after either, pick again once
-                    # the child has been flushed
-                    before = list(pivots)
-                    self._flush(child)
-                    while (node.pivots == before and len(node.buffer) == size
-                           and child._free.bit_count() < len(batch)):
-                        self._flush(child)
-                    if node.pivots != before or len(node.buffer) != size:
-                        continue
-            hi = lo + len(batch)
-            if child.kind == KIND_INTERNAL:
-                self._hand_over(node, lo, hi, child)
-            else:
+            if child.kind == KIND_LEAF:
                 arrivals = []
                 for m in self._hand_over(node, lo, hi):
                     if self.arena is not None:
@@ -370,16 +364,31 @@ class BeTree:
                         value = m.payload
                     arrivals.append((m.key, value))
                 self._leaf_merge(child, arrivals)
+                return
+            if not keys.isdisjoint(map(_KEY, child.buffer)):
+                self._shadow_kill_in_child(child, batch)
+            if child._free.bit_count() < len(batch):
+                # the choice stands while the runs that made it do. A
+                # dedupe drop shortens this buffer, and a split of this
+                # node shows in its pivots' content or its buffer (the
+                # slack rule can keep the pivots); after either, pick again
+                # once the child has been flushed
+                before = pivots.copy()
+                self._flush(child)
+                while (len(node.buffer) == size and node.pivots == before
+                       and child._free.bit_count() < len(batch)):
+                    self._flush(child)
+                if len(node.buffer) != size or node.pivots != before:
+                    continue
+            self._hand_over(node, lo, hi, child)
             return
 
     def _dedupe_batch(self, node: InternalNode, lo: int, hi: int):
-        # buffer[lo:hi] is (key, seq)-sorted; only the newest of each key
-        # survives, and the survivors stay in place as buffer[lo:lo + n]
-        run = node.buffer[lo:hi]
-        if len(set(map(_KEY, run))) == len(run):
-            return run
+        # buffer[lo:hi] is (key, seq)-sorted and repeats a key; only the
+        # newest of each key survives, and the survivors stay in place as
+        # buffer[lo:lo + n]
         survivors, dropped = [], []
-        for m in run:
+        for m in node.buffer[lo:hi]:
             if survivors and survivors[-1].key == m.key:
                 dropped.append(survivors.pop())
             survivors.append(m)
@@ -388,11 +397,10 @@ class BeTree:
         return survivors
 
     def _shadow_kill_in_child(self, child: InternalNode, batch) -> None:
-        # both runs are key-sorted and the batch holds one message per key,
-        # so one walk in step finds every child message the batch overtakes
+        # both runs are key-sorted, the batch holds one message per key and
+        # shares a key with the child, so one walk in step finds every
+        # child message the batch overtakes
         buf = child.buffer
-        if not buf or set(map(_KEY, buf)).isdisjoint(map(_KEY, batch)):
-            return
         dead = []
         i, n = 0, len(buf)
         for m in batch:
@@ -407,11 +415,10 @@ class BeTree:
                 i += 1
             if i == n:
                 break
-        if dead:
-            # by identity: Message equality compares every field
-            gone = set(map(id, dead))
-            self._release(child, dead)
-            child.splice(0, n, [m for m in buf if id(m) not in gone])
+        # by identity: Message equality compares every field
+        gone = set(map(id, dead))
+        self._release(child, dead)
+        child.splice(0, n, [m for m in buf if id(m) not in gone])
 
     # ------------------------------------------------------------ leaf merge
 

@@ -1,16 +1,21 @@
 """The buffered tree with per-message pair moves: the flush-path reference.
 
-`BeTree` moves a batch's slots in bulk: `_hand_over` frees a batch leaving
-a node with one mask and hands out the destination's lowest free slots in
-one loop over ints, `_release` frees the drops of a dedupe or shadow-kill
-walk with one mask, the merged child buffer is a stable key sort, and a
-NullStore tree builds no moved-pair writes. `RefBeTree` keeps the
-per-message form they replaced: each message gives its slot back and takes
-the lowest free one, the child buffer is sorted by (key, seq), the dedupe
-and the shadow kill always walk their runs, and every moved pair's write
-goes to the store. Flushes, splits and drops all take these paths, so a
-test that replays one stream through both trees holds the bulk path to
-exactly the slots, orders, masks and counts of this one.
+`BeTree` makes each level of a flush cascade one lean pass: one key set of
+the run decides whether the dedupe walk and the shadow-kill walk run, and
+each runs only when it drops something; `held_mask` checks a batch's slots
+in one loop; `_hand_over` frees a batch leaving a node with one mask, hands
+out the destination's lowest free slots in one loop over ints and merges
+the batch into the destination's buffer in place by a stable key sort;
+`_release` frees the drops of a walk with one mask; and a NullStore tree
+builds no moved-pair writes. `RefBeTree` keeps the per-message form they
+replaced, with its own recursive `_flush`, `_dedupe_batch`,
+`_shadow_kill_in_child`, `_hand_over` and `_release`: each message gives
+its slot back and takes the lowest free one, the child buffer is sorted by
+(key, seq), the dedupe and the shadow kill always walk their runs, the
+re-pick after a child flush tests a dedupe drop on its own, and every
+moved pair's write goes to the store. Flushes, splits and drops all take
+these paths, so a test that replays one stream through both trees holds
+the lean path to exactly the slots, orders, masks and counts of this one.
 """
 
 import bisect

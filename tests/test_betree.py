@@ -1,5 +1,7 @@
 """Buffered-tree behaviour: oracle equivalence, arena bookkeeping, audits."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -912,7 +914,7 @@ def _tree_state(tree):
 @settings(max_examples=200, deadline=None)
 @given(store=st.sampled_from(["null", "word", "bit_interleaved"]),
        encoding=st.booleans(), parallel=st.booleans(),
-       pivot_pairs=st.integers(2, 3), buffer_pairs=st.integers(1, 6),
+       pivot_pairs=st.integers(2, 5), buffer_pairs=st.integers(1, 6),
        element_pairs=st.integers(1, 3),
        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 63),
                               st.integers(0, 255)),
@@ -988,6 +990,81 @@ def _assert_same_state(bulk, ref, after):
                         for c in (x, y))
             raise _StateMismatch(f"after {after}: {name}: bulk {x!r}, "
                                  f"reference {y!r}")
+
+
+class _RepickWatch(BeTree):
+    """A BeTree that sorts each child flush a node's `_flush` makes by what
+    it left in the node: its own dedupe drop had shortened its buffer
+    ("dedupe"), its pivots grew in place ("grown"), a split of it rebound
+    them to a list that differs in content ("pivots"), or, by the slack
+    rule, to an equal one while the cut moved part of its buffer
+    ("slack")."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.branches = Counter()
+        self._frames = []       # [node, dropped since its last child flush]
+
+    def _dedupe_batch(self, node, lo, hi):
+        self._frames[-1][1] = True
+        return super()._dedupe_batch(node, lo, hi)
+
+    def _flush(self, node):
+        frames = self._frames
+        outer = frames[-1] if frames else None
+        if outer is not None:
+            parent = outer[0]
+            pivots, before = parent.pivots, list(parent.pivots)
+            size, dropped = len(parent.buffer), outer[1]
+            outer[1] = False
+        frames.append([node, False])
+        try:
+            super()._flush(node)
+        finally:
+            frames.pop()
+        if outer is None:
+            return
+        if dropped:
+            self.branches["dedupe"] += 1
+        if parent.pivots is pivots:
+            if parent.pivots != before:
+                self.branches["grown"] += 1
+        elif parent.pivots != before:
+            self.branches["pivots"] += 1
+        elif len(parent.buffer) != size:
+            self.branches["slack"] += 1
+
+
+@pytest.mark.parametrize("store", ["null", "word", "bit_interleaved"])
+@pytest.mark.parametrize("branch,pivot_pairs,buffer_pairs,keys", [
+    ("dedupe", 2, 3, [5, 7, 8, 15, 5, 10, 15, 14, 9, 2, 9, 13]),
+    ("pivots", 2, 3, [11, 0, 7, 0, 12, 11, 2, 13, 9, 10, 3, 4, 3, 8, 11, 0,
+                      4, 2, 1, 11]),
+    ("slack", 2, 3, [28, 23, 21, 92, 213, 43, 188, 207, 171, 218, 78]),
+    ("grown", 3, 1, [4, 2, 8, 3, 15, 14, 15, 12]),
+])
+def test_each_repick_branch_of_flush_matches_the_reference(
+        store, branch, pivot_pairs, buffer_pairs, keys):
+    # after a child flush a node picks its child again only when its pivots
+    # differ in content or its buffer length changed. Each stream takes its
+    # branch (the count proves it) and stays equal to the reference after
+    # every upsert; each would part from it if the rule missed the branch:
+    # a buffer length taken after the dedupe ("dedupe"), a pivot count for
+    # the content ("pivots"), no length check ("slack", whose distinct keys
+    # drop nothing) or an identity check of the pivots ("grown")
+    cfg = TreeConfig(node_pairs=pivot_pairs + buffer_pairs,
+                     pivot_pairs=pivot_pairs, element_pairs=1)
+    watched = _byte_tree(store, cfg, len(keys), _RepickWatch)
+    ref = _byte_tree(store, cfg, len(keys), RefBeTree)
+    for i, key in enumerate(keys):
+        watched.upsert(key, i)
+        ref.upsert(key, i)
+        _assert_same_state(watched, ref, f"upsert {i}")
+    assert watched.branches[branch] > 0
+    watched.flush_all()
+    ref.flush_all()
+    _assert_same_state(watched, ref, "flush_all")
+    watched.audit()
 
 
 def _upsert_state(tree):
