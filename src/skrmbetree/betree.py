@@ -124,8 +124,9 @@ class InternalNode:
         self._free = self.span
 
     def splice(self, lo: int, hi: int, msgs=()) -> None:
-        """Replace buffer[lo:hi] with msgs. Every other change to the
-        buffer's messages goes through here, so the scan order never
+        """Replace buffer[lo:hi] with msgs and drop the scan order. Besides
+        `BeTree._hand_over`, which drops it itself, every other change to
+        the buffer's messages goes through here, so the scan order never
         outlives one; only `add_newest` extends it in place."""
         self.buffer[lo:hi] = msgs
         self.scan_order = None
