@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 
 from .betree import BeTree
-from .config import ExperimentConfig, as_int
+from .config import ExperimentConfig
 from .device import Device
 from .errors import ConfigError, StructureError
 from .layout import DeviceStore
@@ -160,8 +160,7 @@ def run_experiment(cfg: ExperimentConfig, check_oracle: bool = False,
 def sweep_points(cfg: ExperimentConfig, entries_grid,
                  word_bytes_grid) -> list[ExperimentConfig]:
     """Every point of a sweep grid, each built, and so checked."""
-    return [replace(cfg, entries=as_int(entries, "entries"),
-                    word_bytes=as_int(wb, "word_bytes"))
+    return [replace(cfg, entries=entries, word_bytes=wb)
             for entries in entries_grid for wb in word_bytes_grid]
 
 

@@ -15,18 +15,10 @@ import sys
 
 from .bench import emit, format_rows, run_experiment, run_sweep, sweep_points
 from .btree import write_count_series
-from .config import (BOOL_WORDS, MAPPINGS, STRATEGIES, ExperimentConfig,
+from .config import (MAPPINGS, STRATEGIES, ExperimentConfig,
                      apply_file_settings, read_config_file)
 from .errors import ConfigError, SimError
 from .workload import MIXES
-
-
-def _onoff(text: str) -> bool:
-    try:
-        return BOOL_WORDS[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"expected on or off, got {text!r}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -45,12 +37,13 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workload", choices=sorted(MIXES))
     p.add_argument("--mapping", choices=[*MAPPINGS, "bit"])
     p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--encoding", type=_onoff, metavar="on|off")
-    p.add_argument("--parallel-ports", type=_onoff, metavar="on|off")
-    p.add_argument("--entries", type=int)
-    p.add_argument("--ops", type=int, help="operation-phase length (default: entries)")
-    p.add_argument("--word-bytes", type=int)
-    p.add_argument("--seed", type=int)
+    # text, parsed as the same line of a settings file is
+    p.add_argument("--encoding", metavar="on|off")
+    p.add_argument("--parallel-ports", metavar="on|off")
+    p.add_argument("--entries")
+    p.add_argument("--ops", help="operation-phase length (default: entries)")
+    p.add_argument("--word-bytes")
+    p.add_argument("--seed")
     p.add_argument("--check", action="store_true",
                    help="verify reads against an in-memory oracle and audit the tree")
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
@@ -60,18 +53,20 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 def build_config(args, **overrides) -> ExperimentConfig:
     """The config the settings file, then the flags, then `overrides` (a
     sweep's first grid point) give, built once: a check that spans
-    fields sees only the finished config."""
+    fields sees only the finished config. A flag is parsed even where an
+    override replaces it."""
     flags = {"workload": args.workload,
              "mapping": ("bit_interleaved" if args.mapping == "bit"
                          else args.mapping),
              "entries": args.entries, "op_count": args.ops,
              "word_bytes": args.word_bytes, "seed": args.seed,
              "strategy": args.strategy, "encoding": args.encoding,
-             "parallel_ports": args.parallel_ports, **overrides}
+             "parallel_ports": args.parallel_ports}
     return apply_file_settings(
         ExperimentConfig(),
         read_config_file(args.config) if args.config else {},
-        {key: value for key, value in flags.items() if value is not None})
+        {key: value for key, value in flags.items() if value is not None},
+        overrides)
 
 
 def _output(path):

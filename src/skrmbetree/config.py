@@ -5,12 +5,15 @@ Everything here can be set from code, from CLI flags, or from a plain
 the name of an ExperimentConfig, TreeConfig or CostModel field. A value
 that follows from others has no key: the track geometry follows from the
 tree shape and word size, and a node's buffer slots from its shape.
+However a config is built, its fields are type-checked by one rule
+(:func:`_typed_fields`); settings text is first parsed as its field's type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Real
 from operator import index
 from pathlib import Path
 
@@ -46,13 +49,53 @@ def as_int(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, not {value!r}")
 
 
-def _typed_ints(cfg) -> None:
-    """Route every int field of the frozen dataclass `cfg` through as_int
-    and keep the Python int; an ``int | None`` field may also be None."""
+def as_float(value, what: str) -> float:
+    """`value` as a finite Python float: any real number but a bool."""
+    try:
+        if (isinstance(value, Real) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            return float(value)
+    except OverflowError:   # an int too large for a float
+        pass
+    raise ConfigError(f"{what} must be a finite number, not {value!r}")
+
+
+# the values each str field takes
+_CHOICES = {"workload": tuple(sorted(MIXES)), "mapping": MAPPINGS,
+            "strategy": STRATEGIES, "shift_policy": SHIFT_POLICIES}
+# the least value of each int field that has one (None always passes)
+_LEAST = {"interport_bits": 1, "ports_per_track": 1, "pivot_pairs": 2,
+          "element_pairs": 1, "arena_capacity": 1, "max_tracks": 1,
+          "entries": 1, "op_count": 0, "word_bytes": 1, "seed": 0}
+
+
+def _typed_fields(cfg) -> None:
+    """Type-check every field of the frozen config `cfg` by its annotation
+    and store each value as checked; each __post_init__ runs this first.
+    An int takes what as_int does, at least its _LEAST (``int | None``
+    also None), a float what as_float does, a bool only True or False, a
+    str one of its _CHOICES, and `tree` and `cost` an instance of their
+    class."""
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type == "int" or (f.type == "int | None" and value is not None):
-            object.__setattr__(cfg, f.name, as_int(value, f.name))
+        name, kind, value = f.name, f.type, getattr(cfg, f.name)
+        ok = True
+        if kind == "int" or kind == "int | None" and value is not None:
+            value = as_int(value, name)
+            if name in _LEAST and value < _LEAST[name]:
+                raise ConfigError(f"{name} must be >= {_LEAST[name]}")
+        elif kind == "float":
+            value = as_float(value, name)
+        elif kind == "bool":
+            ok, want = value is True or value is False, "True or False"
+        elif kind == "str":
+            ok = isinstance(value, str) and value in _CHOICES[name]
+            want = f"one of {_CHOICES[name]}"
+        elif kind != "int | None":  # a kind with no check: KeyError
+            cls = {"TreeConfig": TreeConfig, "CostModel": CostModel}[kind]
+            ok, want = isinstance(value, cls), f"a {kind}"
+        if not ok:
+            raise ConfigError(f"{name} must be {want}, not {value!r}")
+        object.__setattr__(cfg, name, value)
 
 
 @dataclass(frozen=True)
@@ -75,10 +118,10 @@ class CostModel:
     latency_inject: float = 1.0
 
     def __post_init__(self):
+        _typed_fields(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{f.name} must be finite and positive")
+            if getattr(self, f.name) <= 0:
+                raise ConfigError(f"{f.name} must be positive")
 
     def energy(self, kind: str) -> float:
         return getattr(self, "energy_" + kind)
@@ -108,13 +151,7 @@ class Geometry:
     shift_policy: str = "lazy"
 
     def __post_init__(self):
-        _typed_ints(self)
-        if self.interport_bits < 1:
-            raise ConfigError("interport_bits must be >= 1")
-        if self.ports_per_track < 1:
-            raise ConfigError("ports_per_track must be >= 1")
-        if self.shift_policy not in SHIFT_POLICIES:
-            raise ConfigError(f"shift_policy must be one of {SHIFT_POLICIES}")
+        _typed_fields(self)
 
 
 @dataclass(frozen=True)
@@ -132,26 +169,16 @@ class TreeConfig:
     max_tracks: int | None = None       # None: unbounded pool
 
     def __post_init__(self):
-        _typed_ints(self)
-        if self.pivot_pairs < 2:
-            raise ConfigError("pivot_pairs must be >= 2")
+        _typed_fields(self)
         if self.pivot_pairs >= self.node_pairs:
             raise ConfigError("pivot_pairs must be < node_pairs: an internal "
                               "node needs a buffer slot")
-        if self.element_pairs < 1:
-            raise ConfigError("element_pairs must be >= 1")
         if self.element_pairs > self.node_pairs:
             # a leaf's elements sit in the node's pair slots (its ports)
             raise ConfigError("element_pairs must be <= node_pairs")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}")
         if self.parallel_ports and self.strategy != "bcw":
             raise ConfigError("parallel port updates run the batched compare "
                               "write; parallel_ports requires strategy=bcw")
-        if self.arena_capacity is not None and self.arena_capacity < 1:
-            raise ConfigError("arena_capacity must be >= 1")
-        if self.max_tracks is not None and self.max_tracks < 1:
-            raise ConfigError("max_tracks must be >= 1")
 
     @property
     def buffer_pairs(self) -> int:
@@ -185,21 +212,7 @@ class ExperimentConfig:
     shift_policy: str = "lazy"
 
     def __post_init__(self):
-        _typed_ints(self)
-        if self.workload not in MIXES:
-            raise ConfigError(f"workload must be one of {sorted(MIXES)}")
-        if self.mapping not in MAPPINGS:
-            raise ConfigError(f"mapping must be one of {MAPPINGS}")
-        if self.word_bytes < 1:
-            raise ConfigError("word_bytes must be >= 1")
-        if self.entries < 1:
-            raise ConfigError("entries must be >= 1")
-        if self.op_count is not None and self.op_count < 0:
-            raise ConfigError("op_count must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.shift_policy not in SHIFT_POLICIES:
-            raise ConfigError(f"shift_policy must be one of {SHIFT_POLICIES}")
+        _typed_fields(self)
         if self.tree.strategy == "pw" and self.mapping == "bit_interleaved":
             raise ConfigError("pw is a single-word word-based strategy; "
                               "it cannot drive the bit_interleaved mapping")
@@ -240,40 +253,31 @@ class ExperimentConfig:
 BOOL_WORDS = {"1": True, "true": True, "on": True, "yes": True,
                "0": False, "false": False, "off": False, "no": False}
 
-# settings key -> the annotated type of the field it sets
-_KEY_TYPES = {f.name: f.type
-              for cls in (ExperimentConfig, TreeConfig, CostModel)
-              for f in fields(cls) if f.name not in ("tree", "cost")}
+# settings key -> the config class whose field it sets, and its annotation
+_KEYS = {f.name: (cls, f.type)
+         for cls in (ExperimentConfig, TreeConfig, CostModel)
+         for f in fields(cls) if f.name not in ("tree", "cost")}
 
 def _parse(key: str, value):
-    """`value` as the type of the field `key` sets: text from a settings
-    file, or an already typed value from code.
-
-    Bool fields take only True/False and the bool words, int fields only
-    integers (a bool is not one), ``int | None`` fields also None or
-    ``none``, float fields any finite number, str fields only text.
-    """
-    kind = _KEY_TYPES.get(key)
-    if kind is None:
+    """`value` for the field `key` sets: settings text, from a file or a
+    flag, as the field's type (a bool word, an integer or ``none``, a
+    finite number, or the text itself); any other value as it is."""
+    if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    if kind == "int | None" and (value is None
-                                 or str(value).lower() == "none"):
-        return None
-    want = {"bool": bool, "float": float, "str": str}.get(kind, int)
-    got = value
-    if isinstance(value, str) and want is not str:
-        try:
-            got = (BOOL_WORDS.get(value.lower()) if want is bool
-                   else want(value))
-        except ValueError:
-            pass
-    if want is float and type(got) is int:
-        got = float(got)
-    if type(got) is not want or (want is float and not math.isfinite(got)):
+    kind = _KEYS[key][1]
+    if not isinstance(value, str) or kind == "str":
+        return value
+    try:
+        if kind == "bool":
+            return BOOL_WORDS[value.lower()]
+        if kind == "float":
+            return as_float(float(value), key)
+        return (None if kind == "int | None" and value.lower() == "none"
+                else int(value))
+    except (KeyError, ValueError, ConfigError):
         raise ConfigError(f"{key} = {value!r}: expected {kind}"
-                          + (f" ({'/'.join(BOOL_WORDS)})" if want is bool
-                             else ""))
-    return got
+                          + (f" ({'/'.join(BOOL_WORDS)})" if kind == "bool"
+                             else "")) from None
 
 
 def read_config_file(path) -> dict:
@@ -310,25 +314,21 @@ def read_config_file(path) -> dict:
     return out
 
 
-_COST_KEYS = {f.name for f in fields(CostModel)}
-_TREE_KEYS = {f.name for f in fields(TreeConfig)}
-
-
 def apply_file_settings(cfg: ExperimentConfig, *layers: dict) -> ExperimentConfig:
     """Overlay layers of settings onto an ExperimentConfig, each over the
-    ones before it: a parsed config file, then the CLI flags. Each value is
-    checked against its field's type. All layers apply in one replace, so
-    the cross-field checks see only the finished config, never a
-    half-applied one.
+    ones before it: a parsed config file, then the CLI flags. Text is
+    parsed as its field's type, and the built configs check every value.
+    All layers apply in one replace, so the cross-field checks see only
+    the finished config, never a half-applied one.
 
     A key is a config field name. Unknown keys raise, so typos do not pass
     silently.
     """
-    cost_kw, tree_kw, exp_kw = {}, {}, {}
+    kw = {ExperimentConfig: {}, TreeConfig: {}, CostModel: {}}
     for settings in layers:
         for key, value in settings.items():
             value = _parse(key, value)
-            (cost_kw if key in _COST_KEYS else
-             tree_kw if key in _TREE_KEYS else exp_kw)[key] = value
-    return replace(cfg, cost=replace(cfg.cost, **cost_kw),
-                   tree=replace(cfg.tree, **tree_kw), **exp_kw)
+            kw[_KEYS[key][0]][key] = value
+    return replace(cfg, cost=replace(cfg.cost, **kw[CostModel]),
+                   tree=replace(cfg.tree, **kw[TreeConfig]),
+                   **kw[ExperimentConfig])

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from skrmbetree import config
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
                                TreeConfig, apply_file_settings,
                                read_config_file)
@@ -317,3 +318,121 @@ def test_int_fields_built_from_code_are_type_checked(cls, name):
             cls(**{name: bad})
     cfg = cls(**{name: np.int64(good)})
     assert getattr(cfg, name) == good and type(getattr(cfg, name)) is int
+
+
+# every field of the four config classes; a wrong value of each kind, and
+# a good one other than the default where the kind has room for one
+_CONFIGS = (ExperimentConfig, TreeConfig, CostModel, Geometry)
+_FIELDS = [(cls, f.name, f.type) for cls in _CONFIGS for f in fields(cls)]
+_WRONG = {
+    "int": (True, 2.5, "2", None),
+    "int | None": (True, 2.5, "2"),
+    "bool": ("off", 1, None),
+    "float": (True, "2.0", float("nan"), float("inf")),
+    "str": ("sideways", 5),
+    "TreeConfig": (None, "tree", CostModel()),
+    "CostModel": (None, "cost", TreeConfig()),
+}
+
+
+def _good_values(cls, name, kind):
+    """(value given, value stored) pairs the field takes, and the other
+    fields each needs set beside it."""
+    default = {f.name: f.default for f in fields(cls)}[name]
+    if kind in ("int", "int | None"):
+        given = _INT_FIELDS[cls, name]
+        return [(np.int64(given), given)], {}
+    if kind == "float":
+        return [(3, 3.0), (np.float32(0.5), 0.5)], {}
+    if kind == "bool":
+        return [(True, True), (False, False)], (
+            {"strategy": "bcw"} if name == "parallel_ports" else {})
+    if kind == "str":
+        return [(v, v) for v in config._CHOICES[name] if v != default], {}
+    other = (TreeConfig(strategy="dcw") if kind == "TreeConfig"
+             else CostModel(energy_inject=150))
+    return [(other, other)], {}
+
+
+def test_every_field_annotation_has_a_type_check():
+    # a field of a kind the check does not know fails here; and every str
+    # field is a choice field
+    assert {kind for _cls, _name, kind in _FIELDS} <= set(_WRONG)
+    assert sorted({name for _cls, name, kind in _FIELDS if kind == "str"}) \
+        == sorted(config._CHOICES) == ["mapping", "shift_policy",
+                                        "strategy", "workload"]
+
+
+@pytest.mark.parametrize("cls,name,kind", _FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n, _k in _FIELDS])
+def test_every_field_refuses_a_value_of_the_wrong_kind(cls, name, kind):
+    for bad in _WRONG[kind]:
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            cls(**{name: bad})
+    goods, beside = _good_values(cls, name, kind)
+    assert goods
+    for given, stored in goods:
+        got = getattr(cls(**beside, **{name: given}), name)
+        assert got == stored and type(got) is type(stored)
+
+
+def test_the_wrong_kinds_that_used_to_run_are_refused():
+    # each of these built a config that ran: the arena on for "off",
+    # doubled detects for "no", 1 fJ billed per detect for True; a missing
+    # tree or cost model failed only inside the run
+    for build, name in (
+            (lambda: TreeConfig(encoding="off"), "encoding"),
+            (lambda: TreeConfig(strategy="bcw", count_new_detect="no"),
+             "count_new_detect"),
+            (lambda: CostModel(energy_detect=True), "energy_detect"),
+            (lambda: ExperimentConfig(cost=None), "cost"),
+            (lambda: ExperimentConfig(tree="x"), "tree"),
+            (lambda: ExperimentConfig(tree=None), "tree")):
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            build()
+
+
+@pytest.mark.parametrize("command", ("run", "sweep"))
+@pytest.mark.parametrize("flag,key", [(["--encoding", "maybe"], "encoding"),
+                                      (["--entries", "1.5"], "entries"),
+                                      (["--seed", "x"], "seed")])
+def test_cli_refuses_a_mistyped_flag_before_out(command, flag, key, tmp_path,
+                                                capsys, monkeypatch):
+    from skrmbetree import cli
+    for name in ("run_experiment", "run_sweep"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail(
+            "simulated before the flags were checked"))
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    assert cli.main([command, *flag, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} = {flag[1]!r}: expected " + (
+        "bool (1/true/on/yes/0/false/off/no)\n" if key == "encoding"
+        else "int\n")
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("flags,lines", [
+    (["--encoding", "On"], "encoding = On"),
+    (["--strategy", "bcw", "--parallel-ports", "yes"],
+     "strategy = bcw\nparallel_ports = yes"),
+    (["--entries", "500"], "entries = 500"),
+    (["--ops", "0"], "op_count = 0"),
+    (["--word-bytes", "2"], "word_bytes = 2"),
+    (["--seed", "7"], "seed = 7"),
+])
+def test_a_flag_builds_the_config_its_settings_line_builds(flags, lines,
+                                                           tmp_path,
+                                                           monkeypatch):
+    from skrmbetree import cli
+    built = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg, *args, **kw: built.append(cfg) or [])
+    monkeypatch.setattr(cli, "emit", lambda rows, fmt: "")
+    conf = tmp_path / "run.conf"
+    conf.write_text(lines + "\n")
+    assert cli.main(["run", *flags]) == 0
+    assert cli.main(["run", "--config", str(conf)]) == 0
+    by_flag, by_file = built
+    assert by_flag == by_file
+    assert by_flag != ExperimentConfig()
