@@ -127,19 +127,9 @@ class InternalNode:
         """Replace buffer[lo:hi] with msgs and drop the scan order. Besides
         `BeTree._hand_over`, which drops it itself, every other change to
         the buffer's messages goes through here, so the scan order never
-        outlives one; only `add_newest` extends it in place."""
+        outlives one."""
         self.buffer[lo:hi] = msgs
         self.scan_order = None
-
-    def add_newest(self, at: int, msg: Message) -> None:
-        """Insert `msg`, newer than every buffered message, at buffer[at];
-        a built scan order keeps it as its newest entry."""
-        self.buffer.insert(at, msg)
-        if self.scan_order is not None:
-            slots, keys, newest = self.scan_order
-            slots.insert(0, msg.slot)
-            keys.insert(0, msg.key)
-            newest.insert(0, msg)
 
     def take_slot(self) -> int:
         """The lowest free buffer slot."""
@@ -312,8 +302,8 @@ class BeTree:
             self._flush(root)
             root = self.nodes[self.root_id]
         slot = root.take_slot()
-        root.add_newest(bisect.bisect_right(root.buffer, key, key=_KEY),
-                        Message(key, payload, self.seq, slot))
+        at = bisect.bisect_right(root.buffer, key, key=_KEY)
+        root.splice(at, at, [Message(key, payload, self.seq, slot)])
         # on NullStore the pair's write would be thrown away
         if store.has_device:
             store.write_pairs(root.node_id, [(slot, key, payload, width)])
