@@ -137,6 +137,24 @@ class Device:
         self._next_group += 1
         return g
 
+    # ------------------------------------------------- uncharged verification
+
+    @staticmethod
+    def peek_word(handle, slot: int, offset: int, row: int,
+                  width: int) -> int:
+        """The `width`-bit word in `slot`, read without a charge and
+        whatever the alignment, since cells never move: on a track, word
+        slot `slot` (segment slot + 1; `offset` and `row` are 0); on a
+        group, the column ``slot_start(slot) + offset`` from row `row` on."""
+        if not 0 <= slot < handle.n_ports:
+            raise PortRangeError(f"port {slot} outside "
+                                 f"0..{handle.n_ports - 1}")
+        if isinstance(handle, Racetrack):
+            word = handle.cells[slot + 1]
+        else:
+            word = handle.cells[handle.slot_start(slot) + offset] >> row
+        return word & ((1 << width) - 1)
+
     # ------------------------------------------------------------ primitives
 
     def shift(self, handle, direction: str, steps: int) -> None:

@@ -298,32 +298,21 @@ class DeviceStore:
 
     def peek_pair(self, node_id: int, pair_slot: int,
                   payload_width: int) -> tuple[int, int]:
-        wb = self.word_bits
+        peek = self.device.peek_word
         if self._word:
             if pair_slot not in self._pair_slots:
                 raise self._slot_error((pair_slot,))
-            # word slot w is the track's segment w + 1
-            cells = self.homes[node_id].cells
-            key = cells[pair_slot + 1]
-            payload = cells[self._payload_base + pair_slot + 1]
-        else:
-            # cells never move; a node's column for port p is the fixed
-            # index slot_start(p) + offset whatever the alignment
-            group, offset = self.homes[node_id]
-            if not 0 <= pair_slot < group.n_ports:
-                raise PortRangeError(f"port {pair_slot} outside "
-                                     f"0..{group.n_ports - 1}")
-            col = group.cells[group.slot_start(pair_slot) + offset]
-            key, payload = col, col >> wb
-        return key & ((1 << wb) - 1), payload & ((1 << payload_width) - 1)
+            track = self.homes[node_id]
+            return (peek(track, pair_slot, 0, 0, self.word_bits),
+                    peek(track, self._payload_base + pair_slot, 0, 0,
+                         payload_width))
+        group, offset = self.homes[node_id]
+        return (peek(group, pair_slot, offset, 0, self.word_bits),
+                peek(group, pair_slot, offset, self.word_bits, payload_width))
 
     def peek_arena(self, index: int, width: int) -> int:
         home, port, offset = self._arena_at(index)
-        if self._word:
-            word = home.cells[port + 1]
-        else:
-            word = home.cells[home.slot_start(port) + offset]
-        return word & ((1 << width) - 1)
+        return self.device.peek_word(home, port, offset, 0, width)
 
 
 class NullStore:

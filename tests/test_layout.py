@@ -340,15 +340,47 @@ def test_arena_round_trip_and_peek():
             assert store.peek_arena(index, store.word_bits) == index * 41 + 5
 
 
-def test_peek_matches_charged_read_after_shifts():
-    store = make_store("bit_interleaved")
-    store.add_node(0, KIND_INTERNAL)
-    store.add_node(1, KIND_INTERNAL)
-    store.write_pairs(0, [(2, 0xBEEF, 0x1234, store.word_bits)])
-    store.write_pairs(1, [(2, 0xCAFE, 0x5678, store.word_bits)])
-    # aligning node 1 displaces node 0's column; peeks must still see it
-    assert store.peek_pair(0, 2, store.word_bits) == (0xBEEF, 0x1234)
-    assert store.read_key(0, 2) == 0xBEEF
+@pytest.mark.parametrize("policy", ("lazy", "eager"))
+@pytest.mark.parametrize("mapping", ("word", "bit_interleaved"))
+def test_peek_matches_charged_read_after_shifts(mapping, policy):
+    # charged reads leave tracks and groups where their sweeps end (reading
+    # node 1 displaces node 0's column), and one more shift moves every
+    # home off offset 0: a peek reads the cells where they lie, so it sees
+    # what the charged read after it sees, and charges and moves nothing
+    store = make_store(mapping, policy=policy)
+    dev, wb = store.device, store.word_bits
+    pairs = {0: [(2, 0xBEEF, 0x1234, wb), (3, 0x0F0F, 0x5, 3)],
+             1: [(2, 0xCAFE, 0x5678, wb), (0, 0x7, 0x1, 1)]}
+    for node_id, writes in pairs.items():
+        store.add_node(node_id, KIND_INTERNAL)
+        store.write_pairs(node_id, writes)
+    arena = {index: index * 41 + 5 for index in (0, 5, 17)}
+    for index, value in arena.items():
+        store.arena_write(index, value, wb)
+        assert store.arena_read(index, wb) == value
+    homes = [*dev.tracks.values(), *dev.groups.values()]
+    for node_id in pairs:
+        store.read_key(node_id, 2)
+    for home in homes:
+        dev.shift(home, "left", 1)
+    assert all(home.offset for home in homes)
+
+    def state():
+        return dev.counters.as_flat_dict(), [home.offset for home in homes]
+
+    for node_id, writes in pairs.items():
+        for slot, key, payload, width in writes:
+            before = state()
+            peek = store.peek_pair(node_id, slot, width)
+            assert state() == before
+            assert peek == (store.read_key(node_id, slot),
+                            store.read_payload(node_id, slot, width)) \
+                == (key, payload)
+    for index, value in arena.items():
+        before = state()
+        peek = store.peek_arena(index, wb)
+        assert state() == before
+        assert peek == store.arena_read(index, wb) == value
 
 
 def test_node_read_detects_per_mapping():

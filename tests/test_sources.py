@@ -64,3 +64,15 @@ def test_every_top_level_name_under_src_is_used_outside_the_tests():
     users = [text for path, text in src.items()
              if Path(path).name != "__init__.py"]
     assert _unused(src, [*users, *bench]) == []
+
+
+def test_only_the_device_reads_cells():
+    # the cell format (one int per segment or per column, and where a
+    # slot starts) is the device's own; every other module goes through
+    # its passes and its uncharged peek_word
+    words = re.compile(r"\.cells\b|\bslot_start\b")
+    spelled = {path.name: sorted(set(words.findall(
+                   path.read_text(encoding="utf-8"))))
+               for path in sorted(ROOT.glob("src/**/*.py"))}
+    assert spelled.pop("device.py")
+    assert {name: words for name, words in spelled.items() if words} == {}
